@@ -65,9 +65,8 @@ class _ScriptState:
         self.sig = Signature()
         self.defs: dict = {}
         self.failures = 0
-
-    def reserved(self):
-        return set(self.sig.order) | set(self.defs)
+        # every postulated or defined name, which printed binders avoid
+        self.reserved: set = set()
 
     def context_of(self, bindings):
         names: list = []
@@ -83,6 +82,7 @@ def _run_item(item, state: _ScriptState, args) -> None:
     if isinstance(item, Postulate):
         if item.ty is None:
             state.sig = sig.with_type(item.name)
+            state.reserved.add(item.name)
             return
         core = to_core(item.ty, [], sig, state.defs)
         report = check(sig, TypeWF((), core))
@@ -92,6 +92,7 @@ def _run_item(item, state: _ScriptState, args) -> None:
                    **_report_fields(report)}, args)
             return
         state.sig = sig.with_const(item.name, core)
+        state.reserved.add(item.name)
         return
     if isinstance(item, Definition):
         ty = to_core(item.ty, [], sig, state.defs)
@@ -103,6 +104,7 @@ def _run_item(item, state: _ScriptState, args) -> None:
                    **_report_fields(report)}, args)
             return
         state.defs[item.name] = body
+        state.reserved.add(item.name)
         return
     if isinstance(item, CheckItem):
         ctx, names = state.context_of(item.bindings)
@@ -112,14 +114,14 @@ def _run_item(item, state: _ScriptState, args) -> None:
         elif item.form == "type":
             ty = to_core(item.ty, names, sig, state.defs)
             judgement = TypeWF(ctx, ty)
-            shown = f"check |- {print_term(ty, names, state.reserved())} Type"
+            shown = f"check |- {print_term(ty, names, state.reserved)} Type"
         else:
             term = to_core(item.term, names, sig, state.defs)
             ty = to_core(item.ty, names, sig, state.defs)
             judgement = HasType(ctx, term, ty)
             shown = (
-                f"check |- {print_term(term, names, state.reserved())}"
-                f" : {print_term(ty, names, state.reserved())}"
+                f"check |- {print_term(term, names, state.reserved)}"
+                f" : {print_term(ty, names, state.reserved)}"
             )
         report = check(sig, judgement)
         if not report.ok:
@@ -130,7 +132,7 @@ def _run_item(item, state: _ScriptState, args) -> None:
         ctx, names = state.context_of(item.bindings)
         term = to_core(item.term, names, sig, state.defs)
         ctx_report = check(sig, CtxtWF(ctx))
-        shown = f"infer |- {print_term(term, names, state.reserved())}"
+        shown = f"infer |- {print_term(term, names, state.reserved)}"
         if not ctx_report.ok:
             state.failures += 1
             _emit({"item": "infer", "display": shown,
@@ -143,7 +145,7 @@ def _run_item(item, state: _ScriptState, args) -> None:
             _emit({"item": "infer", "display": shown, "verdict": "reject",
                    "reason": exc.reason, "locus": list(exc.locus)}, args)
             return
-        rendered = print_term(ty, names, state.reserved())
+        rendered = print_term(ty, names, state.reserved)
         _emit({"item": "infer", "display": shown, "verdict": "accept",
                "inferred": rendered, "lines": [f": {rendered}"]}, args)
         return
@@ -157,7 +159,7 @@ def _run_elab(item: ElabItem, state: _ScriptState, args) -> None:
     sig = state.sig
     ctx, names = state.context_of(item.bindings)
     payload = item.payload
-    reserved = state.reserved()
+    reserved = state.reserved
 
     def core(surface, extra=()):
         return to_core(surface, list(names) + list(extra), sig, state.defs)

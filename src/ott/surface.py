@@ -18,6 +18,7 @@ runs, so the kernel only sees core rules and no new equalities appear.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -48,55 +49,58 @@ KEYWORDS = {
     "postulate", "def", "check", "infer", "elab", "Type", "Ctxt",
 }
 
-_PUNCT = ("|-", "->", ":=", "(", ")", "{", "}", "[", "]", ",", ";", ":", ".")
+# Token kinds: punctuation is its own kind, keywords are "kw", every other
+# word is "name".  A token is the tuple (kind, text, line, col).
+_KIND = {p: p for p in ("|-", "->", ":=", "(", ")", "{", "}", "[", "]", ",", ";", ":", ".")}
+_KIND.update((word, "kw") for word in KEYWORDS)
+
+# One alternative per lexeme, after any blanks on the same line.  A name
+# starts with a character for which str.isalpha holds, or "_", and goes on
+# with \w (str.isalnum or "_") or "'".  \w minus \d also admits non-letters
+# such as "½" and "²", so a word starting outside ASCII takes group 4 and is
+# tested with str.isalpha.  "\Z" ends the text after trailing blanks in one
+# match instead of one failed attempt per blank.
+_TOKEN = re.compile(
+    r"[ \t\r]*(?:"
+    r"(\|-|->|:=|[(){}\[\],;:.]|[A-Za-z_][\w']*)"  # 1: punctuation or ASCII word
+    r"|(\n[ \t\r\n]*)"  # 2: line breaks
+    r"|(--[^\n]*)"  # 3: comment
+    r"|([^\W\d][\w']*)"  # 4: word starting outside ASCII
+    r"|(.)"  # 5: anything else is an error
+    r"|\Z)",
+    re.DOTALL,
+)
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "name", "kw", punctuation itself, or "eof"
-    text: str
-    line: int
-    col: int
-
-
-def _lex(text: str):
+def _lex(text: str) -> list:
     tokens = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("--", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                tokens.append(Token(p, p, line, col))
-                i += len(p)
-                col += len(p)
-                break
-        else:
-            if c.isalpha() or c == "_":
-                j = i
-                while j < n and (text[j].isalnum() or text[j] in "_'"):
-                    j += 1
-                word = text[i:j]
-                kind = "kw" if word in KEYWORDS else "name"
-                tokens.append(Token(kind, word, line, col))
-                col += j - i
-                i = j
-            else:
-                raise ParseError(f"unexpected character {c!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+    append = tokens.append
+    kinds = _KIND
+    line, line_start = 1, 0
+    eof = len(text)
+    for m in _TOKEN.finditer(text):
+        group = m.lastindex
+        if group == 1:
+            word = m.group(1)
+            append((kinds.get(word, "name"), word, line, m.start(1) - line_start + 1))
+        elif group == 2:
+            breaks = m.group(2)
+            line += breaks.count("\n")
+            line_start = m.start(2) + breaks.rindex("\n") + 1
+        elif group == 3:
+            # a comment does not advance the column, which shows only when
+            # it runs to the end of the text: eof sits where it started
+            if m.end() == len(text):
+                eof = m.start(3)
+        elif group == 4 and m.group(4)[0].isalpha():
+            word = m.group(4)
+            append((kinds.get(word, "name"), word, line, m.start(4) - line_start + 1))
+        elif group is not None:
+            start = m.start(group)
+            raise ParseError(
+                f"unexpected character {text[start]!r}", line, start - line_start + 1
+            )
+    append(("eof", "", line, eof - line_start + 1))
     return tokens
 
 
@@ -166,30 +170,31 @@ class _Parser:
         self.tokens = _lex(text)
         self.pos = 0
 
-    def peek(self) -> Token:
+    def peek(self) -> tuple:
         return self.tokens[self.pos]
 
-    def next(self) -> Token:
+    def next(self) -> tuple:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
     def fail(self, message: str):
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.col)
+        _, _, line, col = self.peek()
+        raise ParseError(message, line, col)
 
-    def expect(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            self.fail(f"expected {kind!r}, found {tok.text!r}")
-        return self.next()
+    def expect(self, kind: str) -> tuple:
+        tok = self.tokens[self.pos]
+        if tok[0] != kind:
+            self.fail(f"expected {kind!r}, found {tok[1]!r}")
+        self.pos += 1
+        return tok
 
     def name(self) -> str:
-        return self.expect("name").text
+        return self.expect("name")[1]
 
     def at_kw(self, word: str) -> bool:
         tok = self.peek()
-        return tok.kind == "kw" and tok.text == word
+        return tok[0] == "kw" and tok[1] == word
 
     def eat_kw(self, word: str):
         if not self.at_kw(word):
@@ -199,19 +204,18 @@ class _Parser:
     # terms ---------------------------------------------------------------
 
     def term(self) -> SurfaceTerm:
-        tok = self.peek()
-        span = (tok.line, tok.col)
-        if tok.kind == "(":
+        kind, word, line, col = self.peek()
+        span = (line, col)
+        if kind == "(":
             self.next()
             inner = self.term()
             self.expect(")")
             return inner
-        if tok.kind == "name":
+        if kind == "name":
             self.next()
-            return SurfaceTerm("name", name=tok.text, span=span)
-        if tok.kind != "kw":
-            self.fail(f"expected a term, found {tok.text!r}")
-        word = tok.text
+            return SurfaceTerm("name", name=word, span=span)
+        if kind != "kw":
+            self.fail(f"expected a term, found {word!r}")
         if word == "Nat":
             self.next()
             return SurfaceTerm("nat", span=span)
@@ -348,12 +352,11 @@ class _Parser:
             self.expect(".")
             s = self.term()
             children = [((nb,), motive), ((), z), ((n1, n2), s)]
-            kind = word
             if word != "natconv_zero":
                 self.expect(",")
                 children.append(((), self.term()))
             self.expect(")")
-            return SurfaceTerm(kind, children=tuple(children), span=span)
+            return SurfaceTerm(word, children=tuple(children), span=span)
         self.fail(f"expected a term, found {word!r}")
 
     def _family1(self):
@@ -387,26 +390,26 @@ class _Parser:
         self.expect("[")
         out = []
         seen = set()
-        if self.peek().kind != "]":
+        if self.peek()[0] != "]":
             while True:
-                tok = self.peek()
+                _, _, line, col = self.peek()
                 name = self.name()
                 if name in seen:
                     raise ParseError(
-                        f"duplicate binder {name!r} in context", tok.line, tok.col
+                        f"duplicate binder {name!r} in context", line, col
                     )
                 seen.add(name)
                 self.expect(":")
                 out.append((name, self.term()))
-                if self.peek().kind != ",":
+                if self.peek()[0] != ",":
                     break
                 self.next()
         self.expect("]")
         return tuple(out)
 
     def item(self):
-        tok = self.peek()
-        span = (tok.line, tok.col)
+        _, text, line, col = self.peek()
+        span = (line, col)
         if self.at_kw("postulate"):
             self.next()
             name = self.name()
@@ -445,12 +448,12 @@ class _Parser:
             binds = self.bindings()
             self.expect("|-")
             op_tok = self.peek()
-            if op_tok.kind != "name" or op_tok.text not in _ELAB_OPS:
+            if op_tok[0] != "name" or op_tok[1] not in _ELAB_OPS:
                 self.fail(f"expected an elaborator name (one of {', '.join(_ELAB_OPS)})")
             self.next()
-            payload = self._elab_payload(op_tok.text)
-            return ElabItem(binds, op_tok.text, payload, span)
-        self.fail(f"expected an item, found {tok.text!r}")
+            payload = self._elab_payload(op_tok[1])
+            return ElabItem(binds, op_tok[1], payload, span)
+        self.fail(f"expected an item, found {text!r}")
 
     def _elab_payload(self, op: str) -> dict:
         if op == "transport":
@@ -507,10 +510,10 @@ class _Parser:
         else:
             ends = (self.term(),)
         self.expect(";")
-        args = self._comma_terms() if self.peek().kind != ";" else ()
+        args = self._comma_terms() if self.peek()[0] != ";" else ()
         self.expect(";")
         names = [self.name()]
-        while self.peek().kind == "name":
+        while self.peek()[0] == "name":
             names.append(self.name())
         self.expect(".")
         base = self.term()
@@ -531,29 +534,40 @@ class _Parser:
 
     def _comma_terms(self):
         out = [self.term()]
-        while self.peek().kind == ",":
+        while self.peek()[0] == ",":
             self.next()
             out.append(self.term())
         return tuple(out)
 
     def script(self) -> Script:
         items = []
-        while self.peek().kind != "eof":
+        while self.peek()[0] != "eof":
             items.append(self.item())
         return Script(tuple(items))
 
 
+def _decode(text: Union[str, bytes]) -> str:
+    """UTF-8 source as text; a bad byte is a ParseError at its position."""
+    if not isinstance(text, bytes):
+        return text
+    try:
+        return text.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        good = text[: exc.start].decode("utf-8")
+        line = good.count("\n") + 1
+        col = len(good) - good.rfind("\n")
+        raise ParseError(
+            f"invalid UTF-8 byte {text[exc.start]:#04x}", line, col
+        ) from None
+
+
 def parse(text: Union[str, bytes]) -> Script:
     """Parse a script; raises ParseError with the position of the first error."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    return _Parser(text).script()
+    return _Parser(_decode(text)).script()
 
 
 def parse_term(text: Union[str, bytes]) -> SurfaceTerm:
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    p = _Parser(text)
+    p = _Parser(_decode(text))
     out = p.term()
     p.expect("eof")
     return out
@@ -599,12 +613,12 @@ def to_core(s: SurfaceTerm, scope, sig: Signature, defs=None) -> Term:
 _FRESH_POOL = "xyzuvwpqrstkmn"
 
 
-def _fresh(used) -> str:
+def _fresh(used, reserved) -> str:
     for c in _FRESH_POOL:
-        if c not in used:
+        if c not in used and c not in reserved:
             return c
     i = 1
-    while f"x{i}" in used:
+    while f"x{i}" in used or f"x{i}" in reserved:
         i += 1
     return f"x{i}"
 
@@ -612,7 +626,10 @@ def _fresh(used) -> str:
 def print_term(t: Term, scope=(), reserved=()) -> str:
     """Deterministic, re-parseable rendering; fresh binder names avoid the
     scope, the reserved names (signature and definitions), and each other."""
-    used = set(scope) | set(reserved)
+    # the caller's reserved set is only read, never copied
+    if not isinstance(reserved, (set, frozenset)):
+        reserved = frozenset(reserved)
+    used = set(scope)
 
     def go(t: Term, names: tuple) -> str:
         tag = t[0]
@@ -630,13 +647,13 @@ def print_term(t: Term, scope=(), reserved=()) -> str:
         if tag == SUCC:
             return f"succ({go(t[1], names)})"
         if tag == PI:
-            x = _fresh(used)
+            x = _fresh(used, reserved)
             used.add(x)
             out = f"Pi({x} : {go(t[1], names)}) {go(t[2], names + (x,))}"
             used.discard(x)
             return out
         if tag == LAM:
-            x = _fresh(used)
+            x = _fresh(used, reserved)
             used.add(x)
             out = (
                 f"lam({x} : {go(t[1], names)} -> {go(t[2], names + (x,))}) "
@@ -645,7 +662,7 @@ def print_term(t: Term, scope=(), reserved=()) -> str:
             used.discard(x)
             return out
         if tag == APP or tag == BETA:
-            x = _fresh(used)
+            x = _fresh(used, reserved)
             used.add(x)
             fam = f"{{{go(t[1], names)}, {x}.{go(t[2], names + (x,))}}}"
             if tag == APP:
@@ -659,11 +676,11 @@ def print_term(t: Term, scope=(), reserved=()) -> str:
         if tag == REFL:
             return f"refl({go(t[1], names)}, {go(t[2], names)})"
         if tag == IDREC or tag == IDCONV:
-            x = _fresh(used)
+            x = _fresh(used, reserved)
             used.add(x)
-            y = _fresh(used)
+            y = _fresh(used, reserved)
             used.add(y)
-            u = _fresh(used)
+            u = _fresh(used, reserved)
             used.add(u)
             motive = go(t[2], names + (x, y, u))
             fam = f"{{{go(t[1], names)}, {x} {y} {u}.{motive}}}"
@@ -679,9 +696,9 @@ def print_term(t: Term, scope=(), reserved=()) -> str:
             used.difference_update((x, y, u))
             return out
         if tag in (NATREC, NATCONVZERO, NATCONVSUCC):
-            n = _fresh(used)
+            n = _fresh(used, reserved)
             used.add(n)
-            ih = _fresh(used)
+            ih = _fresh(used, reserved)
             used.add(ih)
             motive = go(t[1], names + (n,))
             scase = go(t[3], names + (n, ih))
@@ -705,7 +722,7 @@ def print_context(ctx, reserved=()) -> tuple[str, tuple]:
     parts = []
     for entry in ctx:
         text = print_term(entry, names, used)
-        x = _fresh(used | set(names))
+        x = _fresh(names, used)
         names = names + (x,)
         parts.append(f"{x} : {text}")
     return "[" + ", ".join(parts) + "]", names

@@ -83,8 +83,11 @@ def _exp_tower(levels: int):
 def _add_tower(node_budget: int):
     """A closed Nat term near the node budget whose value is merely linear."""
     t = _nat(2)
-    while size(t) < node_budget - 8:
+    n = size(t)
+    grow = size(_add(_nat(2), Zero)) - size(Zero)  # nodes each level adds
+    while n < node_budget - 8:
         t = _add(_nat(2), t)
+        n += grow
     return t
 
 

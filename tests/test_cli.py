@@ -49,6 +49,14 @@ def test_parse_error_exits_two(tmp_path):
     assert "expected a term" in result.stderr
 
 
+def test_invalid_utf8_exits_two_with_position(tmp_path):
+    path = tmp_path / "bad.ott"
+    path.write_bytes(b"postulate A : Type\npostulate a\xff : A\n")
+    result = _run(["check", str(path)])
+    assert result.returncode == 2
+    assert result.stderr == f"{path}:2:12: invalid UTF-8 byte 0xff\n"
+
+
 def test_missing_file_exits_three(tmp_path):
     result = _run(["check", str(tmp_path / "absent.ott")])
     assert result.returncode == 3

@@ -144,6 +144,16 @@ def test_parse_rejects_stray_characters():
         parse("check [] |- ? : A")
 
 
+def test_invalid_utf8_is_a_parse_error_at_the_bad_byte():
+    with pytest.raises(ParseError) as err:
+        parse("postulate A : Type\npostulate α".encode() + b"\xff : A")
+    assert (err.value.line, err.value.col) == (2, 12)
+    assert err.value.message == "invalid UTF-8 byte 0xff"
+    with pytest.raises(ParseError) as err:
+        parse_term(b"\xc3")
+    assert (err.value.line, err.value.col) == (1, 1)
+
+
 def test_random_scripts_round_trip(sig, rng):
     """print_script . parse is the identity on randomly assembled scripts."""
     from ott.surface import print_context
