@@ -317,19 +317,21 @@ def _seed_judgement(j: Judgement) -> list:
     """Build the initial obligation stack: context entries first, then the
     type stage, then the term stage (later stages are not reached if an
     earlier one fails)."""
+    ctx = j.ctx
+    # prefixes[i] is the cons list of ctx[:i]; each one extends the one
+    # before, so the entries share one list instead of a copy each
+    prefixes = [None]
+    for ty in ctx:
+        prefixes.append((ty, prefixes[-1]))
+    full = prefixes[-1]
     stack = []
     if isinstance(j, HasType):
-        full = _cons_ctx(j.ctx)
         stack.append((_TERM, full, j.term, j.ty, ("term", None)))
         stack.append((_TYPE, full, j.ty, None, ("type", None)))
-        ctx = j.ctx
     elif isinstance(j, TypeWF):
-        stack.append((_TYPE, _cons_ctx(j.ctx), j.ty, None, ("type", None)))
-        ctx = j.ctx
-    else:
-        ctx = j.ctx
+        stack.append((_TYPE, full, j.ty, None, ("type", None)))
     for i in range(len(ctx) - 1, -1, -1):
-        stack.append((_TYPE, _cons_ctx(ctx[:i]), ctx[i], None, (("ctx", i), None)))
+        stack.append((_TYPE, prefixes[i], ctx[i], None, (("ctx", i), None)))
     return stack
 
 

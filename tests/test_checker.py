@@ -2,7 +2,8 @@ import random
 
 from ott.checker import (
     CtxtWF, HasType, InferFailure, TypeWF, _case_recursion_count,
-    _check_term_star, _check_type_star, check, check_ctxt, infer,
+    _check_term_star, _check_type_star, _cons_ctx, _seed_judgement, check,
+    check_ctxt, infer,
 )
 from ott.terms import (
     App, BetaConv, Const, Id, IdConv, IdRec, Lambda, NatConvSucc, NatConvZero,
@@ -47,6 +48,25 @@ def test_context_entry_may_use_earlier_entries(sig):
 def test_context_entry_cannot_see_later_entries(sig):
     ctx = (Id(shift(A, 1), Var(0), Var(0)), A)
     assert not check_ctxt(sig, ctx).ok
+
+
+def test_context_entries_share_one_cons_list():
+    # entry i is checked under ctx[:i], which is a tail of the whole
+    # context's cons list: seeding builds n cells, not one list per entry
+    n = 200
+    ctx = tuple(A if k % 2 else NatTy for k in range(n))
+    stack = _seed_judgement(HasType(ctx, Zero, NatTy))
+    tails, cell = [], stack[0][1]
+    while cell is not None:
+        tails.append(cell)
+        cell = cell[1]
+    tails.append(None)
+    assert len(tails) == n + 1
+    for i in range(n):
+        kind, prefix, entry, _, path = stack[len(stack) - 1 - i]
+        assert path == (("ctx", i), None) and entry is ctx[i]
+        assert prefix is tails[n - i]
+        assert prefix == _cons_ctx(ctx[:i])
 
 
 # type formation ---------------------------------------------------------------
