@@ -3,9 +3,18 @@ telescope (multi-binder) products and identity elimination.
 
 Since the theory has no definitional equality, these rules do not come for
 free: each is realized by an explicit construction whose output is a plain
-core term.  Admissibility is witnessed operationally: every result is pushed
-back through the checker at its stated type before being returned, and a
-RecheckFailure here always means a construction bug, never user error.
+core term.  Admissibility is witnessed operationally: every returned term was
+accepted by the kernel at its stated type, and a RecheckFailure here always
+means a construction bug, never user error.
+
+A sealed result is a certificate, so a precondition that the kernel already
+accepted for a live result is not checked again: when the required term is
+that result's term object, under the same Signature object, at a context and
+type syntactically equal to the result's, the check is skipped.  The index
+behind this maps id(result.term) to the result and holds it only weakly; it
+is shared by all threads, and a lookup only ever skips a judgement that a
+live result already passed, so concurrent use costs at worst an extra check.
+Every new term still goes to the kernel.
 
 Index conventions (worked through in docs/transport-indices.md): a motive
 over three binders sees the innermost binder (the path) as index 0, its right
@@ -22,13 +31,14 @@ price this calculus pays for never normalizing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 
 from . import kernel as _k
 from .checker import HasType, TypeWF, check
 from .kernel import APP, BETA, ID, IDCONV, IDREC, LAM, PI, REFL, VAR
 from .subst import shift, subst
-from .terms import Context, Signature, Telescope, Term
+from .terms import Context, Signature, Telescope, Term, syntactic_equal
 
 __all__ = [
     "ElabResult", "ElabError", "RecheckFailure",
@@ -50,6 +60,30 @@ class ElabResult:
     term: Term
     stated_type: Term
     context: Context
+    signature: Signature = field(compare=False, repr=False)
+
+
+# id(result.term) -> the live ElabResult sealed with that term.  The result
+# holds its term, so the id cannot be reused while the entry exists.
+_accepted: "weakref.WeakValueDictionary[int, ElabResult]" = weakref.WeakValueDictionary()
+
+
+def _same_context(left, right):
+    return left is right or (
+        len(left) == len(right)
+        and all(e is f or syntactic_equal(e, f) for e, f in zip(left, right))
+    )
+
+
+def _accepted_before(sig, ctx, term, ty):
+    """Whether the kernel already accepted ``term : ty`` in ``ctx`` under
+    ``sig`` for a result that is still alive."""
+    r = _accepted.get(id(term))
+    return (
+        r is not None and r.term is term and r.signature is sig
+        and _same_context(r.context, ctx)
+        and (r.stated_type is ty or syntactic_equal(r.stated_type, ty))
+    )
 
 
 def _inst(t, terms, outer=0, lift=0):
@@ -58,6 +92,8 @@ def _inst(t, terms, outer=0, lift=0):
 
 
 def _require(sig, ctx, term, ty, what):
+    if _accepted_before(sig, ctx, term, ty):
+        return
     if not check(sig, HasType(ctx, term, ty)).ok:
         raise ElabError(f"precondition failed: {what}")
 
@@ -73,7 +109,9 @@ def _sealed(sig, ctx, term, ty) -> ElabResult:
         raise RecheckFailure(
             f"emitted term failed recheck: {report.reason} at {report.locus}"
         )
-    return ElabResult(term, ty, ctx)
+    result = ElabResult(term, ty, ctx, sig)
+    _accepted[id(term)] = result
+    return result
 
 
 def transport(sig: Signature, ctx: Context, family_over: Term, family: Term,
@@ -258,19 +296,19 @@ class TelescopePi:
         """
         args = tuple(args)
         self._check_args(args)
-        term, stated = _beta_witness(self.sig, self.ctx, self.delta, self.body,
-                                     body_term, args)
-        return _sealed(self.sig, self.ctx, term, stated)
+        return _beta_witness(self.sig, self.ctx, self.delta, self.body,
+                             body_term, args)
 
 
 def telescope_pi(sig: Signature, ctx: Context, delta: Telescope, body: Term) -> TelescopePi:
     return TelescopePi(sig, ctx, delta, body)
 
 
-def _beta_witness(sig, ctx, entries, body_ty, body, args):
-    """Recursive witness construction; returns (term, stated Id type)."""
+def _beta_witness(sig, ctx, entries, body_ty, body, args) -> ElabResult:
+    """Recursive witness construction; returns the sealed witness, whose
+    stated type is the Id type between the spine and the instantiated body."""
     if not entries:
-        return (REFL, body_ty, body), (ID, body_ty, body, body)
+        return _sealed(sig, ctx, (REFL, body_ty, body), (ID, body_ty, body, body))
     if len(entries) == 1:
         dom, arg = entries[0], args[0]
         term = (BETA, dom, body_ty, arg, body)
@@ -279,18 +317,20 @@ def _beta_witness(sig, ctx, entries, body_ty, body, args):
             (APP, dom, body_ty, (LAM, dom, body_ty, body), arg),
             _inst(body, (arg,)),
         )
-        return term, stated
+        return _sealed(sig, ctx, term, stated)
     front, last = entries[:-1], entries[-1]
     front_args, last_arg = args[:-1], args[-1]
     inner_ty = (PI, last, body_ty)
     inner_lam = (LAM, last, body_ty, body)
-    ih_term, ih_stated = _beta_witness(sig, ctx, front, inner_ty, inner_lam, front_args)
-    _, pi_inst, spine_head, lam_inst = ih_stated
+    # ``ih`` stays alive while its term is the congruence's path, so that
+    # precondition is not checked again
+    ih = _beta_witness(sig, ctx, front, inner_ty, inner_lam, front_args)
+    _, pi_inst, spine_head, lam_inst = ih.stated_type
     _, dom_i, cod_i = pi_inst
     step = ((dom_i, cod_i),)
     result_ty = _inst(cod_i, (last_arg,))
     # rewrite the head of the final application along the induction hypothesis
-    cong = _spine_congruence(sig, ctx, pi_inst, spine_head, lam_inst, ih_term,
+    cong = _spine_congruence(sig, ctx, pi_inst, spine_head, lam_inst, ih.term,
                              step, (last_arg,), result_ty)
     # one-variable computation witness at the substituted data
     rev = tuple(reversed(front_args))
@@ -299,8 +339,7 @@ def _beta_witness(sig, ctx, entries, body_ty, body, args):
     lhs = _spine_app(step, spine_head, (last_arg,), 0)
     mid = _spine_app(step, lam_inst, (last_arg,), 0)
     rhs = _inst(body_inst, (last_arg,))
-    chained = transitivity(sig, ctx, result_ty, lhs, mid, rhs, cong.term, bc)
-    return chained.term, (ID, result_ty, lhs, rhs)
+    return transitivity(sig, ctx, result_ty, lhs, mid, rhs, cong.term, bc)
 
 
 def _ctx3(ctx: Context, over: Term) -> Context:
@@ -388,11 +427,13 @@ def telescope_idconv(sig: Signature, ctx: Context, over: Term, delta: Telescope,
     delta_pt = _subst_tele(delta, point_triple, 0)
     motive_pt = _inst(motive, point_triple, 0, k)
     product_pt = telescope_pi(sig, ctx, delta_pt, motive_pt)
-    product_pt._check_args(args)
+    base_at_point = _inst(base, (point,), 0, k)
+    # the telescope computation witness for the product, which finishes the
+    # chain below; it also checks each argument against its entry
+    tail = product_pt.betaconv(base_at_point, args)
 
     carrier = (IDREC, over, big_motive, point, point, rfl, s)
     s_at_point = _inst(s, (point,))
-    base_at_point = _inst(base, (point,), 0, k)
     big_motive_pt = _inst(big_motive, point_triple)
 
     # the primitive computation witness rewrites the spine head
@@ -400,14 +441,11 @@ def telescope_idconv(sig: Signature, ctx: Context, over: Term, delta: Telescope,
     steps, result_ty = _spine_steps(delta_pt, motive_pt, args)
     cong = _spine_congruence(sig, ctx, big_motive_pt, carrier, s_at_point, idc,
                              steps, args, result_ty)
-    # then the telescope computation witness for the product finishes
-    tail = product_pt.betaconv(base_at_point, args)
     lhs = _spine_app(steps, carrier, args, 0)
     rhs = _inst_args(base_at_point, args)
-    chained = transitivity(sig, ctx, result_ty, lhs,
-                           _spine_app(steps, s_at_point, args, 0), rhs,
-                           cong.term, tail.term)
-    return _sealed(sig, ctx, chained.term, (ID, result_ty, lhs, rhs))
+    return transitivity(sig, ctx, result_ty, lhs,
+                        _spine_app(steps, s_at_point, args, 0), rhs,
+                        cong.term, tail.term)
 
 
 def _inst_args(body: Term, args) -> Term:
