@@ -35,18 +35,7 @@ against a concrete target without materializing the substitution; its cost is
 bounded by the target's size, which is what the checker's complexity argument
 needs.  Comparison steps and materialized node counts are returned to the
 caller so the checker can keep a deterministic step counter.
-
-This module is written in the restricted style that Cython compiles directly
-(no match statements, no dataclasses); the build copies it to ``_kernel_c``
-and compiles it, and ``ott.kernel`` picks whichever twin is available.
 """
-
-try:
-    import cython
-
-    COMPILED = cython.compiled
-except ImportError:  # pragma: no cover - cython is normally importable
-    COMPILED = False
 
 VAR = 0
 CONST = 1

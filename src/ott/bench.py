@@ -4,8 +4,7 @@ Four judgement families of controlled size are generated, checked, and the
 instrumented step counts fitted against size on a log-log scale.  The claim
 under test is the quadratic ceiling: the fitted slope must stay at or below
 2.3 (allowing allocation noise while refuting anything super-quadratic).
-Steps, not wall time, gate the fit; wall time is reported for context and for
-comparing the compiled and pure kernels, which count identically.
+Steps, not wall time, gate the fit; wall time is reported for context.
 
 The families pin down the checker's distinct cost paths:
 
@@ -207,28 +206,27 @@ def fit_scaling(sizes, steps) -> tuple[float, float]:
 SLOPE_LIMIT = 2.3
 
 
-def run_bench(cfg: BenchConfig, backend: str = "auto") -> BenchReport:
+def run_bench(cfg: BenchConfig) -> BenchReport:
     """Generate, check and fit one family; ``passed`` is the quadratic gate."""
-    with _kernel.forced(backend):
-        sig = bench_signature()
-        rows = []
-        for requested, j in generate_family(cfg):
-            steps_seen = []
-            wall = []
-            for _ in range(cfg.repetitions):
-                report = check(sig, j)
-                assert report.ok
-                steps_seen.append(report.steps)
-                wall.append(report.nanoseconds)
-            assert len(set(steps_seen)) == 1, "step counts must be deterministic"
-            rows.append(BenchRow(
-                cfg.family, requested, _judgement_size(j),
-                int(statistics.median(steps_seen)), int(statistics.median(wall)),
-            ))
-        slope, intercept = fit_scaling(
-            [r.judgement_size for r in rows], [r.median_steps for r in rows]
-        )
-        return BenchReport(
-            cfg.family, cfg.seed, _kernel.BACKEND, tuple(rows),
-            slope, intercept, slope <= SLOPE_LIMIT,
-        )
+    sig = bench_signature()
+    rows = []
+    for requested, j in generate_family(cfg):
+        steps_seen = []
+        wall = []
+        for _ in range(cfg.repetitions):
+            report = check(sig, j)
+            assert report.ok
+            steps_seen.append(report.steps)
+            wall.append(report.nanoseconds)
+        assert len(set(steps_seen)) == 1, "step counts must be deterministic"
+        rows.append(BenchRow(
+            cfg.family, requested, _judgement_size(j),
+            int(statistics.median(steps_seen)), int(statistics.median(wall)),
+        ))
+    slope, intercept = fit_scaling(
+        [r.judgement_size for r in rows], [r.median_steps for r in rows]
+    )
+    return BenchReport(
+        cfg.family, cfg.seed, _kernel.BACKEND, tuple(rows),
+        slope, intercept, slope <= SLOPE_LIMIT,
+    )

@@ -8,6 +8,12 @@ module-internal (``_check_type_star``/``_check_term_star``): they are allowed
 to answer arbitrarily when their promise is violated, so external callers only
 get the safe composition.
 
+Type synthesis has no rules of its own.  ``infer`` builds the conclusion of
+the one rule that fits the term's head constructor, and ``_run`` checks it
+exactly as ``check`` would a ``HasType`` judgement with that type, so every
+premise comes from the same rule table and ``infer`` never returns a type
+that ``check`` rejects.
+
 Under the promises, each constructor is handled by exactly one rule, so the
 checker makes one equality comparison against the stated result type plus a
 fixed set of recursive calls, and never re-derives a premise that unique
@@ -394,28 +400,29 @@ def _type_case_recursion_count(sig: Signature, ctx: Context, sigma: Term) -> int
 
 
 # Type synthesis.  Uniqueness of types makes the result canonical: the one
-# type the checker would accept.  Unlike the starred stages this verifies
-# every premise, since nothing has been promised about the pieces.
+# type the checker would accept.  ``infer`` builds the conclusion of the one
+# rule that fits the head constructor and ``_run`` checks it: first that the
+# conclusion is a type, then the term against it, which verifies every
+# premise, since nothing has been promised about the pieces.
 
 def infer(sig: Signature, ctx: Context, a: Term) -> Term:
     """Return the unique type of ``a`` over ``ctx`` (which must be
-    well-formed), or raise InferFailure."""
-    return _infer(sig, _cons_ctx(ctx), a, None)
-
-
-def _require_type(sig, ctx, ty, path):
-    ok, reason, locus, _ = _run(sig, [(_TYPE, ctx, ty, None, path)])
+    well-formed), or raise InferFailure.  What it returns is a type that
+    ``check(sig, HasType(ctx, a, ty))`` accepts."""
+    c = _cons_ctx(ctx)
+    ty = _conclusion(sig, c, a)
+    ok, reason, locus, _ = _run(sig, [
+        (_TERM, c, a, ty, ("term", None)),
+        (_TYPE, c, ty, None, ("type", None)),
+    ])
     if not ok:
-        raise InferFailure(reason or "not a type", locus or ())
+        raise InferFailure(reason, locus)
+    return ty
 
 
-def _require_term(sig, ctx, a, ty, path):
-    ok, reason, locus, _ = _run(sig, [(_TERM, ctx, a, ty, path)])
-    if not ok:
-        raise InferFailure(reason or "ill-typed", locus or ())
-
-
-def _infer(sig: Signature, ctx, a: Term, path) -> Term:
+def _conclusion(sig: Signature, ctx, a: Term) -> Term:
+    """The type in the conclusion of the rule for the head of ``a``, built
+    from its annotations alone; no premise is checked here."""
     tag = a[0]
     if tag == VAR:
         i = a[1]
@@ -424,88 +431,46 @@ def _infer(sig: Signature, ctx, a: Term, path) -> Term:
             entry = entry[1]
             i -= 1
         if entry is None:
-            raise InferFailure("unbound variable", _path(path))
-        out, _ = _k.inst(entry[0], (), a[1] + 1, 0)
-        return out
+            raise InferFailure("unbound variable", ("term",))
+        return _k.inst(entry[0], (), a[1] + 1, 0)[0]
     if tag == CONST:
         declared = sig.constants.get(a[1])
         if declared is None:
-            raise InferFailure("not a term constant", _path(path))
+            raise InferFailure("not a term constant", ("term",))
         return declared
     if tag == LAM:
-        dom, cod, body = a[1], a[2], a[3]
-        _require_type(sig, ctx, dom, (0, path))
-        _require_type(sig, (dom, ctx), cod, (1, path))
-        _require_term(sig, (dom, ctx), body, cod, (2, path))
-        return (PI, dom, cod)
+        return (PI, a[1], a[2])
     if tag == APP:
-        dom, cod, fun, arg = a[1], a[2], a[3], a[4]
-        _require_type(sig, ctx, dom, (0, path))
-        _require_type(sig, (dom, ctx), cod, (1, path))
-        _require_term(sig, ctx, fun, (PI, dom, cod), (2, path))
-        _require_term(sig, ctx, arg, dom, (3, path))
-        out, _ = _k.inst(cod, (arg,), 0, 0)
-        return out
+        return _inst(a[2], a[4])
     if tag == BETA:
         dom, cod, arg, body = a[1], a[2], a[3], a[4]
-        _require_type(sig, ctx, dom, (0, path))
-        _require_type(sig, (dom, ctx), cod, (1, path))
-        _require_term(sig, (dom, ctx), body, cod, (3, path))
-        _require_term(sig, ctx, arg, dom, (2, path))
-        cod_a, _ = _k.inst(cod, (arg,), 0, 0)
-        body_a, _ = _k.inst(body, (arg,), 0, 0)
-        return (ID, cod_a, (APP, dom, cod, (LAM, dom, cod, body), arg), body_a)
+        lam = (LAM, dom, cod, body)
+        return (ID, _inst(cod, arg), (APP, dom, cod, lam, arg), _inst(body, arg))
     if tag == REFL:
-        over, point = a[1], a[2]
-        _require_type(sig, ctx, over, (0, path))
-        _require_term(sig, ctx, point, over, (1, path))
-        return (ID, over, point, point)
-    if tag == IDREC or tag == IDCONV:
-        over = a[1]
-        motive = a[2]
-        _require_type(sig, ctx, over, (0, path))
-        a1, _ = _k.inst(over, (), 1, 0)
-        a2, _ = _k.inst(over, (), 2, 0)
-        ctx3 = ((ID, a2, (VAR, 1), (VAR, 0)), (a1, (over, ctx)))
-        _require_type(sig, ctx3, motive, (1, path))
-        minst, _ = _k.inst(motive, ((REFL, a1, (VAR, 0)), (VAR, 0), (VAR, 0)), 1, 0)
-        if tag == IDREC:
-            lhs, rhs, pth, base = a[3], a[4], a[5], a[6]
-            _require_term(sig, ctx, lhs, over, (2, path))
-            _require_term(sig, ctx, rhs, over, (3, path))
-            _require_term(sig, ctx, pth, (ID, over, lhs, rhs), (4, path))
-            _require_term(sig, (over, ctx), base, minst, (5, path))
-            out, _ = _k.inst(motive, (pth, rhs, lhs), 0, 0)
-            return out
-        point, base = a[3], a[4]
-        _require_term(sig, ctx, point, over, (2, path))
-        _require_term(sig, (over, ctx), base, minst, (3, path))
+        return (ID, a[1], a[2], a[2])
+    if tag == IDREC:
+        return _inst(a[2], a[5], a[4], a[3])
+    if tag == IDCONV:
+        over, motive, point, base = a[1], a[2], a[3], a[4]
         rfl = (REFL, over, point)
-        p_pt, _ = _k.inst(motive, (rfl, point, point), 0, 0)
-        base_pt, _ = _k.inst(base, (point,), 0, 0)
-        return (ID, p_pt, (IDREC, over, motive, point, point, rfl, base), base_pt)
-    if tag == ZERO:
+        rec = (IDREC, over, motive, point, point, rfl, base)
+        return (ID, _inst(motive, rfl, point, point), rec, _inst(base, point))
+    if tag == ZERO or tag == SUCC:
         return (NAT,)
-    if tag == SUCC:
-        _require_term(sig, ctx, a[1], (NAT,), (0, path))
-        return (NAT,)
-    if tag == NATREC or tag == NATCONVZERO or tag == NATCONVSUCC:
+    if tag == NATREC:
+        return _inst(a[1], a[4])
+    if tag == NATCONVZERO:
         motive, z, s = a[1], a[2], a[3]
-        _require_type(sig, ((NAT,), ctx), motive, (0, path))
-        pz, _ = _k.inst(motive, ((ZERO,),), 0, 0)
-        ps, _ = _k.inst(motive, ((SUCC, (VAR, 1)),), 2, 0)
-        _require_term(sig, ctx, z, pz, (1, path))
-        _require_term(sig, (motive, ((NAT,), ctx)), s, ps, (2, path))
-        if tag == NATREC:
-            scrut = a[4]
-            _require_term(sig, ctx, scrut, (NAT,), (3, path))
-            out, _ = _k.inst(motive, (scrut,), 0, 0)
-            return out
-        if tag == NATCONVZERO:
-            return (ID, pz, (NATREC, motive, z, s, (ZERO,)), z)
-        m = a[4]
-        _require_term(sig, ctx, m, (NAT,), (3, path))
-        p_sm, _ = _k.inst(motive, ((SUCC, m),), 0, 0)
-        s_inst, _ = _k.inst(s, ((NATREC, motive, z, s, m), m), 0, 0)
-        return (ID, p_sm, (NATREC, motive, z, s, (SUCC, m)), s_inst)
-    raise InferFailure("no term-level rule for this constructor", _path(path))
+        return (ID, _inst(motive, (ZERO,)), (NATREC, motive, z, s, (ZERO,)), z)
+    if tag == NATCONVSUCC:
+        motive, z, s, m = a[1], a[2], a[3], a[4]
+        rec = (NATREC, motive, z, s, m)
+        succ_rec = (NATREC, motive, z, s, (SUCC, m))
+        return (ID, _inst(motive, (SUCC, m)), succ_rec, _inst(s, rec, m))
+    raise InferFailure("no term-level rule for this constructor", ("term",))
+
+
+def _inst(t: Term, *terms: Term) -> Term:
+    """``t`` with its free indices ``0..n-1`` replaced by ``terms``, the
+    first of them for index 0."""
+    return _k.inst(t, terms, 0, 0)[0]

@@ -13,7 +13,6 @@ import json
 import sys
 import threading
 
-from . import kernel as _kernel
 from .bench import DEFAULT_SIZES, FAMILIES, BenchConfig, run_bench
 from .checker import CheckReport, CtxtWF, HasType, InferFailure, TypeWF, check, infer
 from .derived import (
@@ -270,38 +269,31 @@ def run_script(path: str, args) -> int:
 
 def _cmd_bench(args) -> int:
     sizes = tuple(int(s) for s in args.sizes.split(","))
-    backends = ["auto"]
-    if args.backend == "both":
-        backends = list(_kernel.backends())
-    else:
-        backends = [args.backend]
     status = OK
-    for backend in backends:
-        for family in FAMILIES if args.family == "all" else [args.family]:
-            cfg = BenchConfig(family, sizes, args.reps, args.seed)
-            report = run_bench(cfg, backend=backend)
-            if args.json:
-                for row in report.rows:
-                    print(json.dumps({
-                        "family": family, "backend": report.backend,
-                        "size": row.judgement_size, "steps": row.median_steps,
-                        "nanoseconds": row.median_ns,
-                    }, sort_keys=True))
+    for family in FAMILIES if args.family == "all" else [args.family]:
+        report = run_bench(BenchConfig(family, sizes, args.reps, args.seed))
+        if args.json:
+            for row in report.rows:
                 print(json.dumps({
                     "family": family, "backend": report.backend,
-                    "slope": report.slope, "intercept": report.intercept,
-                    "passed": report.passed,
+                    "size": row.judgement_size, "steps": row.median_steps,
+                    "nanoseconds": row.median_ns,
                 }, sort_keys=True))
-            else:
-                print(f"family {family} [{report.backend}]")
-                for row in report.rows:
-                    line = f"  size {row.judgement_size:>8}  steps {row.median_steps:>10}"
-                    line += f"  wall {row.median_ns / 1e6:9.2f} ms"
-                    print(line)
-                verdict = "PASS" if report.passed else "FAIL"
-                print(f"  slope {report.slope:.3f}  ({verdict}, limit 2.3)")
-            if not report.passed:
-                status = FAIL
+            print(json.dumps({
+                "family": family, "backend": report.backend,
+                "slope": report.slope, "intercept": report.intercept,
+                "passed": report.passed,
+            }, sort_keys=True))
+        else:
+            print(f"family {family} [{report.backend}]")
+            for row in report.rows:
+                line = f"  size {row.judgement_size:>8}  steps {row.median_steps:>10}"
+                line += f"  wall {row.median_ns / 1e6:9.2f} ms"
+                print(line)
+            verdict = "PASS" if report.passed else "FAIL"
+            print(f"  slope {report.slope:.3f}  ({verdict}, limit 2.3)")
+        if not report.passed:
+            status = FAIL
     return status
 
 
@@ -324,8 +316,6 @@ def main(argv=None) -> int:
     b.add_argument("--sizes", default=",".join(str(s) for s in DEFAULT_SIZES))
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--reps", type=int, default=1)
-    b.add_argument("--backend", default="auto",
-                   choices=("auto", "pure", "compiled", "both"))
 
     try:
         args = parser.parse_args(argv)

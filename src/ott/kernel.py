@@ -1,98 +1,16 @@
-"""Kernel backend selection: compiled extension when available, else pure.
+"""The kernel's public face: tag constants and the hot term operations.
 
-The compiled twin ``ott._kernel_c`` is produced at build time from the same
-source as ``ott._kernel``; the two are behaviourally identical (including
-step counts), so everything above this module is backend-agnostic.  Set
-``OTT_KERNEL=pure`` or ``OTT_KERNEL=compiled`` to force a choice.
+The implementation lives in ``ott._kernel``; this module re-exports it.
+Callers reach ``size``, ``inst`` and ``eq_lazy`` through this module's
+attributes, so a profiler can wrap them here while the recursive calls
+inside ``ott._kernel`` stay unwrapped.
 """
 
-import os
-from contextlib import contextmanager
+from ._kernel import (
+    APP, BETA, BINDERS, CLO, CONST, ID, IDCONV, IDREC, LAM, NAT, NATCONVSUCC,
+    NATCONVZERO, NATREC, PI, REFL, SUCC, TAG_NAMES, VAR, ZERO, eq_lazy, inst,
+    size,
+)
 
-from . import _kernel as _pure
-
-try:
-    from . import _kernel_c as _fast
-
-    if not getattr(_fast, "COMPILED", False):
-        _fast = None
-except ImportError:
-    _fast = None
-
-_choice = os.environ.get("OTT_KERNEL", "auto")
-if _choice == "pure":
-    _impl = _pure
-elif _choice == "compiled":
-    if _fast is None:
-        raise ImportError("OTT_KERNEL=compiled but the compiled kernel is not built")
-    _impl = _fast
-else:
-    _impl = _fast if _fast is not None else _pure
-
-BACKEND = "compiled" if _impl.COMPILED else "pure"
-
-VAR = _impl.VAR
-CONST = _impl.CONST
-PI = _impl.PI
-LAM = _impl.LAM
-APP = _impl.APP
-BETA = _impl.BETA
-ID = _impl.ID
-REFL = _impl.REFL
-IDREC = _impl.IDREC
-IDCONV = _impl.IDCONV
-NAT = _impl.NAT
-ZERO = _impl.ZERO
-SUCC = _impl.SUCC
-NATREC = _impl.NATREC
-NATCONVZERO = _impl.NATCONVZERO
-NATCONVSUCC = _impl.NATCONVSUCC
-CLO = _impl.CLO
-BINDERS = _impl.BINDERS
-TAG_NAMES = _impl.TAG_NAMES
-
-size = _impl.size
-inst = _impl.inst
-eq_lazy = _impl.eq_lazy
-
-
-def backends():
-    """The kernel implementations importable in this environment."""
-    out = {"pure": _pure}
-    if _fast is not None:
-        out["compiled"] = _fast
-    return out
-
-
-def use(name: str) -> str:
-    """Rebind the kernel operations to a backend ("pure", "compiled", or
-    "auto").  Callers access them through this module, so the switch takes
-    effect everywhere; step counts are identical either way."""
-    global _impl, BACKEND, size, inst, eq_lazy
-    if name == "auto":
-        impl = _fast if _fast is not None else _pure
-    elif name == "pure":
-        impl = _pure
-    elif name == "compiled":
-        if _fast is None:
-            raise ValueError("the compiled kernel is not built")
-        impl = _fast
-    else:
-        raise ValueError(f"unknown kernel backend {name!r}")
-    _impl = impl
-    BACKEND = "compiled" if impl.COMPILED else "pure"
-    size = impl.size
-    inst = impl.inst
-    eq_lazy = impl.eq_lazy
-    return BACKEND
-
-
-@contextmanager
-def forced(name: str):
-    """Temporarily select a kernel backend."""
-    previous = BACKEND
-    use(name)
-    try:
-        yield BACKEND
-    finally:
-        use(previous)
+# recorded in bench and benchmark records, which stay comparable across versions
+BACKEND = "pure"

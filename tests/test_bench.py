@@ -86,14 +86,3 @@ def test_run_bench_small_end_to_end():
         r.median_steps for r in report.rows
     )
 
-
-def test_steps_identical_across_backends():
-    from ott.kernel import backends
-
-    if len(backends()) < 2:
-        pytest.skip("compiled kernel not built")
-    cfg = BenchConfig("idrec-tower", sizes=(256, 512, 1024, 2048, 4096, 8192, 16384, 32768))
-    pure = run_bench(cfg, backend="pure")
-    fast = run_bench(cfg, backend="compiled")
-    assert [r.median_steps for r in pure.rows] == [r.median_steps for r in fast.rows]
-    assert pure.slope == fast.slope

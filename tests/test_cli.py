@@ -68,14 +68,19 @@ postulate A : Type
 postulate a : A
 check [] |- refl(A, a) : Id(A, a, a)
 infer [x : A] |- refl(A, x)
+infer [x : A] |- app{A, z.A}(x, x)
 """)
     result = _run(["--json", "check", path])
-    assert result.returncode == 0
+    assert result.returncode == 1  # the last item is rejected
     records = [json.loads(line) for line in result.stdout.splitlines()]
     assert records[0]["verdict"] == "accept"
     assert {"steps", "nanoseconds", "locus", "reason"} <= set(records[0])
     assert records[1]["item"] == "infer"
     assert records[1]["inferred"] == "Id(A, x, x)"
+    # infer rejections carry the same stage root as check records
+    assert records[2]["item"] == "infer" and records[2]["verdict"] == "reject"
+    assert records[2]["reason"] == "variable type mismatch"
+    assert records[2]["locus"] == ["term", 2]
 
 
 def test_steps_flag_shows_counters(tmp_path):
