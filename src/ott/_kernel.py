@@ -35,6 +35,12 @@ against a concrete target without materializing the substitution; its cost is
 bounded by the target's size, which is what the checker's complexity argument
 needs.  Comparison steps and materialized node counts are returned to the
 caller so the checker can keep a deterministic step counter.
+
+A leaf (a constant or a one-slot node such as ``Nat``) costs one step in
+either operation: one head comparison in ``eq_lazy``, one node for ``inst``,
+which returns the leaf itself.  The checker decides leaf comparisons and
+substitutions inline and charges exactly these costs, so its step counts
+do not depend on which calls it makes.
 """
 
 VAR = 0

@@ -19,11 +19,15 @@ checker makes one equality comparison against the stated result type plus a
 fixed set of recursive calls, and never re-derives a premise that unique
 derivability already guarantees.  In particular both computation constructors
 (`betaconv`, `idconv`, and their Nat analogues) are pure comparisons with
-zero recursive calls.  All comparisons go through the lazy environment
-comparator, so their cost is bounded by the size of the input type, not by
-the size of any substituted form; the one materialization is the identity
-eliminator's motive instance for the base premise, whose size the cost budget
-explicitly covers.
+zero recursive calls.  Every rule's comparison happens at one site in
+``_run``.  A leaf (a constant or a one-slot node such as ``Nat``), bare or
+under a substitution, is decided there inline and charged the one step
+``eq_lazy`` would charge; everything else goes to the lazy environment
+comparator, so the cost of a comparison is bounded by the size of the input
+type, not by the size of any substituted form.  The materializations are the
+eliminators' motive instances for their premises, whose size the cost budget
+explicitly covers; a closed leaf motive is its own instance, charged what
+``inst`` would charge.
 
 There is no normalization, reduction or conversion checking anywhere in this
 module: equality of types is syntactic equality, full stop.
@@ -104,6 +108,7 @@ class InferFailure(Exception):
 
 _TYPE = 0
 _TERM = 1
+_NAT = (NAT,)
 
 # Task tuples: (kind, ctx cons-list, subject, target-or-None, path cons-list).
 # The context is a linked list (entry, parent) with the innermost entry at the
@@ -130,7 +135,9 @@ def _path(p) -> tuple:
 def _run(sig: Signature, stack: list, trace=None):
     """Process obligations depth-first; first failure wins.
 
-    Returns (ok, reason, locus-path, steps).
+    Returns (ok, reason, locus-path, steps).  A ``trace`` list, if given,
+    gets ``(kind, tag, stack depth)`` for each discharged obligation, the
+    depth taken after its premises were pushed.
     """
     consts = sig.constants
     atomics = sig.atomic_types
@@ -143,25 +150,21 @@ def _run(sig: Signature, stack: list, trace=None):
             if tag == PI:
                 stack.append((_TYPE, (t[1], ctx), t[2], None, (1, path)))
                 stack.append((_TYPE, ctx, t[1], None, (0, path)))
-                if trace is not None:
-                    trace.append((kind, tag, 2))
             elif tag == ID:
                 stack.append((_TERM, ctx, t[3], t[1], (2, path)))
                 stack.append((_TERM, ctx, t[2], t[1], (1, path)))
                 stack.append((_TYPE, ctx, t[1], None, (0, path)))
-                if trace is not None:
-                    trace.append((kind, tag, 3))
-            elif tag == NAT:
-                if trace is not None:
-                    trace.append((kind, tag, 0))
-            elif tag == CONST and t[1] in atomics:
-                if trace is not None:
-                    trace.append((kind, tag, 0))
-            else:
+            elif tag != NAT and not (tag == CONST and t[1] in atomics):
                 return False, "not a type", _path(path), steps
+            if trace is not None:
+                trace.append((kind, tag, len(stack)))
             continue
 
-        # term against target
+        # term against target.  Each rule pushes its premises and names the
+        # type its conclusion states, ``expected`` (standing under the
+        # substitution ``env`` when that is not None), and the reason a
+        # mismatch gives; the one comparison after the rules decides it.
+        env = None
         if tag == VAR:
             i = t[1]
             entry = ctx
@@ -170,41 +173,28 @@ def _run(sig: Signature, stack: list, trace=None):
                 entry = entry[1]
                 hops += 1
             steps += hops
-            if entry is None:
+            if entry is None or i < 0:
                 return False, "unbound variable", _path(path), steps
-            eq, c = _k.eq_lazy((CLO, entry[0], (0, (), i + 1)), target)
-            steps += c
-            if not eq:
-                return False, "variable type mismatch", _path(path), steps
-            pushed = 0
+            expected, env = entry[0], (0, (), i + 1)
+            why = "variable type mismatch"
         elif tag == CONST:
-            declared = consts.get(t[1])
-            if declared is None:
+            expected = consts.get(t[1])
+            if expected is None:
                 return False, "not a term constant", _path(path), steps
-            eq, c = _k.eq_lazy(declared, target)
-            steps += c
-            if not eq:
-                return False, "constant type mismatch", _path(path), steps
-            pushed = 0
+            why = "constant type mismatch"
         elif tag == LAM:
             a, b, body = t[1], t[2], t[3]
-            eq, c = _k.eq_lazy((PI, a, b), target)
-            steps += c
-            if not eq:
-                return False, "lambda against non-matching type", _path(path), steps
             stack.append((_TERM, (a, ctx), body, b, (2, path)))
-            pushed = 1
+            expected = (PI, a, b)
+            why = "lambda against non-matching type"
         elif tag == APP:
             a, b, fun, arg = t[1], t[2], t[3], t[4]
-            eq, c = _k.eq_lazy((CLO, b, (0, (arg,), 0)), target)
-            steps += c
-            if not eq:
-                return False, "application result mismatch", _path(path), steps
             stack.append((_TERM, ctx, arg, a, (3, path)))
             stack.append((_TERM, ctx, fun, (PI, a, b), (2, path)))
             stack.append((_TYPE, (a, ctx), b, None, (1, path)))
             stack.append((_TYPE, ctx, a, None, (0, path)))
-            pushed = 4
+            expected, env = b, (0, (arg,), 0)
+            why = "application result mismatch"
         elif tag == BETA:
             a, b, arg, body = t[1], t[2], t[3], t[4]
             sub = (0, (arg,), 0)
@@ -214,37 +204,18 @@ def _run(sig: Signature, stack: list, trace=None):
                 (APP, a, b, (LAM, a, b, body), arg),
                 (CLO, body, sub),
             )
-            eq, c = _k.eq_lazy(expected, target)
-            steps += c
-            if not eq:
-                return False, "betaconv type mismatch", _path(path), steps
-            pushed = 0
+            why = "betaconv type mismatch"
         elif tag == REFL:
             a, point = t[1], t[2]
-            eq, c = _k.eq_lazy((ID, a, point, point), target)
-            steps += c
-            if not eq:
-                return False, "refl type mismatch", _path(path), steps
             stack.append((_TERM, ctx, point, a, (1, path)))
-            pushed = 1
+            expected = (ID, a, point, point)
+            why = "refl type mismatch"
         elif tag == IDREC:
+            # premises that need instances of ``over`` and the motive are
+            # pushed after the comparison, so a rejection substitutes nothing
             a, p, lhs, rhs, pth, base = t[1], t[2], t[3], t[4], t[5], t[6]
-            eq, c = _k.eq_lazy((CLO, p, (0, (pth, rhs, lhs), 0)), target)
-            steps += c
-            if not eq:
-                return False, "idrec result mismatch", _path(path), steps
-            a1, c1 = _k.inst(a, (), 1, 0)
-            a2, c2 = _k.inst(a, (), 2, 0)
-            minst, c3 = _k.inst(p, ((REFL, a1, (VAR, 0)), (VAR, 0), (VAR, 0)), 1, 0)
-            steps += c1 + c2 + c3
-            ctx3 = ((ID, a2, (VAR, 1), (VAR, 0)), (a1, (a, ctx)))
-            stack.append((_TERM, (a, ctx), base, minst, (5, path)))
-            stack.append((_TERM, ctx, pth, (ID, a, lhs, rhs), (4, path)))
-            stack.append((_TERM, ctx, rhs, a, (3, path)))
-            stack.append((_TERM, ctx, lhs, a, (2, path)))
-            stack.append((_TYPE, ctx3, p, None, (1, path)))
-            stack.append((_TYPE, ctx, a, None, (0, path)))
-            pushed = 6
+            expected, env = p, (0, (pth, rhs, lhs), 0)
+            why = "idrec result mismatch"
         elif tag == IDCONV:
             a, p, point, base = t[1], t[2], t[3], t[4]
             rfl = (REFL, a, point)
@@ -254,38 +225,18 @@ def _run(sig: Signature, stack: list, trace=None):
                 (IDREC, a, p, point, point, rfl, base),
                 (CLO, base, (0, (point,), 0)),
             )
-            eq, c = _k.eq_lazy(expected, target)
-            steps += c
-            if not eq:
-                return False, "idconv type mismatch", _path(path), steps
-            pushed = 0
+            why = "idconv type mismatch"
         elif tag == ZERO:
-            eq, c = _k.eq_lazy((NAT,), target)
-            steps += c
-            if not eq:
-                return False, "zero against non-Nat type", _path(path), steps
-            pushed = 0
+            expected = _NAT
+            why = "zero against non-Nat type"
         elif tag == SUCC:
-            eq, c = _k.eq_lazy((NAT,), target)
-            steps += c
-            if not eq:
-                return False, "succ against non-Nat type", _path(path), steps
-            stack.append((_TERM, ctx, t[1], (NAT,), (0, path)))
-            pushed = 1
+            # the premise reads t[1], so it is pushed after the comparison
+            expected = _NAT
+            why = "succ against non-Nat type"
         elif tag == NATREC:
             p, z, s, scrut = t[1], t[2], t[3], t[4]
-            eq, c = _k.eq_lazy((CLO, p, (0, (scrut,), 0)), target)
-            steps += c
-            if not eq:
-                return False, "natrec result mismatch", _path(path), steps
-            pz, c1 = _k.inst(p, ((ZERO,),), 0, 0)
-            ps, c2 = _k.inst(p, ((SUCC, (VAR, 1)),), 2, 0)
-            steps += c1 + c2
-            stack.append((_TERM, ctx, scrut, (NAT,), (3, path)))
-            stack.append((_TERM, (p, ((NAT,), ctx)), s, ps, (2, path)))
-            stack.append((_TERM, ctx, z, pz, (1, path)))
-            stack.append((_TYPE, ((NAT,), ctx), p, None, (0, path)))
-            pushed = 4
+            expected, env = p, (0, (scrut,), 0)
+            why = "natrec result mismatch"
         elif tag == NATCONVZERO:
             p, z, s = t[1], t[2], t[3]
             expected = (
@@ -294,11 +245,7 @@ def _run(sig: Signature, stack: list, trace=None):
                 (NATREC, p, z, s, (ZERO,)),
                 z,
             )
-            eq, c = _k.eq_lazy(expected, target)
-            steps += c
-            if not eq:
-                return False, "natconv_zero type mismatch", _path(path), steps
-            pushed = 0
+            why = "natconv_zero type mismatch"
         elif tag == NATCONVSUCC:
             p, z, s, m = t[1], t[2], t[3], t[4]
             expected = (
@@ -307,15 +254,69 @@ def _run(sig: Signature, stack: list, trace=None):
                 (NATREC, p, z, s, (SUCC, m)),
                 (CLO, s, (0, ((NATREC, p, z, s, m), m), 0)),
             )
+            why = "natconv_succ type mismatch"
+        else:
+            return False, "no term-level rule for this constructor", _path(path), steps
+
+        # The one comparison site.  A leaf (a constant or a one-slot node
+        # such as Nat) is unchanged by any substitution, so it is decided
+        # here in one head step, exactly as ``eq_lazy`` takes and charges it;
+        # anything else goes to ``eq_lazy``.
+        etag = expected[0]
+        if etag == CONST or len(expected) == 1 and etag != VAR and etag != CLO:
+            steps += 1
+            if etag != target[0] or etag == CONST and expected[1] != target[1]:
+                return False, why, _path(path), steps
+        else:
+            if env is not None:
+                expected = (CLO, expected, env)
             eq, c = _k.eq_lazy(expected, target)
             steps += c
             if not eq:
-                return False, "natconv_succ type mismatch", _path(path), steps
-            pushed = 0
-        else:
-            return False, "no term-level rule for this constructor", _path(path), steps
+                return False, why, _path(path), steps
+
+        if tag == IDREC:
+            # a closed leaf is its own instance, charged 1 per ``inst`` it
+            # replaces, as ``inst`` charges it
+            atag = a[0]
+            if atag == CONST or len(a) == 1 and atag != VAR and atag != CLO:
+                a1 = a2 = a
+                steps += 2
+            else:
+                a1, c1 = _k.inst(a, (), 1, 0)
+                a2, c2 = _k.inst(a, (), 2, 0)
+                steps += c1 + c2
+            ptag = p[0]
+            if ptag == CONST or len(p) == 1 and ptag != VAR and ptag != CLO:
+                minst = p
+                steps += 1
+            else:
+                minst, c3 = _k.inst(p, ((REFL, a1, (VAR, 0)), (VAR, 0), (VAR, 0)), 1, 0)
+                steps += c3
+            ctx3 = ((ID, a2, (VAR, 1), (VAR, 0)), (a1, (a, ctx)))
+            stack.append((_TERM, (a, ctx), base, minst, (5, path)))
+            stack.append((_TERM, ctx, pth, (ID, a, lhs, rhs), (4, path)))
+            stack.append((_TERM, ctx, rhs, a, (3, path)))
+            stack.append((_TERM, ctx, lhs, a, (2, path)))
+            stack.append((_TYPE, ctx3, p, None, (1, path)))
+            stack.append((_TYPE, ctx, a, None, (0, path)))
+        elif tag == NATREC:
+            ptag = p[0]
+            if ptag == CONST or len(p) == 1 and ptag != VAR and ptag != CLO:
+                pz = ps = p
+                steps += 2
+            else:
+                pz, c1 = _k.inst(p, ((ZERO,),), 0, 0)
+                ps, c2 = _k.inst(p, ((SUCC, (VAR, 1)),), 2, 0)
+                steps += c1 + c2
+            stack.append((_TERM, ctx, scrut, _NAT, (3, path)))
+            stack.append((_TERM, (p, (_NAT, ctx)), s, ps, (2, path)))
+            stack.append((_TERM, ctx, z, pz, (1, path)))
+            stack.append((_TYPE, (_NAT, ctx), p, None, (0, path)))
+        elif tag == SUCC:
+            stack.append((_TERM, ctx, t[1], _NAT, (0, path)))
         if trace is not None:
-            trace.append((kind, tag, pushed))
+            trace.append((kind, tag, len(stack)))
     return True, None, None, steps
 
 
@@ -378,7 +379,9 @@ def _check_term_star(sig: Signature, ctx: Context, a: Term, sigma: Term) -> Chec
 
 def _case_recursion_count(sig: Signature, ctx: Context, a: Term, sigma: Term) -> int:
     """Recursive obligations pushed for the head constructor of ``a`` alone
-    (testing hook for the per-rule call-count discipline)."""
+    (testing hook for the per-rule call-count discipline).  The head is the
+    only obligation on the stack, so the depth after it is its premise
+    count."""
     trace: list = []
     ok, reason, locus, _ = _run(
         sig, [(_TERM, _cons_ctx(ctx), a, sigma, None)], trace=trace
@@ -430,7 +433,7 @@ def _conclusion(sig: Signature, ctx, a: Term) -> Term:
         while entry is not None and i > 0:
             entry = entry[1]
             i -= 1
-        if entry is None:
+        if entry is None or a[1] < 0:
             raise InferFailure("unbound variable", ("term",))
         return _k.inst(entry[0], (), a[1] + 1, 0)[0]
     if tag == CONST:

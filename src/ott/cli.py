@@ -282,7 +282,7 @@ def _cmd_bench(args) -> int:
             print(json.dumps({
                 "family": family, "backend": report.backend,
                 "slope": report.slope, "intercept": report.intercept,
-                "passed": report.passed,
+                "passed": report.passed, "wall_slope": report.wall_slope,
             }, sort_keys=True))
         else:
             print(f"family {family} [{report.backend}]")
@@ -292,6 +292,8 @@ def _cmd_bench(args) -> int:
                 print(line)
             verdict = "PASS" if report.passed else "FAIL"
             print(f"  slope {report.slope:.3f}  ({verdict}, limit 2.3)")
+            wall = "n/a" if report.wall_slope is None else f"{report.wall_slope:.3f}"
+            print(f"  wall slope {wall}  (ns against steps, not gated)")
         if not report.passed:
             status = FAIL
     return status

@@ -3,8 +3,8 @@ import math
 import pytest
 
 from ott.bench import (
-    FAMILIES, BenchConfig, bench_signature, fit_scaling, generate_family,
-    run_bench,
+    FAMILIES, BenchConfig, BenchRow, _wall_slope, bench_signature, fit_scaling,
+    generate_family, run_bench,
 )
 from ott.checker import check
 from ott.terms import size
@@ -86,3 +86,28 @@ def test_run_bench_small_end_to_end():
         r.median_steps for r in report.rows
     )
 
+
+
+def _rows(steps, ns):
+    return [BenchRow("app-chain", s, s, s, n) for s, n in zip(steps, ns)]
+
+
+def test_wall_slope_is_the_fit_of_ns_against_steps():
+    steps = [2 ** k for k in range(8, 16)]
+    assert abs(_wall_slope(_rows(steps, [300 * s for s in steps])) - 1.0) < 1e-9
+    assert abs(_wall_slope(_rows(steps, [s * s for s in steps])) - 2.0) < 1e-9
+    # times that do not track steps are fitted, not dropped
+    flat = _wall_slope(_rows(steps, [10 ** 6 + s for s in steps]))
+    assert 0 < flat < 0.1
+    # too few rows, or steps spanning less than 100x: no fit
+    assert _wall_slope(_rows(steps[:4], [300 * s for s in steps[:4]])) is None
+    assert _wall_slope(_rows(steps[:6], [300 * s for s in steps[:6]])) is None
+
+
+def test_run_bench_reports_wall_slope():
+    cfg = BenchConfig("app-chain", sizes=tuple(2 ** k for k in range(8, 16)))
+    report = run_bench(cfg)
+    steps = [r.median_steps for r in report.rows]
+    assert max(steps) >= 100 * min(steps)
+    assert isinstance(report.wall_slope, float)
+    assert math.isfinite(report.wall_slope)

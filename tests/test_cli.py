@@ -137,6 +137,7 @@ def test_bench_json_smoke():
     assert any("slope" in r for r in records)
     summary = [r for r in records if "slope" in r][0]
     assert summary["passed"] is True
+    assert "wall_slope" in summary
 
 
 def test_usage_error_exit_code():

@@ -57,6 +57,7 @@ def _rejection(sig, ctx, term):
 def test_infer_failure_carries_reason(sig):
     # loci start at the stage root, as in check reports
     assert _rejection(sig, (), Var(3)) == ("unbound variable", ("term",))
+    assert _rejection(sig, (A,), Var(-1)) == ("unbound variable", ("term",))
     assert _rejection(sig, (), Const("nope")) == ("not a term constant", ("term",))
     # types have no term-level type
     assert _rejection(sig, (), NatTy) == (
