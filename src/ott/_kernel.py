@@ -82,13 +82,6 @@ BINDERS = (
     (1, 0, 2, 0),  # NATCONVSUCC
 )
 
-TAG_NAMES = (
-    "var", "const", "pi", "lam", "app", "betaconv", "id", "refl",
-    "idrec", "idconv", "nat", "zero", "succ", "natrec",
-    "natconv_zero", "natconv_succ", "clo",
-)
-
-
 def size(t):
     """Node count of a term; strictly positive, additive over children."""
     n = 0

@@ -3,10 +3,10 @@
 The top-level ``check`` decomposes a judgement the way the complexity
 argument does: first the context is validated entry by entry, then the
 candidate type under the promise that the context is fine, then the term
-under the promise that the type is fine.  The promise-carrying stages are
-module-internal (``_check_type_star``/``_check_term_star``): they are allowed
-to answer arbitrarily when their promise is violated, so external callers only
-get the safe composition.
+under the promise that the type is fine.  The stages are obligations on one
+stack, seeded in that order, so a stage runs only once every stage before it
+has passed; a stage may answer arbitrarily when its promise is violated, so
+external callers only get the safe composition.
 
 Type synthesis has no rules of its own.  ``infer`` builds the conclusion of
 the one rule that fits the term's head constructor, and ``_run`` checks it
@@ -132,12 +132,10 @@ def _path(p) -> tuple:
     return tuple(out)
 
 
-def _run(sig: Signature, stack: list, trace=None):
+def _run(sig: Signature, stack: list):
     """Process obligations depth-first; first failure wins.
 
-    Returns (ok, reason, locus-path, steps).  A ``trace`` list, if given,
-    gets ``(kind, tag, stack depth)`` for each discharged obligation, the
-    depth taken after its premises were pushed.
+    Returns (ok, reason, locus-path, steps).
     """
     consts = sig.constants
     atomics = sig.atomic_types
@@ -156,8 +154,6 @@ def _run(sig: Signature, stack: list, trace=None):
                 stack.append((_TYPE, ctx, t[1], None, (0, path)))
             elif tag != NAT and not (tag == CONST and t[1] in atomics):
                 return False, "not a type", _path(path), steps
-            if trace is not None:
-                trace.append((kind, tag, len(stack)))
             continue
 
         # term against target.  Each rule pushes its premises and names the
@@ -315,8 +311,6 @@ def _run(sig: Signature, stack: list, trace=None):
             stack.append((_TYPE, (_NAT, ctx), p, None, (0, path)))
         elif tag == SUCC:
             stack.append((_TERM, ctx, t[1], _NAT, (0, path)))
-        if trace is not None:
-            trace.append((kind, tag, len(stack)))
     return True, None, None, steps
 
 
@@ -355,51 +349,6 @@ def check(sig: Signature, j: Judgement) -> CheckReport:
 def check_ctxt(sig: Signature, ctx: Context) -> CheckReport:
     """Decide that ``ctx`` is a well-formed context."""
     return check(sig, CtxtWF(ctx))
-
-
-def _check_type_star(sig: Signature, ctx: Context, sigma: Term) -> CheckReport:
-    """PROMISE: ctx is well-formed.  Internal."""
-    t0 = time.perf_counter_ns()
-    ok, reason, locus, steps = _run(
-        sig, [(_TYPE, _cons_ctx(ctx), sigma, None, None)]
-    )
-    ns = time.perf_counter_ns() - t0
-    return CheckReport("accept" if ok else "reject", reason, locus, steps, ns)
-
-
-def _check_term_star(sig: Signature, ctx: Context, a: Term, sigma: Term) -> CheckReport:
-    """PROMISE: sigma is a type over ctx.  Internal."""
-    t0 = time.perf_counter_ns()
-    ok, reason, locus, steps = _run(
-        sig, [(_TERM, _cons_ctx(ctx), a, sigma, None)]
-    )
-    ns = time.perf_counter_ns() - t0
-    return CheckReport("accept" if ok else "reject", reason, locus, steps, ns)
-
-
-def _case_recursion_count(sig: Signature, ctx: Context, a: Term, sigma: Term) -> int:
-    """Recursive obligations pushed for the head constructor of ``a`` alone
-    (testing hook for the per-rule call-count discipline).  The head is the
-    only obligation on the stack, so the depth after it is its premise
-    count."""
-    trace: list = []
-    ok, reason, locus, _ = _run(
-        sig, [(_TERM, _cons_ctx(ctx), a, sigma, None)], trace=trace
-    )
-    if not ok:
-        raise InferFailure(reason or "rejected", locus or ())
-    return trace[0][2]
-
-
-def _type_case_recursion_count(sig: Signature, ctx: Context, sigma: Term) -> int:
-    """As above but for the head of a type-formation obligation."""
-    trace: list = []
-    ok, reason, locus, _ = _run(
-        sig, [(_TYPE, _cons_ctx(ctx), sigma, None, None)], trace=trace
-    )
-    if not ok:
-        raise InferFailure(reason or "rejected", locus or ())
-    return trace[0][2]
 
 
 # Type synthesis.  Uniqueness of types makes the result canonical: the one

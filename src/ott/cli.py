@@ -1,7 +1,8 @@
 """Command-line front door: run check scripts and the scaling benchmark.
 
 Exit codes: 0 all verdicts accept, 1 at least one verification failure,
-2 parse error, 3 usage or I/O error.  ``--json`` switches every command to a
+2 syntax or name error, 3 usage or I/O error.  Any nesting depth that the
+checker accepts is accepted.  ``--json`` switches every command to a
 line-delimited record stream; ``--steps`` adds the instrumented counters to
 the human-readable output.
 """
@@ -11,10 +12,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import threading
 
 from .bench import DEFAULT_SIZES, FAMILIES, BenchConfig, run_bench
-from .checker import CheckReport, CtxtWF, HasType, InferFailure, TypeWF, check, infer
+from .checker import CtxtWF, HasType, InferFailure, TypeWF, check, infer
 from .derived import (
     ElabError, congruence_app, symmetry, telescope_idconv, telescope_idrec,
     telescope_pi, transitivity, transport,
@@ -55,10 +55,6 @@ def _emit(record: dict, args) -> None:
         print(f"     {extra}")
 
 
-def _report_fields(report: CheckReport) -> dict:
-    return report.to_record()
-
-
 class _ScriptState:
     def __init__(self):
         self.sig = Signature()
@@ -88,7 +84,7 @@ def _run_item(item, state: _ScriptState, args) -> None:
         if not report.ok:
             state.failures += 1
             _emit({"item": "postulate", "display": f"postulate {item.name}",
-                   **_report_fields(report)}, args)
+                   **report.to_record()}, args)
             return
         state.sig = sig.with_const(item.name, core)
         state.reserved.add(item.name)
@@ -100,7 +96,7 @@ def _run_item(item, state: _ScriptState, args) -> None:
         if not report.ok:
             state.failures += 1
             _emit({"item": "def", "display": f"def {item.name}",
-                   **_report_fields(report)}, args)
+                   **report.to_record()}, args)
             return
         state.defs[item.name] = body
         state.reserved.add(item.name)
@@ -125,7 +121,7 @@ def _run_item(item, state: _ScriptState, args) -> None:
         report = check(sig, judgement)
         if not report.ok:
             state.failures += 1
-        _emit({"item": "check", "display": shown, **_report_fields(report)}, args)
+        _emit({"item": "check", "display": shown, **report.to_record()}, args)
         return
     if isinstance(item, InferItem):
         ctx, names = state.context_of(item.bindings)
@@ -135,7 +131,7 @@ def _run_item(item, state: _ScriptState, args) -> None:
         if not ctx_report.ok:
             state.failures += 1
             _emit({"item": "infer", "display": shown,
-                   **_report_fields(ctx_report)}, args)
+                   **ctx_report.to_record()}, args)
             return
         try:
             ty = infer(sig, ctx, term)
@@ -249,10 +245,6 @@ def run_script(path: str, args) -> int:
     except ParseError as exc:
         print(f"{path}:{exc}", file=sys.stderr)
         return PARSE_ERROR
-    except RecursionError:
-        print(f"{path}: term nesting exceeds the parser's depth limit",
-              file=sys.stderr)
-        return PARSE_ERROR
     state = _ScriptState()
     try:
         for item in script.items:
@@ -324,34 +316,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return USAGE if exc.code not in (0, None) else 0
 
-    # recursive parsing/printing of deeply nested terms needs real stack; run
-    # the work in a thread with an explicit one so deep inputs fail softly
-    # (RecursionError -> exit 2) instead of exhausting the C stack
-    outcome: dict = {}
-
-    def work():
-        sys.setrecursionlimit(1_000_000)
-        try:
-            if args.command == "bench":
-                try:
-                    outcome["code"] = _cmd_bench(args)
-                except ValueError as exc:
-                    print(f"error: {exc}", file=sys.stderr)
-                    outcome["code"] = USAGE
-            else:
-                outcome["code"] = run_script(args.path, args)
-        except RecursionError:
-            print("error: input nesting exceeds the depth limit", file=sys.stderr)
-            outcome["code"] = PARSE_ERROR
-
-    old_size = threading.stack_size(512 * 1024 * 1024)
+    if args.command != "bench":
+        return run_script(args.path, args)
     try:
-        worker = threading.Thread(target=work)
-        worker.start()
-        worker.join()
-    finally:
-        threading.stack_size(old_size)
-    return outcome.get("code", USAGE)
+        return _cmd_bench(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE
 
 
 if __name__ == "__main__":

@@ -8,8 +8,7 @@ inside ``ott._kernel`` stay unwrapped.
 
 from ._kernel import (
     APP, BETA, BINDERS, CLO, CONST, ID, IDCONV, IDREC, LAM, NAT, NATCONVSUCC,
-    NATCONVZERO, NATREC, PI, REFL, SUCC, TAG_NAMES, VAR, ZERO, eq_lazy, inst,
-    size,
+    NATCONVZERO, NATREC, PI, REFL, SUCC, VAR, ZERO, eq_lazy, inst, size,
 )
 
 # recorded in bench and benchmark records, which stay comparable across versions

@@ -37,10 +37,6 @@ class SubstEnv:
         return (self.lift, self.terms, self.outer)
 
 
-def shift_env(by: int, cutoff: int = 0) -> SubstEnv:
-    return SubstEnv(cutoff, (), by)
-
-
 def subst_env(*terms: Term) -> SubstEnv:
     """Environment replacing indices ``0..n-1`` by ``terms`` and dropping the
     corresponding binders."""

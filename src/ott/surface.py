@@ -10,6 +10,9 @@ resolves names innermost-first (binders, then script definitions, then the
 signature), so alpha-equivalent inputs produce identical core terms.
 Printing generates fresh binder names deterministically, avoiding everything
 visible, so ``parse . print`` is the identity on well-scoped core terms.
+Each constructor's notation is written once, in the syntax table
+``_SYNTAX``; the parser, name resolution and both printers are driven by it,
+each on an explicit stack, so no term is too deep to read or write.
 
 Script definitions are transparent abbreviations: they are checked once and
 spliced into later terms during name resolution, before the checker ever
@@ -23,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .kernel import (
-    APP, BETA, CONST, ID, IDCONV, IDREC, LAM, NAT, NATCONVSUCC,
+    APP, BETA, BINDERS, CONST, ID, IDCONV, IDREC, LAM, NAT, NATCONVSUCC,
     NATCONVZERO, NATREC, PI, REFL, SUCC, VAR, ZERO,
 )
 from .terms import Signature, Term
@@ -165,6 +168,105 @@ _ELAB_OPS = (
 )
 
 
+# The syntax table: the one place that knows how each term constructor is
+# written.  The parser, name resolution and both printers are driven by it.
+#
+# A notation is a blank-separated sequence of punctuation, binder names (one
+# lower-case letter) and children.  A child is its core slot (a digit)
+# followed by the binders that scope over it.  Children appear in core slot
+# order, and each child's binders are a prefix of the row's binder names in
+# order of first appearance, as many as ``BINDERS`` gives its slot.  A binder
+# written twice (betaconv's and idrec's second ``x``, natrec's second ``n``)
+# reads a new name in the parser, which scopes over the children after it;
+# the core printer writes the one fresh name it chose for that binder.  The
+# surface kind of a constructor is its keyword in lower case.
+_SYNTAX = (
+    ("Pi", PI, "( x : 1 ) 2x"),
+    ("lam", LAM, "( x : 1 -> 2x ) 3x"),
+    ("app", APP, "{ 1 , x . 2x } ( 3 , 4 )"),
+    ("betaconv", BETA, "{ 1 , x . 2x } ( 3 , x . 4x )"),
+    ("Id", ID, "( 1 , 2 , 3 )"),
+    ("refl", REFL, "( 1 , 2 )"),
+    ("idrec", IDREC, "{ 1 , x y u . 2xyu } ( 3 , 4 , 5 , x . 6x )"),
+    ("idconv", IDCONV, "{ 1 , x y u . 2xyu } ( 3 , x . 4x )"),
+    ("Nat", NAT, ""),
+    ("zero", ZERO, ""),
+    ("succ", SUCC, "( 1 )"),
+    ("natrec", NATREC, "{ n . 1n } ( 2 , n i . 3ni , 4 )"),
+    ("natconv_zero", NATCONVZERO, "{ n . 1n } ( 2 , n i . 3ni )"),
+    ("natconv_succ", NATCONVSUCC, "{ n . 1n } ( 2 , n i . 3ni , 4 )"),
+)
+
+# printed spacing around punctuation; a closing bracket before a child and a
+# binder before another binder are followed by a blank
+_SPACED = {":": " : ", "->": " -> ", ",": ", "}
+
+
+class _Row:
+    """One constructor of ``_SYNTAX``, compiled for its three readers.
+
+    ``segments`` drives the parser: pairs ``(lead, k)``, where ``lead`` holds
+    the punctuation kinds to expect and the binder positions (ints) to read
+    before the next child, and ``k`` is that child's binder count, or None
+    after the last child.  ``pieces`` drives both printers: triples of
+    literal text and what follows it, which is a child ``(slot, k)`` with
+    its binder count ``k``, a binder ``(-slot, position)`` whose surface name
+    is the one the child at ``slot`` binds, or ``(0, 0)`` at the end.
+    ``word`` is the whole text of a constructor with no children, such as
+    ``Nat``, and None otherwise.
+    """
+
+    __slots__ = ("kind", "tag", "segments", "pieces", "binders", "word")
+
+    def __init__(self, keyword: str, tag: int, notation: str):
+        self.kind = keyword.lower()
+        self.tag = tag
+        scoping = (0,) + BINDERS[tag]
+        words = notation.split()
+        letters: list = []  # binder names in order of first appearance
+        segments, lead = [], []
+        pieces, text = [], keyword
+        for at, word in enumerate(words):
+            after = words[at + 1] if at + 1 < len(words) else ""
+            if word[0].isdigit():
+                slot, scope = int(word[0]), word[1:]
+                if slot != len(segments) + 1 or scope != "".join(letters[: len(scope)]) \
+                        or len(scope) != scoping[slot]:
+                    raise ValueError(f"bad child {word!r} in notation of {keyword}")
+                segments.append((tuple(lead), len(scope)))
+                lead = []
+                pieces.append((text, slot, len(scope)))
+                text = ""
+            elif word.isalpha():
+                if word not in letters:
+                    letters.append(word)
+                p = letters.index(word)
+                lead.append(p)
+                # the name comes from the next child this binder scopes over
+                slot = next(int(w[0]) for w in words[at + 1:]
+                            if w[0].isdigit() and len(w) > p + 1)
+                pieces.append((text, -slot, p))
+                text = " " if after.isalpha() else ""
+            else:
+                lead.append(word)
+                text += _SPACED.get(word, word)
+                if word in ")}" and after[:1].isdigit():
+                    text += " "
+        if len(segments) != len(scoping) - 1:
+            raise ValueError(f"notation of {keyword} misses a child")
+        segments.append((tuple(lead), None))
+        pieces.append((text, 0, 0))
+        self.segments = tuple(segments)
+        self.pieces = tuple(pieces)
+        self.binders = len(letters)
+        self.word = keyword if not words else None
+
+
+_BY_KEYWORD = {entry[0]: _Row(*entry) for entry in _SYNTAX}
+_BY_KIND = {row.kind: row for row in _BY_KEYWORD.values()}
+_BY_TAG = {row.tag: row for row in _BY_KEYWORD.values()}
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _lex(text)
@@ -204,160 +306,69 @@ class _Parser:
     # terms ---------------------------------------------------------------
 
     def term(self) -> SurfaceTerm:
-        kind, word, line, col = self.peek()
-        span = (line, col)
-        if kind == "(":
-            self.next()
-            inner = self.term()
-            self.expect(")")
-            return inner
-        if kind == "name":
-            self.next()
-            return SurfaceTerm("name", name=word, span=span)
-        if kind != "kw":
-            self.fail(f"expected a term, found {word!r}")
-        if word == "Nat":
-            self.next()
-            return SurfaceTerm("nat", span=span)
-        if word == "zero":
-            self.next()
-            return SurfaceTerm("zero", span=span)
-        if word == "succ":
-            self.next()
-            self.expect("(")
-            arg = self.term()
-            self.expect(")")
-            return SurfaceTerm("succ", children=(((), arg),), span=span)
-        if word == "Pi":
-            self.next()
-            self.expect("(")
-            binder = self.name()
-            self.expect(":")
-            dom = self.term()
-            self.expect(")")
-            cod = self.term()
-            return SurfaceTerm("pi", children=(((), dom), ((binder,), cod)), span=span)
-        if word == "lam":
-            self.next()
-            self.expect("(")
-            binder = self.name()
-            self.expect(":")
-            dom = self.term()
-            self.expect("->")
-            cod = self.term()
-            self.expect(")")
-            body = self.term()
-            return SurfaceTerm(
-                "lam",
-                children=(((), dom), ((binder,), cod), ((binder,), body)),
-                span=span,
-            )
-        if word == "app":
-            self.next()
-            dom, binder, cod = self._family1()
-            self.expect("(")
-            fun = self.term()
-            self.expect(",")
-            arg = self.term()
-            self.expect(")")
-            return SurfaceTerm(
-                "app",
-                children=(((), dom), ((binder,), cod), ((), fun), ((), arg)),
-                span=span,
-            )
-        if word == "betaconv":
-            self.next()
-            dom, binder, cod = self._family1()
-            self.expect("(")
-            arg = self.term()
-            self.expect(",")
-            b2 = self.name()
-            self.expect(".")
-            body = self.term()
-            self.expect(")")
-            return SurfaceTerm(
-                "betaconv",
-                children=(((), dom), ((binder,), cod), ((), arg), ((b2,), body)),
-                span=span,
-            )
-        if word == "Id":
-            self.next()
-            self.expect("(")
-            over = self.term()
-            self.expect(",")
-            lhs = self.term()
-            self.expect(",")
-            rhs = self.term()
-            self.expect(")")
-            return SurfaceTerm(
-                "id", children=(((), over), ((), lhs), ((), rhs)), span=span
-            )
-        if word == "refl":
-            self.next()
-            self.expect("(")
-            over = self.term()
-            self.expect(",")
-            point = self.term()
-            self.expect(")")
-            return SurfaceTerm("refl", children=(((), over), ((), point)), span=span)
-        if word == "idrec":
-            self.next()
-            over, (x, y, u), motive = self._family3()
-            self.expect("(")
-            lhs = self.term()
-            self.expect(",")
-            rhs = self.term()
-            self.expect(",")
-            pth = self.term()
-            self.expect(",")
-            bx = self.name()
-            self.expect(".")
-            base = self.term()
-            self.expect(")")
-            return SurfaceTerm(
-                "idrec",
-                children=(
-                    ((), over), ((x, y, u), motive), ((), lhs), ((), rhs),
-                    ((), pth), ((bx,), base),
-                ),
-                span=span,
-            )
-        if word == "idconv":
-            self.next()
-            over, (x, y, u), motive = self._family3()
-            self.expect("(")
-            point = self.term()
-            self.expect(",")
-            bx = self.name()
-            self.expect(".")
-            base = self.term()
-            self.expect(")")
-            return SurfaceTerm(
-                "idconv",
-                children=(((), over), ((x, y, u), motive), ((), point), ((bx,), base)),
-                span=span,
-            )
-        if word in ("natrec", "natconv_zero", "natconv_succ"):
-            self.next()
-            self.expect("{")
-            nb = self.name()
-            self.expect(".")
-            motive = self.term()
-            self.expect("}")
-            self.expect("(")
-            z = self.term()
-            self.expect(",")
-            n1 = self.name()
-            n2 = self.name()
-            self.expect(".")
-            s = self.term()
-            children = [((nb,), motive), ((), z), ((n1, n2), s)]
-            if word != "natconv_zero":
-                self.expect(",")
-                children.append(((), self.term()))
-            self.expect(")")
-            return SurfaceTerm(word, children=tuple(children), span=span)
-        self.fail(f"expected a term, found {word!r}")
+        """One term, read on an explicit stack of open constructors.
+
+        A frame is ``[row, segment index, binder names, children, span,
+        binders of the next child]``; an open parenthesis is None.
+        """
+        tokens = self.tokens
+        pos = self.pos
+        frames: list = []
+        while True:
+            kind, word, line, col = tokens[pos]
+            if kind == "name":
+                pos += 1
+                done = SurfaceTerm("name", name=word, span=(line, col))
+            elif kind == "(":
+                pos += 1
+                frames.append(None)
+                continue
+            else:
+                row = _BY_KEYWORD.get(word) if kind == "kw" else None
+                if row is None:
+                    self.pos = pos
+                    self.fail(f"expected a term, found {word!r}")
+                pos += 1
+                names = [None] * row.binders if row.binders else ()
+                frames.append([row, 0, names, [], (line, col), None])
+                done = None
+            # hand the finished term to the innermost open constructor, and
+            # close every constructor it completes
+            while frames:
+                frame = frames[-1]
+                if frame is None:
+                    tok = tokens[pos]
+                    if tok[0] != ")":
+                        self.pos = pos
+                        self.fail(f"expected ')', found {tok[1]!r}")
+                    pos += 1
+                    frames.pop()
+                    continue
+                if done is not None:
+                    frame[3].append((frame[5], done))
+                row, at, names = frame[0], frame[1], frame[2]
+                lead, k = row.segments[at]
+                for step in lead:
+                    tok = tokens[pos]
+                    if type(step) is str:
+                        if tok[0] != step:
+                            self.pos = pos
+                            self.fail(f"expected {step!r}, found {tok[1]!r}")
+                    elif tok[0] != "name":
+                        self.pos = pos
+                        self.fail(f"expected 'name', found {tok[1]!r}")
+                    else:
+                        names[step] = tok[1]
+                    pos += 1
+                if k is not None:
+                    frame[1] = at + 1
+                    frame[5] = tuple(names[:k])
+                    break
+                frames.pop()
+                done = SurfaceTerm(row.kind, children=tuple(frame[3]), span=frame[4])
+            else:
+                self.pos = pos
+                return done
 
     def _family1(self):
         """``{A, x.B}``: a type and a one-binder family."""
@@ -369,19 +380,6 @@ class _Parser:
         cod = self.term()
         self.expect("}")
         return dom, binder, cod
-
-    def _family3(self):
-        """``{A, x y u. P}``: a type and a three-binder motive."""
-        self.expect("{")
-        over = self.term()
-        self.expect(",")
-        x = self.name()
-        y = self.name()
-        u = self.name()
-        self.expect(".")
-        motive = self.term()
-        self.expect("}")
-        return over, (x, y, u), motive
 
     # scripts --------------------------------------------------------------
 
@@ -575,37 +573,52 @@ def parse_term(text: Union[str, bytes]) -> SurfaceTerm:
 
 # name resolution ----------------------------------------------------------
 
-_TAG_OF = {
-    "pi": PI, "lam": LAM, "app": APP, "betaconv": BETA, "id": ID,
-    "refl": REFL, "idrec": IDREC, "idconv": IDCONV, "nat": NAT,
-    "zero": ZERO, "succ": SUCC, "natrec": NATREC,
-    "natconv_zero": NATCONVZERO, "natconv_succ": NATCONVSUCC,
-}
+_TAG_OF = {kind: row.tag for kind, row in _BY_KIND.items()}
 
 
 def to_core(s: SurfaceTerm, scope, sig: Signature, defs=None) -> Term:
     """Resolve names to de Bruijn indices; binders shadow definitions, which
-    shadow signature constants.  Definitions splice in their (closed) bodies."""
+    shadow signature constants.  Definitions splice in their (closed) bodies.
+    Children are resolved left to right, so an error names the first unbound
+    name in the text."""
     defs = defs or {}
-
-    def go(node: SurfaceTerm, names: tuple) -> Term:
-        if node.kind == "name":
-            word = node.name
-            for i, seen in enumerate(reversed(names)):
-                if seen == word:
-                    return (VAR, i)
-            if word in defs:
-                return defs[word]
-            if word in sig:
-                return (CONST, word)
-            raise ParseError(f"unbound name {word!r}", *node.span)
-        tag = _TAG_OF[node.kind]
-        children = tuple(
-            go(child, names + binders) for binders, child in node.children
-        )
-        return (tag,) + children
-
-    return go(s, tuple(scope))
+    names = None  # the scope as a cons list, innermost name first
+    for name in scope:
+        names = (name, names)
+    # the node being resolved: its tag and resolved children, its
+    # (binders, child) pairs, the next pair, and the scope around it
+    done, todo, at = [], (((), s),), 0
+    stack = []
+    while True:
+        if at < len(todo):
+            binders, child = todo[at]
+            at += 1
+            inner = names
+            for binder in binders:
+                inner = (binder, inner)
+            if child.kind != "name":
+                stack.append((done, todo, at, names))
+                done, todo, at, names = [_TAG_OF[child.kind]], child.children, 0, inner
+                continue
+            word = child.name
+            index = 0
+            while inner is not None and inner[0] != word:
+                inner = inner[1]
+                index += 1
+            if inner is not None:
+                done.append((VAR, index))
+            elif word in defs:
+                done.append(defs[word])
+            elif word in sig:
+                done.append((CONST, word))
+            else:
+                raise ParseError(f"unbound name {word!r}", *child.span)
+        elif stack:
+            term = tuple(done)
+            done, todo, at, names = stack.pop()
+            done.append(term)
+        else:
+            return done[0]
 
 
 # printing -----------------------------------------------------------------
@@ -625,94 +638,104 @@ def _fresh(used, reserved) -> str:
 
 def print_term(t: Term, scope=(), reserved=()) -> str:
     """Deterministic, re-parseable rendering; fresh binder names avoid the
-    scope, the reserved names (signature and definitions), and each other."""
+    scope, the reserved names (signature and definitions), and each other.
+    Raises ValueError on an unbound index or a tag with no notation."""
     # the caller's reserved set is only read, never copied
     if not isinstance(reserved, (set, frozenset)):
         reserved = frozenset(reserved)
     used = set(scope)
+    names = None  # the scope as a cons list, innermost name first
+    for name in scope:
+        names = (name, names)
+    out: list = []
+    append = out.append
+    # the innermost open node, its remaining pieces, the scopes under 0, 1,
+    # ... of its binders and their names; the nodes around it are on the stack
+    node = pieces = scopes = fresh = None
+    stack = [(None, None, None, None)]
+    child, inner = t, names  # the next term to write, and its scope
+    while True:
+        tag = child[0]
+        if tag == VAR:
+            hops = child[1]
+            while hops > 0 and inner is not None:
+                inner = inner[1]
+                hops -= 1
+            if inner is None or hops < 0:
+                raise _print_error(t, names)
+            append(inner[0])
+        elif tag == CONST:
+            append(child[1])
+        else:
+            row = _BY_TAG.get(tag)
+            if row is None:
+                raise _print_error(t, names)
+            if row.word is not None:
+                append(row.word)
+            else:
+                stack.append((node, pieces, scopes, fresh))
+                node, pieces = child, iter(row.pieces)
+                if row.binders:
+                    fresh, scopes = [], [inner]
+                    for _ in range(row.binders):
+                        x = _fresh(used, reserved)
+                        used.add(x)
+                        fresh.append(x)
+                        inner = (x, inner)
+                        scopes.append(inner)
+                else:
+                    fresh, scopes = (), (inner,)
+        # write up to the next child, closing each node that ends on the way
+        while node is not None:
+            for text, slot, k in pieces:
+                append(text)
+                if slot > 0:
+                    child, inner = node[slot], scopes[k]
+                    break
+                if slot:
+                    append(fresh[k])
+            else:
+                if fresh:
+                    used.difference_update(fresh)
+                node, pieces, scopes, fresh = stack.pop()
+                continue
+            break
+        else:
+            return "".join(out)
 
-    def go(t: Term, names: tuple) -> str:
+
+# The order in which print_term has always visited children, where it is not
+# slot order: a motive before the type it ranges over, and a case that binds
+# before the arguments that do not.  The first unprintable node in this order
+# is the one an error names.
+_ERROR_ORDER = {
+    IDREC: (2, 1, 6, 3, 4, 5), IDCONV: (2, 1, 4, 3),
+    NATREC: (1, 3, 2, 4), NATCONVZERO: (1, 3, 2), NATCONVSUCC: (1, 3, 2, 4),
+}
+
+
+def _print_error(t: Term, names) -> ValueError:
+    """The error for a term that print_term cannot print in the scope
+    ``names``: its first unbound index or tag with no notation."""
+    depth = 0
+    while names is not None:
+        names = names[1]
+        depth += 1
+    stack = [(t, depth)]
+    while stack:
+        t, depth = stack.pop()
         tag = t[0]
         if tag == VAR:
-            i = t[1]
-            if i >= len(names):
-                raise ValueError(f"unbound index {i} while printing")
-            return names[-(i + 1)]
-        if tag == CONST:
-            return t[1]
-        if tag == NAT:
-            return "Nat"
-        if tag == ZERO:
-            return "zero"
-        if tag == SUCC:
-            return f"succ({go(t[1], names)})"
-        if tag == PI:
-            x = _fresh(used, reserved)
-            used.add(x)
-            out = f"Pi({x} : {go(t[1], names)}) {go(t[2], names + (x,))}"
-            used.discard(x)
-            return out
-        if tag == LAM:
-            x = _fresh(used, reserved)
-            used.add(x)
-            out = (
-                f"lam({x} : {go(t[1], names)} -> {go(t[2], names + (x,))}) "
-                f"{go(t[3], names + (x,))}"
-            )
-            used.discard(x)
-            return out
-        if tag == APP or tag == BETA:
-            x = _fresh(used, reserved)
-            used.add(x)
-            fam = f"{{{go(t[1], names)}, {x}.{go(t[2], names + (x,))}}}"
-            if tag == APP:
-                out = f"app{fam}({go(t[3], names)}, {go(t[4], names)})"
-            else:
-                out = f"betaconv{fam}({go(t[3], names)}, {x}.{go(t[4], names + (x,))})"
-            used.discard(x)
-            return out
-        if tag == ID:
-            return f"Id({go(t[1], names)}, {go(t[2], names)}, {go(t[3], names)})"
-        if tag == REFL:
-            return f"refl({go(t[1], names)}, {go(t[2], names)})"
-        if tag == IDREC or tag == IDCONV:
-            x = _fresh(used, reserved)
-            used.add(x)
-            y = _fresh(used, reserved)
-            used.add(y)
-            u = _fresh(used, reserved)
-            used.add(u)
-            motive = go(t[2], names + (x, y, u))
-            fam = f"{{{go(t[1], names)}, {x} {y} {u}.{motive}}}"
-            if tag == IDREC:
-                base = go(t[6], names + (x,))
-                out = (
-                    f"idrec{fam}({go(t[3], names)}, {go(t[4], names)}, "
-                    f"{go(t[5], names)}, {x}.{base})"
-                )
-            else:
-                base = go(t[4], names + (x,))
-                out = f"idconv{fam}({go(t[3], names)}, {x}.{base})"
-            used.difference_update((x, y, u))
-            return out
-        if tag in (NATREC, NATCONVZERO, NATCONVSUCC):
-            n = _fresh(used, reserved)
-            used.add(n)
-            ih = _fresh(used, reserved)
-            used.add(ih)
-            motive = go(t[1], names + (n,))
-            scase = go(t[3], names + (n, ih))
-            head = {NATREC: "natrec", NATCONVZERO: "natconv_zero",
-                    NATCONVSUCC: "natconv_succ"}[tag]
-            out = f"{head}{{{n}.{motive}}}({go(t[2], names)}, {n} {ih}.{scase}"
-            if tag != NATCONVZERO:
-                out += f", {go(t[4], names)}"
-            out += ")"
-            used.difference_update((n, ih))
-            return out
-        raise ValueError(f"cannot print tag {tag}")
-
-    return go(t, tuple(scope))
+            if not 0 <= t[1] < depth:
+                return ValueError(f"unbound index {t[1]} while printing")
+        elif tag != CONST:
+            row = _BY_TAG.get(tag)
+            if row is None:
+                return ValueError(f"cannot print tag {tag}")
+            binders = BINDERS[tag]
+            order = _ERROR_ORDER.get(tag, range(1, len(binders) + 1))
+            stack.extend((t[k], depth + binders[k - 1]) for k in reversed(order))
+    raise AssertionError("print_term reported an error in a printable term")
 
 
 def print_context(ctx, reserved=()) -> tuple[str, tuple]:
@@ -737,62 +760,36 @@ def print_script(script: Script) -> str:
 
 
 def _print_surface(s: SurfaceTerm) -> str:
-    if s.kind == "name":
-        return s.name
-    if s.kind == "nat":
-        return "Nat"
-    if s.kind == "zero":
-        return "zero"
-    if s.kind == "succ":
-        return f"succ({_print_surface(s.children[0][1])})"
-    if s.kind == "pi":
-        (_, dom), (binder, cod) = s.children
-        return f"Pi({binder[0]} : {_print_surface(dom)}) {_print_surface(cod)}"
-    if s.kind == "lam":
-        (_, dom), (binder, cod), (_, body) = s.children
-        return (
-            f"lam({binder[0]} : {_print_surface(dom)} -> {_print_surface(cod)}) "
-            f"{_print_surface(body)}"
-        )
-    if s.kind == "app":
-        (_, dom), (binder, cod), (_, fun), (_, arg) = s.children
-        return (
-            f"app{{{_print_surface(dom)}, {binder[0]}.{_print_surface(cod)}}}"
-            f"({_print_surface(fun)}, {_print_surface(arg)})"
-        )
-    if s.kind == "betaconv":
-        (_, dom), (binder, cod), (_, arg), (b2, body) = s.children
-        return (
-            f"betaconv{{{_print_surface(dom)}, {binder[0]}.{_print_surface(cod)}}}"
-            f"({_print_surface(arg)}, {b2[0]}.{_print_surface(body)})"
-        )
-    if s.kind == "id":
-        parts = ", ".join(_print_surface(c) for _, c in s.children)
-        return f"Id({parts})"
-    if s.kind == "refl":
-        parts = ", ".join(_print_surface(c) for _, c in s.children)
-        return f"refl({parts})"
-    if s.kind == "idrec":
-        (_, over), (xyu, motive), (_, lhs), (_, rhs), (_, pth), (bx, base) = s.children
-        fam = f"{{{_print_surface(over)}, {' '.join(xyu)}.{_print_surface(motive)}}}"
-        return (
-            f"idrec{fam}({_print_surface(lhs)}, {_print_surface(rhs)}, "
-            f"{_print_surface(pth)}, {bx[0]}.{_print_surface(base)})"
-        )
-    if s.kind == "idconv":
-        (_, over), (xyu, motive), (_, point), (bx, base) = s.children
-        fam = f"{{{_print_surface(over)}, {' '.join(xyu)}.{_print_surface(motive)}}}"
-        return f"idconv{fam}({_print_surface(point)}, {bx[0]}.{_print_surface(base)})"
-    if s.kind in ("natrec", "natconv_zero", "natconv_succ"):
-        (nb, motive), (_, z), (nm, scase) = s.children[:3]
-        out = (
-            f"{s.kind}{{{nb[0]}.{_print_surface(motive)}}}"
-            f"({_print_surface(z)}, {' '.join(nm)}.{_print_surface(scase)}"
-        )
-        if len(s.children) > 3:
-            out += f", {_print_surface(s.children[3][1])}"
-        return out + ")"
-    raise ValueError(f"cannot print surface kind {s.kind}")
+    out: list = []
+    append = out.append
+    # the children of the innermost open node and its remaining pieces; the
+    # nodes around it are on the stack
+    children = pieces = None
+    stack = [(None, None)]
+    child = s  # the next term to write
+    while True:
+        if child.kind == "name":
+            append(child.name)
+        else:
+            row = _BY_KIND.get(child.kind)
+            if row is None:
+                raise ValueError(f"cannot print surface kind {child.kind}")
+            stack.append((children, pieces))
+            children, pieces = child.children, iter(row.pieces)
+        while pieces is not None:
+            for text, slot, k in pieces:
+                append(text)
+                if slot > 0:
+                    child = children[slot - 1][1]
+                    break
+                if slot:
+                    append(children[-slot - 1][0][k])
+            else:
+                children, pieces = stack.pop()
+                continue
+            break
+        else:
+            return "".join(out)
 
 
 def _print_bindings(bindings) -> str:

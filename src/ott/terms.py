@@ -144,6 +144,3 @@ class Signature:
 
     def __repr__(self) -> str:
         return f"Signature(atomic={sorted(self.atomic_types)}, constants={sorted(self.constants)})"
-
-
-EMPTY_SIGNATURE = Signature()

@@ -6,19 +6,24 @@ derivable by construction; tests then compare the checker's verdicts (and the
 synthesizer's answers) against that ground truth.  Inhabitation is best
 effort: ``random_term`` may return None for types it cannot populate within
 its fuel, and callers fall back or retry.
+
+``premise_count`` measures the promise discipline from outside the checker:
+how many premises one rule pushes.
 """
 
 from __future__ import annotations
 
 import random
 
+from .checker import _TERM, _TYPE, _cons_ctx, _run
 from .kernel import APP, CONST, ID, IDREC, LAM, NAT, NATREC, PI, REFL, SUCC, VAR, ZERO
 from .subst import shift
 from . import kernel as _k
 from .terms import Context, Signature, Term
 
 __all__ = [
-    "Generator", "default_signature", "mutations", "replace_at", "subterm_paths",
+    "Generator", "default_signature", "mutations", "premise_count", "replace_at",
+    "subterm_paths",
 ]
 
 
@@ -231,3 +236,31 @@ def mutations(t: Term):
             yield replace_at(t, path, (VAR, 0))
         replacement = (ZERO,) if node != (ZERO,) else (NAT,)
         yield replace_at(t, path, replacement)
+
+
+# premise counts ---------------------------------------------------------------
+
+class _PopDepths(list):
+    """An obligation stack that records its depth before each pop."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.depths: list = []
+
+    def pop(self, *args):
+        self.depths.append(len(self))
+        return super().pop(*args)
+
+
+def premise_count(sig: Signature, ctx: Context, subject: Term, target=None) -> int:
+    """The number of premises the rule for the head of ``subject`` pushes,
+    checked as a type if ``target`` is None and as a term against ``target``
+    otherwise.  On a stack that holds only this obligation, that is the
+    depth at the second pop, or 0 if there is none.  Raises ValueError if
+    the obligation or a premise is rejected."""
+    kind = _TYPE if target is None else _TERM
+    stack = _PopDepths([(kind, _cons_ctx(ctx), subject, target, None)])
+    ok, reason, locus, _ = _run(sig, stack)
+    if not ok:
+        raise ValueError(f"{reason} at {list(locus)}")
+    return stack.depths[1] if len(stack.depths) > 1 else 0

@@ -23,7 +23,7 @@ import time
 import pytest
 
 from ott.bench import BenchConfig, FAMILIES, run_bench
-from ott.checker import HasType, _case_recursion_count, check, infer
+from ott.checker import HasType, check, infer
 from ott.derived import (
     congruence_app, symmetry, telescope_idconv, telescope_idrec, telescope_pi,
     transitivity, transport,
@@ -34,7 +34,7 @@ from ott.terms import (
     App, BetaConv, Const, Id, IdConv, IdRec, Lambda, NatConvZero, NatRec,
     NatTy, Pi, Refl, Signature, Succ, Var, Zero, size, syntactic_equal,
 )
-from ott.testing import Generator, default_signature, mutations
+from ott.testing import Generator, default_signature, mutations, premise_count
 
 A = Const("A")
 
@@ -442,7 +442,7 @@ def test_criterion_7_promise_discipline():
         "nat-intro (succ)": (Succ(Zero), NatTy, 1),
     }
     for label, (term, ty, expected) in counts.items():
-        actual = _case_recursion_count(sig, (), term, ty)
+        actual = premise_count(sig, (), term, ty)
         assert actual == expected, (label, actual, expected)
     _report("7 promise discipline",
             "recursive-call counts: comp=0, pi-elim=4, id-elim=6, intro=1")

@@ -1,9 +1,8 @@
 import random
 
 from ott.checker import (
-    CtxtWF, HasType, InferFailure, TypeWF, _case_recursion_count,
-    _check_term_star, _check_type_star, _cons_ctx, _seed_judgement, check,
-    check_ctxt, infer,
+    _TERM, CtxtWF, HasType, InferFailure, TypeWF, _cons_ctx, _run,
+    _seed_judgement, check, check_ctxt, infer,
 )
 from ott.terms import (
     App, BetaConv, Const, Id, IdConv, IdRec, Lambda, NatConvSucc, NatConvZero,
@@ -11,7 +10,7 @@ from ott.terms import (
 )
 from ott.kernel import APP, CLO, CONST, NAT, SUCC, VAR
 from ott.subst import shift, subst
-from ott.testing import Generator, mutations
+from ott.testing import Generator, mutations, premise_count
 
 A = Const("A")
 a = Const("a")
@@ -210,8 +209,9 @@ def test_failure_locus_points_into_the_term(sig):
     report = check(sig, HasType((), term, Id(A, Zero, Zero)))
     assert not report.ok
     assert report.locus[0] == "type"  # the stated type is already bad
-    report = _check_term_star(sig, (), term, Id(A, Zero, Zero))
-    assert not report.ok
+    # the term stage alone, under the promise that the type is fine
+    ok, reason, _, _ = _run(sig, [(_TERM, _cons_ctx(()), term, Id(A, Zero, Zero), None)])
+    assert not ok
 
 
 # promise-discipline call counts ---------------------------------------------------
@@ -237,16 +237,14 @@ def test_recursive_call_counts_per_rule(sig):
     cases.append((IdConv(A, motive, a, base),
                   Id(Id(A, a, a), eliminator, Refl(A, a)), 0))
     for term, ty, expected in cases:
-        assert _case_recursion_count(sig, (), term, ty) == expected, term
+        assert premise_count(sig, (), term, ty) == expected, term
 
 
 def test_formation_rule_call_counts(sig):
-    from ott.checker import _type_case_recursion_count
-
-    assert _type_case_recursion_count(sig, (), Pi(A, A)) == 2
-    assert _type_case_recursion_count(sig, (), Id(A, a, a)) == 3
-    assert _type_case_recursion_count(sig, (), NatTy) == 0
-    assert _type_case_recursion_count(sig, (), A) == 0
+    assert premise_count(sig, (), Pi(A, A)) == 2
+    assert premise_count(sig, (), Id(A, a, a)) == 3
+    assert premise_count(sig, (), NatTy) == 0
+    assert premise_count(sig, (), A) == 0
 
 
 # determinism and reports -----------------------------------------------------------

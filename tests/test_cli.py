@@ -57,6 +57,41 @@ def test_invalid_utf8_exits_two_with_position(tmp_path):
     assert result.stderr == f"{path}:2:12: invalid UTF-8 byte 0xff\n"
 
 
+DEEP = 10**5
+
+
+def test_deep_nest_is_checked(tmp_path):
+    """Any nesting depth the checker accepts is accepted."""
+    nest = "succ(" * DEEP + "zero" + ")" * DEEP
+    path = _write(tmp_path, "deep.ott", f"check [] |- {nest} : Nat\n")
+    result = _run(["--json", "check", path])
+    assert result.returncode == 0, result.stderr
+    record = json.loads(result.stdout)
+    assert (record["verdict"], record["steps"]) == ("accept", 2 * DEEP + 3)
+
+
+def test_unclosed_deep_nest_is_a_syntax_error(tmp_path):
+    text = "check [] |- " + "succ(" * DEEP + "zero"
+    path = _write(tmp_path, "open.ott", text)
+    result = _run(["check", path])
+    assert result.returncode == 2
+    assert result.stderr == f"{path}:1:{len(text) + 1}: expected ')', found ''\n"
+
+
+def test_main_changes_no_interpreter_setting(tmp_path, capsys):
+    """``main`` runs in the caller's thread and leaves the recursion limit
+    and the thread stack size as it found them."""
+    import threading
+
+    from ott import cli
+
+    path = _write(tmp_path, "ok.ott", "postulate A : Type\npostulate a : A\ncheck [] |- a : A\n")
+    before = (sys.getrecursionlimit(), threading.stack_size())
+    assert cli.main(["check", path]) == 0
+    assert (sys.getrecursionlimit(), threading.stack_size()) == before
+    assert "ok" in capsys.readouterr().out
+
+
 def test_missing_file_exits_three(tmp_path):
     result = _run(["check", str(tmp_path / "absent.ott")])
     assert result.returncode == 3

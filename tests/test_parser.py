@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -7,6 +8,7 @@ from ott.surface import (
 )
 from ott.terms import (
     App, Const, Id, IdRec, Lambda, NatRec, NatTy, Pi, Refl, Succ, Var, Zero,
+    size, syntactic_equal,
 )
 from ott.testing import Generator
 
@@ -178,3 +180,26 @@ def test_random_scripts_round_trip(sig, rng):
         first = parse("\n".join(lines))
         again = parse(print_script(first))
         assert again == first
+
+
+def test_deep_nests_need_no_deep_python_stack(sig):
+    """Parsing, name resolution and both printers run on explicit stacks:
+    a 10^5-deep nest goes through each under the default recursion limit.
+    Deep trees are compared with syntactic_equal, size and strings, never
+    with ==, which recurses."""
+    n = 10**5
+    text = "succ(" * n + "zero" + ")" * n
+    expected = Zero
+    for _ in range(n):
+        expected = Succ(expected)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        surface = parse_term(text)
+        core = to_core(surface, [], sig)
+        assert size(core) == n + 1 and syntactic_equal(core, expected)
+        assert print_term(core) == text
+        item = f"check [] |- {text} : Nat"
+        assert print_script(parse(item)) == item + "\n"
+    finally:
+        sys.setrecursionlimit(limit)
