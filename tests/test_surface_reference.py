@@ -24,7 +24,7 @@ from ott.kernel import (
 )
 from ott.surface import (
     KEYWORDS, ParseError, SurfaceTerm, _decode, _fresh, _lex, _Parser,
-    _print_surface, parse, print_term,
+    _print_surface, print_term,
 )
 from ott.terms import Const, Var
 from ott.testing import Generator, default_signature, replace_at, subterm_paths
@@ -370,28 +370,35 @@ def reference_surface(s: SurfaceTerm) -> str:
 
 # parsing ----------------------------------------------------------------------
 
-def _fields(tree):
-    """Everything a parse produced, spans included, as a flat list (tuples
-    and dataclasses compare spans out, and recursively)."""
-    out = []
+def _walk(tree):
+    """Every node of a parse result, once each, in a fixed order."""
     todo = [tree]
     while todo:
         x = todo.pop()
+        yield x
         if isinstance(x, SurfaceTerm):
-            out.append(("term", x.kind, x.name, x.span, len(x.children)))
-            for binders, child in reversed(x.children):
-                todo.append(child)
-                todo.append(("binders", binders))
+            todo.extend(child for _, child in x.children)
         elif dataclasses.is_dataclass(x):
-            out.append((type(x).__name__, getattr(x, "span", None)))
-            todo.extend(reversed([getattr(x, f.name) for f in dataclasses.fields(x)
-                                  if f.name != "span"]))
+            todo.extend(getattr(x, f.name) for f in dataclasses.fields(x))
         elif isinstance(x, dict):
-            out.append(("dict", sorted(x)))
-            todo.extend(reversed([x[k] for k in sorted(x)]))
-        elif isinstance(x, tuple) and x[:1] != ("binders",):
-            out.append(("tuple", len(x)))
-            todo.extend(reversed(x))
+            todo.extend(x[k] for k in sorted(x))
+        elif isinstance(x, tuple):
+            todo.extend(x)
+
+
+def _fields(tree):
+    """Everything a parse produced, spans included, as a flat list: the
+    dataclasses leave spans out of ==, and == recurses."""
+    out = []
+    for x in _walk(tree):
+        if isinstance(x, SurfaceTerm):
+            out.append((x.kind, x.name, x.span, tuple(b for b, _ in x.children)))
+        elif dataclasses.is_dataclass(x):
+            out.append(type(x).__name__)
+        elif isinstance(x, dict):
+            out.append(tuple(sorted(x)))
+        elif isinstance(x, tuple):
+            out.append(len(x))
         else:
             out.append(x)
     return out
@@ -404,33 +411,14 @@ def _parse_outcome(parser, text):
         return ("error", exc.message, exc.line, exc.col)
 
 
-def _surface_terms(tree):
-    """Every SurfaceTerm in a parsed script, outermost first."""
-    return [x for x in _walk(tree) if isinstance(x, SurfaceTerm)]
-
-
-def _walk(tree):
-    todo = [tree]
-    while todo:
-        x = todo.pop()
-        yield x
-        if isinstance(x, SurfaceTerm):
-            todo.extend(child for _, child in x.children)
-        elif dataclasses.is_dataclass(x):
-            todo.extend(getattr(x, f.name) for f in dataclasses.fields(x))
-        elif isinstance(x, dict):
-            todo.extend(x.values())
-        elif isinstance(x, tuple):
-            todo.extend(x)
-
-
 def _assert_parses_alike(text):
     new = _parse_outcome(_Parser, text)
     assert new == _parse_outcome(ReferenceParser, text), text
     if new[0] != "error":
         # both printers of surface terms write the same text
-        for s in _surface_terms(_Parser(text).script()):
-            assert _print_surface(s) == reference_surface(s)
+        for s in _walk(_Parser(text).script()):
+            if isinstance(s, SurfaceTerm):
+                assert _print_surface(s) == reference_surface(s)
     return new[0] != "error"
 
 
