@@ -704,10 +704,9 @@ def print_term(t: Term, scope=(), reserved=()) -> str:
             return "".join(out)
 
 
-# The order in which print_term has always visited children, where it is not
-# slot order: a motive before the type it ranges over, and a case that binds
-# before the arguments that do not.  The first unprintable node in this order
-# is the one an error names.
+# Of two unprintable nodes, print_term's error names the first in this order
+# of children, where it differs from slot order: a motive before the type it
+# ranges over, and a case that binds before the arguments that do not.
 _ERROR_ORDER = {
     IDREC: (2, 1, 6, 3, 4, 5), IDCONV: (2, 1, 4, 3),
     NATREC: (1, 3, 2, 4), NATCONVZERO: (1, 3, 2), NATCONVSUCC: (1, 3, 2, 4),
