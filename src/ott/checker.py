@@ -35,13 +35,39 @@ module: equality of types is syntactic equality, full stop.
 ``CheckReport.steps`` is a deterministic work counter: one unit per processed
 obligation, per comparison step, per variable-lookup hop and per materialized
 node.  The benchmark gates on it instead of wall time.
+
+Certificates.  ``certify`` is ``check`` that, when it accepts a ``HasType``
+judgement whose term is not a leaf, also returns a ``Certificate`` for it,
+which this module indexes by the term object for exactly as long as the
+caller holds the certificate.  Plain ``check`` and ``infer`` issue none, and
+only this module enters one into the index.  A term obligation
+whose subject is a certified object, under the same ``Signature`` object, is
+discharged by two comparisons instead of its rule: its context against the
+certificate's, entry by entry, and its target against the certificate's type.
+A comparison of one object with itself costs one step, anything else what
+``eq_lazy`` charges with the obligation's side as the target, where a
+closure never matches; on a mismatch those steps are charged and the rule
+is applied as before.  ``check`` makes
+the same test on a whole ``HasType`` judgement before seeding any stage.
+
+A verdict is a pure function of the obligation, and the certificate's
+judgement passed every stage, so a discharged obligation is one the rule
+would have accepted: verdicts, reasons and loci never depend on which
+certificates are live, only steps do.  The quadratic argument still holds.
+Each comparison stops at the first mismatch and walks no further than the
+obligation's own context and target, whose sizes are linear in the input,
+so an obligation costs at most a linear number of extra steps, and there is
+at most one obligation per input node.  With no live certificate ``_run``
+makes no lookup at all.
 """
 
 from __future__ import annotations
 
 import time
+import weakref
 from dataclasses import dataclass
-from typing import Optional, Union
+from functools import partial
+from typing import Optional, Tuple, Union
 
 from . import kernel as _k
 from .kernel import (
@@ -52,7 +78,7 @@ from .terms import Context, Signature, Term
 
 __all__ = [
     "CheckReport", "Judgement", "CtxtWF", "TypeWF", "HasType",
-    "check", "check_ctxt", "infer", "InferFailure",
+    "check", "check_ctxt", "infer", "InferFailure", "Certificate", "certify",
 ]
 
 
@@ -106,6 +132,29 @@ class InferFailure(Exception):
         self.locus = locus
 
 
+@dataclass(frozen=True, eq=False)
+class Certificate:
+    """A ``HasType`` judgement the kernel accepted under ``sig``.  Only
+    ``certify`` makes one; while it lives, an obligation on the same term
+    object that matches it is discharged by comparison."""
+    sig: Signature
+    judgement: HasType
+
+
+# id(term) -> weak reference to the live Certificate indexed for that term
+# object.  The certificate holds its judgement and so the term, so the id is
+# not reused while the entry can be read; the entry goes when it dies.
+# Threads share it without a lock: a race between registering and forgetting
+# one key can only drop an entry, which costs a full check later, because a
+# lookup trusts nothing but a live certificate that it compares.
+_certificates: dict = {}
+
+
+def _forget(key, ref):
+    if _certificates.get(key) is ref:
+        _certificates.pop(key, None)
+
+
 _TYPE = 0
 _TERM = 1
 _NAT = (NAT,)
@@ -132,6 +181,34 @@ def _path(p) -> tuple:
     return tuple(out)
 
 
+def _matches(j: HasType, ctx, target):
+    """(equal, steps): whether the obligation ``ctx |- _ : target`` (``ctx``
+    a cons list) has the context and type of the judgement ``j``; the target
+    first, then the entries innermost first, each stopping at the first
+    difference."""
+    ty = j.ty
+    if ty is target:
+        steps = 1
+    else:
+        eq, steps = _k.eq_lazy(ty, target)
+        if not eq:
+            return False, steps
+    entries = j.ctx
+    i = len(entries)
+    while i and ctx is not None:
+        i -= 1
+        e = entries[i]
+        if e is ctx[0]:
+            steps += 1
+        else:
+            eq, c = _k.eq_lazy(e, ctx[0])
+            steps += c
+            if not eq:
+                return False, steps
+        ctx = ctx[1]
+    return i == 0 and ctx is None, steps
+
+
 def _run(sig: Signature, stack: list):
     """Process obligations depth-first; first failure wins.
 
@@ -139,6 +216,7 @@ def _run(sig: Signature, stack: list):
     """
     consts = sig.constants
     atomics = sig.atomic_types
+    certs = _certificates or None
     steps = 0
     while stack:
         kind, ctx, t, target, path = stack.pop()
@@ -155,6 +233,18 @@ def _run(sig: Signature, stack: list):
             elif tag != NAT and not (tag == CONST and t[1] in atomics):
                 return False, "not a type", _path(path), steps
             continue
+
+        # a certified subject is discharged by comparison; a variable or a
+        # constant is a leaf, which never has a certificate
+        if certs is not None and tag != VAR and tag != CONST:
+            ref = certs.get(id(t))
+            if ref is not None:
+                cert = ref()
+                if cert is not None and cert.sig is sig:
+                    eq, c = _matches(cert.judgement, ctx, target)
+                    steps += c
+                    if eq:
+                        continue
 
         # term against target.  Each rule pushes its premises and names the
         # type its conclusion states, ``expected`` (standing under the
@@ -337,13 +427,42 @@ def _seed_judgement(j: Judgement) -> list:
 
 
 def check(sig: Signature, j: Judgement) -> CheckReport:
-    """Decide a judgement from scratch; the safe, promise-free entry point."""
+    """Decide a judgement from scratch; the safe, promise-free entry point.
+    A ``HasType`` judgement that a live certificate matches is accepted by
+    comparison, without its stages."""
     t0 = time.perf_counter_ns()
+    cmp_steps = 0
+    if _certificates and isinstance(j, HasType):
+        ref = _certificates.get(id(j.term))
+        cert = ref() if ref is not None else None
+        if cert is not None and cert.sig is sig:
+            eq, cmp_steps = _matches(cert.judgement, _cons_ctx(j.ctx), j.ty)
+            if eq:
+                ns = time.perf_counter_ns() - t0
+                return CheckReport("accept", None, None, cmp_steps + 1, ns)
     ok, reason, locus, steps = _run(sig, _seed_judgement(j))
+    steps += cmp_steps
     ns = time.perf_counter_ns() - t0
     if ok:
         return CheckReport("accept", None, None, steps, ns)
     return CheckReport("reject", reason, locus, steps, ns)
+
+
+def certify(sig: Signature, j: HasType) -> Tuple[CheckReport, Optional[Certificate]]:
+    """``check(sig, j)``, and on acceptance of a term that is not a leaf a
+    certificate for ``j``, or None.  The kernel indexes the certificate for
+    as long as the caller holds it, unless a live one for the same term
+    object is indexed already; either way it stays sound to hold."""
+    report = check(sig, j)
+    t = j.term
+    if not report.ok or t[0] == VAR or t[0] == CONST or len(t) == 1:
+        return report, None
+    cert = Certificate(sig, j)
+    key = id(t)
+    ref = _certificates.get(key)
+    if ref is None or ref() is None:
+        _certificates[key] = weakref.ref(cert, partial(_forget, key))
+    return report, cert
 
 
 def check_ctxt(sig: Signature, ctx: Context) -> CheckReport:

@@ -7,14 +7,17 @@ core term.  Admissibility is witnessed operationally: every returned term was
 accepted by the kernel at its stated type, and a RecheckFailure here always
 means a construction bug, never user error.
 
-A sealed result is a certificate, so a precondition that the kernel already
-accepted for a live result is not checked again: when the required term is
-that result's term object, under the same Signature object, at a context and
-type syntactically equal to the result's, the check is skipped.  The index
-behind this maps id(result.term) to the result and holds it only weakly; it
-is shared by all threads, and a lookup only ever skips a judgement that a
-live result already passed, so concurrent use costs at worst an extra check.
-Every new term still goes to the kernel.
+Every sealed result and every precondition on a term is checked with
+``ott.checker.certify``, and the emitter holds the certificate it returns: a
+result's for as long as the result lives (``ElabResult.certificate``), a
+precondition's until the emitter's own result is sealed.  While a
+certificate is held, the kernel discharges an obligation on its term object
+at the certified context and type by comparison, both when the term comes
+back as a precondition and when it sits inside a larger emitted term: the
+reversed path inside transitivity's transport, the induction hypothesis
+inside betaconv's congruence, the point inside transport's application.
+Only the kernel enters judgements into its index, and only ones it accepted;
+every new term still goes through the kernel's rules.
 
 Index conventions (worked through in docs/transport-indices.md): a motive
 over three binders sees the innermost binder (the path) as index 0, its right
@@ -23,22 +26,22 @@ argument as index 0.  Telescope entries are listed outermost first and each
 entry may mention all earlier ones.
 
 Everything here materializes eagerly.  Emitted terms are not minimized or
-shared: transport alone multiplies the family size by a small constant, and
-the telescope constructions grow multiplicatively with telescope length.
+hash-consed: transport alone multiplies the family size by a small constant,
+and the telescope constructions grow multiplicatively with telescope length.
 That growth is inherent to storing conversions inside proof terms and is the
 price this calculus pays for never normalizing.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
+from typing import Optional
 
 from . import kernel as _k
-from .checker import HasType, TypeWF, check
+from .checker import Certificate, HasType, TypeWF, certify, check
 from .kernel import APP, BETA, ID, IDCONV, IDREC, LAM, PI, REFL, VAR
 from .subst import shift, subst
-from .terms import Context, Signature, Telescope, Term, syntactic_equal
+from .terms import Context, Signature, Telescope, Term
 
 __all__ = [
     "ElabResult", "ElabError", "RecheckFailure",
@@ -60,30 +63,8 @@ class ElabResult:
     term: Term
     stated_type: Term
     context: Context
-    signature: Signature = field(compare=False, repr=False)
-
-
-# id(result.term) -> the live ElabResult sealed with that term.  The result
-# holds its term, so the id cannot be reused while the entry exists.
-_accepted: "weakref.WeakValueDictionary[int, ElabResult]" = weakref.WeakValueDictionary()
-
-
-def _same_context(left, right):
-    return left is right or (
-        len(left) == len(right)
-        and all(e is f or syntactic_equal(e, f) for e, f in zip(left, right))
-    )
-
-
-def _accepted_before(sig, ctx, term, ty):
-    """Whether the kernel already accepted ``term : ty`` in ``ctx`` under
-    ``sig`` for a result that is still alive."""
-    r = _accepted.get(id(term))
-    return (
-        r is not None and r.term is term and r.signature is sig
-        and _same_context(r.context, ctx)
-        and (r.stated_type is ty or syntactic_equal(r.stated_type, ty))
-    )
+    # the kernel's certificate for the judgement, None for a leaf term
+    certificate: Optional[Certificate] = field(compare=False, repr=False)
 
 
 def _inst(t, terms, outer=0, lift=0):
@@ -92,10 +73,12 @@ def _inst(t, terms, outer=0, lift=0):
 
 
 def _require(sig, ctx, term, ty, what):
-    if _accepted_before(sig, ctx, term, ty):
-        return
-    if not check(sig, HasType(ctx, term, ty)).ok:
+    """Check a precondition; returns its certificate, which the emitter
+    holds until its own result is sealed."""
+    report, cert = certify(sig, HasType(ctx, term, ty))
+    if not report.ok:
         raise ElabError(f"precondition failed: {what}")
+    return cert
 
 
 def _require_type(sig, ctx, ty, what):
@@ -103,15 +86,15 @@ def _require_type(sig, ctx, ty, what):
         raise ElabError(f"precondition failed: {what}")
 
 
-def _sealed(sig, ctx, term, ty) -> ElabResult:
-    report = check(sig, HasType(ctx, term, ty))
+def _sealed(sig, ctx, term, ty, held=()) -> ElabResult:
+    """Recheck an emitted term; ``held`` keeps the certificates of the
+    emitter's preconditions alive until then."""
+    report, cert = certify(sig, HasType(ctx, term, ty))
     if not report.ok:
         raise RecheckFailure(
             f"emitted term failed recheck: {report.reason} at {report.locus}"
         )
-    result = ElabResult(term, ty, ctx, sig)
-    _accepted[id(term)] = result
-    return result
+    return ElabResult(term, ty, ctx, cert)
 
 
 def transport(sig: Signature, ctx: Context, family_over: Term, family: Term,
@@ -126,24 +109,26 @@ def transport(sig: Signature, ctx: Context, family_over: Term, family: Term,
     """
     _require_type(sig, ctx, family_over, "transport: base is a type")
     _require_type(sig, ctx + (family_over,), family, "transport: family is a type")
-    _require(sig, ctx, path, (ID, family_over, src, dst),
-             "transport: path relates the endpoints")
+    held = [_require(sig, ctx, path, (ID, family_over, src, dst),
+                     "transport: path relates the endpoints")]
     fam_src = _inst(family, (src,))
     fam_dst = _inst(family, (dst,))
-    _require(sig, ctx, point, fam_src, "transport: point inhabits the source fiber")
+    held.append(_require(sig, ctx, point, fam_src,
+                         "transport: point inhabits the source fiber"))
 
     # Motive over (x, y, u): functions from family[x] to family[y].  At the
     # domain the binders in scope are x,y,u so x is index 2; the codomain
     # adds its own binder, putting y at index 2 as well.
     motive = (PI, _inst(family, ((VAR, 2),), 3), _inst(family, ((VAR, 2),), 4))
-    # Base: under x the identity function on family[x].
-    base = (LAM, _inst(family, ((VAR, 0),), 1), _inst(family, ((VAR, 1),), 2), (VAR, 0))
+    # Base: under x the identity function on family[x].  The domain is the
+    # family itself: x is its own index 0.
+    base = (LAM, family, _inst(family, ((VAR, 1),), 2), (VAR, 0))
     carrier = (IDREC, family_over, motive, src, dst, path, base)
     # The carrier's type is the motive at (src, dst, path), i.e. functions
     # from family[src] to family[dst]; apply it to the point.
     codomain = _inst(family, (shift(dst, 1),), 1)
     term = (APP, fam_src, codomain, carrier, point)
-    return _sealed(sig, ctx, term, fam_dst)
+    return _sealed(sig, ctx, term, fam_dst, held)
 
 
 def symmetry(sig: Signature, ctx: Context, over: Term, lhs: Term, rhs: Term,
@@ -265,21 +250,22 @@ class TelescopePi:
         if len(args) != len(self.delta):
             raise ElabError("argument sequence length differs from telescope length")
         scope_ty = self.pi_type
+        held = []
         for i, arg in enumerate(args):
             dom = scope_ty[1]
-            _require(self.sig, self.ctx, arg, dom,
-                     f"argument {i} inhabits its telescope entry")
+            held.append(_require(self.sig, self.ctx, arg, dom,
+                                 f"argument {i} inhabits its telescope entry"))
             scope_ty = _inst(scope_ty[2], (arg,))
-        return scope_ty
+        return scope_ty, held
 
     def app(self, fun: Term, args) -> ElabResult:
         """Apply a function of the telescope product type to an argument
         sequence (a context morphism into the telescope)."""
         args = tuple(args)
-        result_ty = self._check_args(args)
+        result_ty, held = self._check_args(args)
         steps, _ = _spine_steps(self.delta, self.body, args)
         term = _spine_app(steps, fun, args, 0)
-        return _sealed(self.sig, self.ctx, term, result_ty)
+        return _sealed(self.sig, self.ctx, term, result_ty, held)
 
     def betaconv(self, body_term: Term, args) -> ElabResult:
         """The computation witness: the telescope application of the
@@ -295,7 +281,8 @@ class TelescopePi:
         emitted directly.
         """
         args = tuple(args)
-        self._check_args(args)
+        # the arguments' certificates are held until the witness is sealed
+        _, held = self._check_args(args)
         return _beta_witness(self.sig, self.ctx, self.delta, self.body,
                              body_term, args)
 
@@ -322,8 +309,8 @@ def _beta_witness(sig, ctx, entries, body_ty, body, args) -> ElabResult:
     front_args, last_arg = args[:-1], args[-1]
     inner_ty = (PI, last, body_ty)
     inner_lam = (LAM, last, body_ty, body)
-    # ``ih`` stays alive while its term is the congruence's path, so that
-    # precondition is not checked again
+    # ``ih`` stays alive while its term is the congruence's path, so its
+    # certificate discharges that precondition
     ih = _beta_witness(sig, ctx, front, inner_ty, inner_lam, front_args)
     _, pi_inst, spine_head, lam_inst = ih.stated_type
     _, dom_i, cod_i = pi_inst

@@ -1,16 +1,20 @@
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import ott.checker
 from ott.checker import (
     _TERM, CtxtWF, HasType, InferFailure, TypeWF, _cons_ctx, _run,
-    _seed_judgement, check, check_ctxt, infer,
+    _seed_judgement, certify, check, check_ctxt, infer,
 )
 from ott.terms import (
     App, BetaConv, Const, Id, IdConv, IdRec, Lambda, NatConvSucc, NatConvZero,
-    NatRec, NatTy, Pi, Refl, Signature, Succ, Var, Zero, syntactic_equal,
+    NatRec, NatTy, Pi, Refl, Signature, Succ, Var, Zero, size, syntactic_equal,
 )
 from ott.kernel import APP, CLO, CONST, NAT, SUCC, VAR
 from ott.subst import shift, subst
-from ott.testing import Generator, mutations, premise_count
+from ott.testing import Generator, default_signature, mutations, premise_count
 
 A = Const("A")
 a = Const("a")
@@ -478,6 +482,18 @@ def test_step_fingerprint_is_pinned():
         assert (r.verdict, r.reason, r.locus, r.steps) == FINGERPRINT[name], name
 
 
+def test_step_fingerprint_is_pinned_with_live_certificates(sig):
+    """Certificates on other term objects change no step: an obligation only
+    looks its own subject up."""
+    gen = Generator(sig, random.Random(31))
+    held = []
+    for _ in range(40):
+        j = HasType(*gen.random_judgement())
+        held += _certify_obligations(sig, j, random.Random(7), 1.0)
+    assert held and ott.checker._certificates
+    test_step_fingerprint_is_pinned()
+
+
 # differential: the checker loop against the one it replaced ---------------------
 #
 # ``reference_run`` is ``_run`` as it was when every comparison and every
@@ -771,3 +787,131 @@ def test_negative_index_is_the_one_intended_difference(sig):
     new, old = _both(sig, _term_stack((A,), Var(-1), A))
     assert old == (True, None, None, 2)
     assert new == (False, "unbound variable", ("term",), 1)
+
+
+# certificates ----------------------------------------------------------------------
+#
+# A certificate lets ``_run`` discharge an obligation on its term object by
+# comparison.  Whatever certificates are live, every (verdict, reason, locus)
+# must be what the rules alone give, within the same quadratic bound.
+
+
+class _Popped(list):
+    """An obligation stack that keeps every obligation it hands out."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.popped: list = []
+
+    def pop(self, *args):
+        item = super().pop(*args)
+        self.popped.append(item)
+        return item
+
+
+def _entries(ctx) -> tuple:
+    out = []
+    while ctx is not None:
+        out.append(ctx[0])
+        ctx = ctx[1]
+    return tuple(reversed(out))
+
+
+def _certify_obligations(sig, j, rng, share):
+    """Certify about ``share`` of the term obligations that checking ``j``
+    hands out, each as a judgement of its own; returns the certificates."""
+    stack = _Popped(_seed_judgement(j))
+    _run(sig, stack)
+    held = []
+    for kind, ctx, t, target, _ in stack.popped:
+        if kind == _TERM and rng.random() < share:
+            report, cert = certify(sig, HasType(_entries(ctx), t, target))
+            if cert is not None:
+                held.append(cert)
+    return held
+
+
+def _copy(t):
+    return tuple(_copy(c) if isinstance(c, tuple) else c for c in t)
+
+
+def _by_rules(sig, j):
+    """(verdict, reason, locus) of ``j`` with no certificate for any of its
+    objects: a copy shares none."""
+    r = check(sig, HasType(tuple(_copy(e) for e in j.ctx), _copy(j.term), _copy(j.ty)))
+    return r.verdict, r.reason, r.locus
+
+
+@settings(max_examples=120)
+@given(st.randoms(use_true_random=False), st.floats(0.0, 1.0))
+def test_certificates_never_change_a_verdict(rng, share):
+    """Certificates for random accepted sub-judgements of a generated
+    judgement.  The judgement, its single-node mutants of term, type and
+    context entries, and its term and type over contexts with one entry
+    replaced, added or dropped, all of which share the untouched subterms,
+    must keep their (verdict, reason, locus) and stay within C * n^2 + C
+    steps, C = 2."""
+    sig = default_signature()
+    gen = Generator(sig, rng)
+    ctx, term, ty = gen.random_judgement()
+    original = HasType(ctx, term, ty)
+    cases = [original]
+    cases += [HasType(ctx, m, ty) for m in mutations(term)]
+    cases += [HasType(ctx, term, m) for m in mutations(ty)]
+    for i, entry in enumerate(ctx):
+        others = list(mutations(entry)) + [gen.random_type(ctx[:i], 4) for _ in range(4)]
+        cases += [HasType(ctx[:i] + (m,) + ctx[i + 1:], term, ty) for m in others]
+    # one entry more or less on the outside leaves every index in place
+    cases.append(HasType((NatTy,) + ctx, term, ty))
+    if ctx:
+        cases.append(HasType(ctx[1:], term, ty))
+    want = [_by_rules(sig, j) for j in cases]
+    held = _certify_obligations(sig, original, rng, share)
+    # and some mutants' own accepted sub-judgements
+    for j in rng.sample(cases, min(3, len(cases))):
+        held += _certify_obligations(sig, j, rng, share)
+    for j, expected in zip(cases, want):
+        r = check(sig, j)
+        assert (r.verdict, r.reason, r.locus) == expected, j
+        n = sum(size(e) for e in j.ctx) + size(j.term) + size(j.ty)
+        assert r.steps <= 2 * n * n + 2, (j, r.steps, n)
+    del held
+
+
+def test_certified_judgement_is_discharged_by_comparison(sig):
+    ctx = (A, Id(A, Var(0), Var(0)))
+    term = Refl(A, Var(1))
+    ty = Id(A, Var(1), Var(1))
+    report, cert = certify(sig, HasType(ctx, term, ty))
+    assert report.ok and cert is not None
+    again = check(sig, HasType(ctx, term, ty))
+    # one step for the judgement, one per context entry, one for the type
+    assert again.ok and again.steps == len(ctx) + 2
+    equal = check(sig, HasType(tuple(_copy(e) for e in ctx), term, _copy(ty)))
+    assert equal.ok
+    assert equal.steps == 1 + sum(size(e) for e in ctx) + size(ty)
+    full = check(sig, HasType(ctx, _copy(term), ty)).steps
+    assert full > again.steps
+    # a mismatch pays for its comparisons and then for the rules
+    other = HasType((A, A), term, Id(A, Var(1), Var(1)))
+    assert check(sig, other).steps > check(sig, HasType((A, A), _copy(term), other.ty)).steps
+    del cert
+    assert check(sig, HasType(ctx, term, ty)).steps == full
+
+
+def test_plain_check_and_infer_issue_no_certificate(sig):
+    before = dict(ott.checker._certificates)
+    gen = Generator(sig, random.Random(12))
+    for _ in range(50):
+        ctx, term, ty = gen.random_judgement()
+        assert check(sig, HasType(ctx, term, ty)).ok
+        infer(sig, ctx, term)
+    assert ott.checker._certificates == before
+
+
+def test_leaf_terms_get_no_certificate(sig):
+    for term, ty in ((a, A), (Zero, NatTy), (Var(0), A)):
+        report, cert = certify(sig, HasType((A,), term, ty))
+        assert report.ok and cert is None
+    report, cert = certify(sig, HasType((), Succ(a), NatTy))
+    assert not report.ok and cert is None

@@ -5,6 +5,7 @@ import threading
 
 import pytest
 
+import ott.checker
 import ott.derived
 from ott.checker import HasType, check
 from ott.derived import (
@@ -71,6 +72,31 @@ def test_transport_random_instances(sig, rng):
         result = transport(sig, ctx, shift(over, 3), family, x, y, p, point)
         assert syntactic_equal(result.stated_type, subst(family, y))
         done += 1
+
+
+def test_transport_base_domain_is_the_family_itself(sig, rng):
+    """The base's domain is the family at x, with x the family's own index 0:
+    the substitution of Var(0) for index 0 that renumbers the rest by -1+1
+    is the identity, so the family is used as it is."""
+    from ott import kernel
+
+    gen = Generator(sig, rng)
+    for _ in range(200):
+        base = gen.random_context(rng.randrange(0, 3))
+        family = gen.random_type(base + (gen.random_type(base, 3),), 5)
+        copy, _ = kernel.inst(family, (Var(0),), 1, 0)
+        assert syntactic_equal(copy, family)
+    ctx, x, y, p = _path_context()
+    family = Id(shift(A, 1), Var(0), Var(0))
+    result = transport(sig, ctx, A, family, x, y, p, Refl(A, x))
+    _, _, _, carrier, _ = result.term
+    lam = carrier[6]
+    assert lam[1] is family
+    assert syntactic_equal(result.term, App(
+        Id(A, x, x), Id(shift(A, 1), shift(y, 1), shift(y, 1)),
+        IdRec(A, Pi(Id(shift(A, 3), Var(2), Var(2)), Id(shift(A, 4), Var(2), Var(2))),
+              x, y, p, Lambda(family, Id(shift(A, 2), Var(1), Var(1)), Var(0))),
+        Refl(A, x)))
 
 
 # symmetry / transitivity ----------------------------------------------------
@@ -223,18 +249,26 @@ def test_telescope_idrec_length_two(sig):
 
 
 # rechecks ------------------------------------------------------------------------
+#
+# Every judgement an elaborator sends reaches ``check``.  One whose term is a
+# live certified object, under the same Signature object at an equal context
+# and type, is discharged by comparison: one step for the judgement, one per
+# context entry and one for the type when they are the same objects, and
+# ``eq_lazy``'s count where they are only equal.  Anything else is checked in
+# full, which is what a check of a copy that shares no subterm costs.
 
 
-def _kernel_judgements(monkeypatch):
-    """Wrap ``ott.derived.check``; returns the list of judgements it is sent."""
+def _kernel_checks(monkeypatch):
+    """Wrap the ``check`` attributes the elaborators reach the kernel
+    through; returns the list of (judgement, report) pairs they see."""
     seen = []
-    inner = ott.derived.check
+    for owner in (ott.checker, ott.derived):
+        def counted(sig, judgement, inner=owner.check):
+            report = inner(sig, judgement)
+            seen.append((judgement, report))
+            return report
 
-    def counted(sig, judgement):
-        seen.append(judgement)
-        return inner(sig, judgement)
-
-    monkeypatch.setattr(ott.derived, "check", counted)
+        monkeypatch.setattr(owner, "check", counted)
     return seen
 
 
@@ -251,14 +285,35 @@ def _same_judgement(j, k):
 
 
 def _repeated(seen):
-    """The HasType judgements that reach the kernel a second time."""
-    has_type = [j for j in seen if isinstance(j, HasType)]
-    return [j for i, j in enumerate(has_type)
-            if any(_same_judgement(k, j) for k in has_type[:i])]
+    """(judgement, report) of each HasType judgement that reaches the
+    kernel a second time."""
+    has_type = [(j, r) for j, r in seen if isinstance(j, HasType)]
+    return [(j, r) for i, (j, r) in enumerate(has_type)
+            if any(_same_judgement(k, j) for k, _ in has_type[:i])]
 
 
-def _reaches_kernel(seen, term):
-    return any(isinstance(j, HasType) and j.term is term for j in seen)
+def _checks_on(seen, term):
+    """(judgement, report) of each HasType judgement on ``term``."""
+    return [(j, rep) for j, rep in seen if isinstance(j, HasType) and j.term is term]
+
+
+def _discharge_bound(j):
+    return len(j.ctx) + size(j.ty) + 2
+
+
+def _full_steps(sig, j):
+    """The steps of checking ``j`` by the rules alone: a copy of it shares
+    no object with any certificate."""
+    copy = HasType(tuple(_rebuilt(e) for e in j.ctx), _rebuilt(j.term), _rebuilt(j.ty))
+    return check(sig, copy).steps
+
+
+def _checked_in_full(sig, seen, term):
+    """The one judgement on ``term`` reached the kernel and paid at least
+    what its rules cost; returns its report."""
+    [(j, report)] = _checks_on(seen, term)
+    assert report.steps >= _full_steps(sig, j)
+    return report
 
 
 def _reversed_path(sig):
@@ -269,22 +324,33 @@ def _reversed_path(sig):
 
 
 def test_live_result_term_is_not_checked_again(sig, monkeypatch):
+    """A live result's term is discharged by comparison as a precondition,
+    and inside the emitted term too; an equal copy is checked in full."""
     ctx, x, y, r, family = _reversed_path(sig)
     copy = _rebuilt(r.term)
     assert copy is not r.term and syntactic_equal(copy, r.term)
-    seen = _kernel_judgements(monkeypatch)
+    seen = _kernel_checks(monkeypatch)
     live = transport(sig, ctx, A, family, y, x, r.term, Refl(A, y))
     live_calls = len(seen)
-    assert not _reaches_kernel(seen, r.term)
+    [(j, report)] = _checks_on(seen, r.term)
+    assert report.ok and report.steps <= _discharge_bound(j)
     copied = transport(sig, ctx, A, family, y, x, copy, Refl(A, y))
-    assert _reaches_kernel(seen, copy)
-    assert len(seen) - live_calls == live_calls + 1
+    assert _checked_in_full(sig, seen, copy).ok
+    assert len(seen) - live_calls == live_calls
+    # the emitted term embeds the path, and its recheck discharges it there
+    # too: with the live result, and with the copy's precondition certificate
+    for sealed, report in (seen[live_calls - 1], seen[-1]):
+        assert report.ok and report.steps < _full_steps(sig, sealed)
     assert syntactic_equal(live.term, copied.term)
     assert syntactic_equal(live.stated_type, copied.stated_type)
-    # a syntactically equal context is as good as the same object
+    # a syntactically equal context is as good as the same object, at the
+    # cost of comparing its entries
     del seen[:]
-    transport(sig, _rebuilt(ctx), A, family, y, x, r.term, Refl(A, y))
-    assert not _reaches_kernel(seen, r.term)
+    other = _rebuilt(ctx)
+    transport(sig, other, A, family, y, x, r.term, Refl(A, y))
+    [(j, report)] = _checks_on(seen, r.term)
+    assert report.ok
+    assert report.steps <= sum(size(e) for e in other) + size(j.ty) + 2
 
 
 def test_precondition_checked_again_once_the_result_is_gone(sig, monkeypatch):
@@ -292,49 +358,59 @@ def test_precondition_checked_again_once_the_result_is_gone(sig, monkeypatch):
     term = r.term
     del r
     gc.collect()
-    seen = _kernel_judgements(monkeypatch)
+    seen = _kernel_checks(monkeypatch)
     transport(sig, ctx, A, family, y, x, term, Refl(A, y))
-    assert _reaches_kernel(seen, term)
+    assert _checked_in_full(sig, seen, term).ok
 
 
 def test_precondition_checked_again_under_another_signature(sig, monkeypatch):
     ctx, x, y, r, family = _reversed_path(sig)
     other = Signature().with_type("A").with_const("a", A)
-    seen = _kernel_judgements(monkeypatch)
+    seen = _kernel_checks(monkeypatch)
     transport(other, ctx, A, family, y, x, r.term, Refl(A, y))
-    assert _reaches_kernel(seen, r.term)
+    assert _checked_in_full(other, seen, r.term).ok
 
 
 def test_precondition_checked_again_in_another_context(sig, monkeypatch):
     ctx, x, y, r, family = _reversed_path(sig)
-    seen = _kernel_judgements(monkeypatch)
+    seen = _kernel_checks(monkeypatch)
     # an extra outermost entry leaves every index in place
     result = transport(sig, (A,) + ctx, A, family, y, x, r.term, Refl(A, y))
-    assert _reaches_kernel(seen, r.term)
+    assert _checked_in_full(sig, seen, r.term).ok
     assert syntactic_equal(result.stated_type, Id(A, x, x))
 
 
 def test_precondition_at_another_type_is_checked_and_fails(sig, monkeypatch):
     ctx, x, y, r, family = _reversed_path(sig)
     message = "precondition failed: transport: path relates the endpoints"
-    seen = _kernel_judgements(monkeypatch)
+    seen = _kernel_checks(monkeypatch)
     # r.term relates y to x, not x to y
     with pytest.raises(ElabError) as live:
         transport(sig, ctx, A, family, x, y, r.term, Refl(A, x))
-    assert _reaches_kernel(seen, r.term)
+    report = _checked_in_full(sig, seen, r.term)
+    assert not report.ok
+    copy = _rebuilt(r.term)
     with pytest.raises(ElabError) as copied:
-        transport(sig, ctx, A, family, x, y, _rebuilt(r.term), Refl(A, x))
+        transport(sig, ctx, A, family, x, y, copy, Refl(A, x))
     assert str(live.value) == str(copied.value) == message
+    [(_, again)] = _checks_on(seen, copy)
+    assert (again.reason, again.locus) == (report.reason, report.locus)
+
+
+def _discharged(repeated):
+    return all(r.ok and r.steps <= _discharge_bound(j) for j, r in repeated)
 
 
 @pytest.mark.parametrize("length", [1, 2, 3, 4])
 def test_telescope_betaconv_sends_no_judgement_twice(sig, monkeypatch, length):
+    """No judgement goes through the rules twice: every repeat is
+    discharged by comparison."""
     product = telescope_pi(sig, (), (A,) * length, A)
     args = tuple(Const("a") for _ in range(length))  # distinct objects
-    seen = _kernel_judgements(monkeypatch)
+    seen = _kernel_checks(monkeypatch)
     witness = product.betaconv(Var(length - 1), args)
     assert syntactic_equal(witness.stated_type[3], a)
-    assert _repeated(seen) == []
+    assert _discharged(_repeated(seen))
 
 
 def test_transitivity_over_a_sealed_path_sends_no_judgement_twice(sig, monkeypatch):
@@ -342,23 +418,25 @@ def test_transitivity_over_a_sealed_path_sends_no_judgement_twice(sig, monkeypat
            Id(A, Var(3), Var(2)), Id(A, Var(3), Var(2)), Id(A, Var(3), Var(2)))
     t0, t1, t2, t3 = Var(6), Var(5), Var(4), Var(3)
     p, q, r = Var(2), Var(1), Var(0)
-    seen = _kernel_judgements(monkeypatch)
+    seen = _kernel_checks(monkeypatch)
     pq = transitivity(sig, ctx, A, t0, t1, t2, p, q)
     pqr = transitivity(sig, ctx, A, t0, t2, t3, pq.term, r)
     assert syntactic_equal(pqr.stated_type, Id(A, t0, t3))
-    assert _repeated(seen) == []
+    repeated = _repeated(seen)
+    assert any(j.term is pq.term for j, _ in repeated)
+    assert _discharged(repeated)
 
 
 def test_telescope_idconv_sends_no_judgement_twice(sig, monkeypatch):
     ctx = (A, Id(shift(A, 1), Var(0), shift(a, 1)))
     x_pt, p_pt = Var(1), Var(0)
     delta = (NatTy, Id(shift(A, 4), Var(3), shift(a, 4)))
-    seen = _kernel_judgements(monkeypatch)
+    seen = _kernel_checks(monkeypatch)
     witness = telescope_idconv(sig, ctx, A, delta, NatTy, x_pt, (Zero, p_pt), Zero)
     assert syntactic_equal(witness.stated_type[1], NatTy)
-    assert _repeated(seen) == []
+    assert _discharged(_repeated(seen))
     # each argument is checked against its telescope entry exactly once
-    assert sum(isinstance(j, HasType) and j.term is p_pt for j in seen) == 1
+    assert len(_checks_on(seen, p_pt)) == 1
 
 
 def test_telescope_idconv_bad_argument_message(sig):
@@ -371,9 +449,10 @@ def test_telescope_idconv_bad_argument_message(sig):
 
 
 def test_index_shared_by_threads_never_skips_a_false_precondition(sig):
-    """Threads seal and look up concurrently.  A path that relates y to x in
-    one context relates x to y in the other, so the calls there must fail
-    however the shared index interleaves."""
+    """Threads certify and discharge through the kernel's one index
+    concurrently.  A path that relates y to x in one context relates x to y
+    in the other, so the calls there must fail however the index
+    interleaves."""
     ctx, x, y, r, family = _reversed_path(sig)
     flipped = (A, A, Id(A, Var(0), Var(1)))
     message = "precondition failed: transport: path relates the endpoints"

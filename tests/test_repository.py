@@ -1,5 +1,6 @@
-"""Repository hygiene: nothing that .gitignore excludes is tracked, and no
-function in the package recurses on the Python stack."""
+"""Repository hygiene: nothing that .gitignore excludes is tracked, no
+function in the package recurses on the Python stack, and only the kernel
+enters judgements into its certificate index."""
 
 import ast
 import shutil
@@ -84,3 +85,76 @@ def test_recursion_scan_finds_self_calls():
         "def g():\n    return h()\n"
     )
     assert sorted(_self_calls(tree)) == [("C.m", 9), ("C.m.go", 8), ("f", 2)]
+
+
+# Only ``ott.checker`` may make a Certificate or write the index of them, so
+# every indexed judgement is one the kernel accepted.
+_CERTIFICATE_OWNER = ROOT / "src" / "ott" / "checker.py"
+_INDEX = "_certificates"
+_MUTATORS = {"__setitem__", "__delitem__", "setdefault", "update", "pop",
+             "popitem", "clear"}
+
+
+def _names(node):
+    """The names, attribute names and strings that ``node`` mentions."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            yield sub.value
+
+
+def _certificate_writes(tree):
+    """(what, line) of each construction of a Certificate and each write to
+    the certificate index: a store into or deletion from it, a rebinding of
+    it, a mutating method call on it, or a ``setattr`` that names it."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else (
+                f.attr if isinstance(f, ast.Attribute) else None)
+            if name == "Certificate" or name == "__new__" and "Certificate" in _names(f):
+                found.append(("Certificate", node.lineno))
+            elif name in _MUTATORS and isinstance(f, ast.Attribute) and _INDEX in _names(f.value):
+                found.append((_INDEX, node.lineno))
+            elif name == "setattr" and any(_INDEX in _names(a) for a in node.args):
+                found.append((name, node.lineno))
+        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)):
+            targets = node.targets if isinstance(node, (ast.Assign, ast.Delete)) else [node.target]
+            if any(_INDEX in _names(t) for t in targets):
+                found.append((_INDEX, node.lineno))
+    return sorted(found, key=lambda item: item[1])
+
+
+def test_only_the_kernel_issues_certificates():
+    offenders = []
+    for folder in ("src", "tests", "perfbench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            if path == _CERTIFICATE_OWNER:
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for what, line in _certificate_writes(tree):
+                offenders.append(f"{path.relative_to(ROOT)}:{line} {what}")
+    assert offenders == []
+
+
+def test_certificate_scan_finds_writes():
+    tree = ast.parse(
+        "from ott.checker import Certificate\n"
+        "c = Certificate(sig, j)\n"
+        "d = ott.checker.Certificate.__new__(Certificate)\n"
+        "ott.checker._certificates[1] = c\n"
+        "del checker._certificates[1]\n"
+        "_certificates.setdefault(1, c)\n"
+        "checker._certificates = {}\n"
+        "monkeypatch.setattr(ott.checker, '_certificates', {})\n"
+        "ok = ott.checker._certificates.get(1) is None and isinstance(c, Certificate)\n"
+        "report, cert = certify(sig, j)\n"
+    )
+    assert _certificate_writes(tree) == [
+        ("Certificate", 2), ("Certificate", 3), (_INDEX, 4), (_INDEX, 5),
+        (_INDEX, 6), (_INDEX, 7), ("setattr", 8),
+    ]
