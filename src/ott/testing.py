@@ -22,8 +22,8 @@ from . import kernel as _k
 from .terms import Context, Signature, Term
 
 __all__ = [
-    "Generator", "default_signature", "mutations", "premise_count", "replace_at",
-    "subterm_paths",
+    "Generator", "default_signature", "fresh_copy", "mutations", "premise_count",
+    "replace_at", "subterm_paths",
 ]
 
 
@@ -215,6 +215,14 @@ def subterm_paths(t: Term, path=()):
     if t[0] > CONST and len(t) > 1:
         for i, child in enumerate(t[1:]):
             yield from subterm_paths(child, path + (i,))
+
+
+def fresh_copy(t):
+    """An equal copy of a term, or of a tuple of terms such as a context,
+    that shares no tuple with it, so no certificate on the original's objects
+    applies to it (``copy.deepcopy`` returns a tuple of immutable atoms as it
+    is)."""
+    return tuple(fresh_copy(c) if isinstance(c, tuple) else c for c in t)
 
 
 def replace_at(t: Term, path, new: Term) -> Term:

@@ -14,7 +14,9 @@ from ott.terms import (
 )
 from ott.kernel import APP, CLO, CONST, NAT, SUCC, VAR
 from ott.subst import shift, subst
-from ott.testing import Generator, default_signature, mutations, premise_count
+from ott.testing import (
+    Generator, default_signature, fresh_copy, mutations, premise_count,
+)
 
 A = Const("A")
 a = Const("a")
@@ -831,14 +833,10 @@ def _certify_obligations(sig, j, rng, share):
     return held
 
 
-def _copy(t):
-    return tuple(_copy(c) if isinstance(c, tuple) else c for c in t)
-
-
 def _by_rules(sig, j):
     """(verdict, reason, locus) of ``j`` with no certificate for any of its
     objects: a copy shares none."""
-    r = check(sig, HasType(tuple(_copy(e) for e in j.ctx), _copy(j.term), _copy(j.ty)))
+    r = check(sig, HasType(fresh_copy(j.ctx), fresh_copy(j.term), fresh_copy(j.ty)))
     return r.verdict, r.reason, r.locus
 
 
@@ -887,14 +885,14 @@ def test_certified_judgement_is_discharged_by_comparison(sig):
     again = check(sig, HasType(ctx, term, ty))
     # one step for the judgement, one per context entry, one for the type
     assert again.ok and again.steps == len(ctx) + 2
-    equal = check(sig, HasType(tuple(_copy(e) for e in ctx), term, _copy(ty)))
+    equal = check(sig, HasType(fresh_copy(ctx), term, fresh_copy(ty)))
     assert equal.ok
     assert equal.steps == 1 + sum(size(e) for e in ctx) + size(ty)
-    full = check(sig, HasType(ctx, _copy(term), ty)).steps
+    full = check(sig, HasType(ctx, fresh_copy(term), ty)).steps
     assert full > again.steps
     # a mismatch pays for its comparisons and then for the rules
     other = HasType((A, A), term, Id(A, Var(1), Var(1)))
-    assert check(sig, other).steps > check(sig, HasType((A, A), _copy(term), other.ty)).steps
+    assert check(sig, other).steps > check(sig, HasType((A, A), fresh_copy(term), other.ty)).steps
     del cert
     assert check(sig, HasType(ctx, term, ty)).steps == full
 

@@ -17,7 +17,7 @@ from ott.terms import (
     App, BetaConv, Const, Id, IdConv, IdRec, Lambda, NatTy, Pi, Refl, Signature,
     Succ, Var, Zero, size, syntactic_equal,
 )
-from ott.testing import Generator
+from ott.testing import Generator, fresh_copy
 
 A = Const("A")
 a = Const("a")
@@ -272,12 +272,6 @@ def _kernel_checks(monkeypatch):
     return seen
 
 
-def _rebuilt(t):
-    """An equal copy of ``t`` that shares no tuple with it (``copy.deepcopy``
-    returns a tuple of immutable atoms as it is)."""
-    return tuple(_rebuilt(c) if isinstance(c, tuple) else c for c in t)
-
-
 def _same_judgement(j, k):
     return (j.term is k.term and syntactic_equal(j.ty, k.ty)
             and len(j.ctx) == len(k.ctx)
@@ -304,7 +298,7 @@ def _discharge_bound(j):
 def _full_steps(sig, j):
     """The steps of checking ``j`` by the rules alone: a copy of it shares
     no object with any certificate."""
-    copy = HasType(tuple(_rebuilt(e) for e in j.ctx), _rebuilt(j.term), _rebuilt(j.ty))
+    copy = HasType(fresh_copy(j.ctx), fresh_copy(j.term), fresh_copy(j.ty))
     return check(sig, copy).steps
 
 
@@ -327,7 +321,7 @@ def test_live_result_term_is_not_checked_again(sig, monkeypatch):
     """A live result's term is discharged by comparison as a precondition,
     and inside the emitted term too; an equal copy is checked in full."""
     ctx, x, y, r, family = _reversed_path(sig)
-    copy = _rebuilt(r.term)
+    copy = fresh_copy(r.term)
     assert copy is not r.term and syntactic_equal(copy, r.term)
     seen = _kernel_checks(monkeypatch)
     live = transport(sig, ctx, A, family, y, x, r.term, Refl(A, y))
@@ -346,7 +340,7 @@ def test_live_result_term_is_not_checked_again(sig, monkeypatch):
     # a syntactically equal context is as good as the same object, at the
     # cost of comparing its entries
     del seen[:]
-    other = _rebuilt(ctx)
+    other = fresh_copy(ctx)
     transport(sig, other, A, family, y, x, r.term, Refl(A, y))
     [(j, report)] = _checks_on(seen, r.term)
     assert report.ok
@@ -389,7 +383,7 @@ def test_precondition_at_another_type_is_checked_and_fails(sig, monkeypatch):
         transport(sig, ctx, A, family, x, y, r.term, Refl(A, x))
     report = _checked_in_full(sig, seen, r.term)
     assert not report.ok
-    copy = _rebuilt(r.term)
+    copy = fresh_copy(r.term)
     with pytest.raises(ElabError) as copied:
         transport(sig, ctx, A, family, x, y, copy, Refl(A, x))
     assert str(live.value) == str(copied.value) == message
