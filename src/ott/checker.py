@@ -8,11 +8,14 @@ stack, seeded in that order, so a stage runs only once every stage before it
 has passed; a stage may answer arbitrarily when its promise is violated, so
 external callers only get the safe composition.
 
-Type synthesis has no rules of its own.  ``infer`` builds the conclusion of
-the one rule that fits the term's head constructor, and ``_run`` checks it
+There is one rule table, the term branch of ``_run``, and type synthesis
+reads its conclusions from it.  Each rule names the type its conclusion
+states, and a term obligation with no target stops at the comparison site
+and returns that type, with the substitutions the rule states applied.
+``infer`` seeds one such obligation, then checks the type it gets back
 exactly as ``check`` would a ``HasType`` judgement with that type, so every
-premise comes from the same rule table and ``infer`` never returns a type
-that ``check`` rejects.
+premise comes from the same rules and ``infer`` never returns a type that
+``check`` rejects.
 
 Under the promises, each constructor is handled by exactly one rule, so the
 checker makes one equality comparison against the stated result type plus a
@@ -40,7 +43,7 @@ Certificates.  ``certify`` is ``check`` that, when it accepts a ``HasType``
 judgement whose term is not a leaf, also returns a ``Certificate`` for it,
 which this module indexes by the term object for exactly as long as the
 caller holds the certificate.  Plain ``check`` and ``infer`` issue none, and
-only this module enters one into the index.  A term obligation
+only this module enters one into the index.  A term obligation with a target
 whose subject is a certified object, under the same ``Signature`` object, is
 discharged by two comparisons instead of its rule: its context against the
 certificate's, entry by entry, and its target against the certificate's type.
@@ -181,6 +184,13 @@ def _path(p) -> tuple:
     return tuple(out)
 
 
+def _apply(clo):
+    """The term that a rule's closure ``(CLO, body, (lift, terms, outer))``
+    stands for."""
+    lift, terms, outer = clo[2]
+    return _k.inst(clo[1], terms, outer, lift)[0]
+
+
 def _matches(j: HasType, ctx, target):
     """(equal, steps): whether the obligation ``ctx |- _ : target`` (``ctx``
     a cons list) has the context and type of the judgement ``j``; the target
@@ -212,7 +222,9 @@ def _matches(j: HasType, ctx, target):
 def _run(sig: Signature, stack: list):
     """Process obligations depth-first; first failure wins.
 
-    Returns (ok, reason, locus-path, steps).
+    Returns (ok, reason, locus-path, steps), except that a term obligation
+    with no target returns (True, None, the type its rule concludes, steps)
+    once its head rule has run.
     """
     consts = sig.constants
     atomics = sig.atomic_types
@@ -240,7 +252,7 @@ def _run(sig: Signature, stack: list):
             ref = certs.get(id(t))
             if ref is not None:
                 cert = ref()
-                if cert is not None and cert.sig is sig:
+                if cert is not None and cert.sig is sig and target is not None:
                     eq, c = _matches(cert.judgement, ctx, target)
                     steps += c
                     if eq:
@@ -344,10 +356,21 @@ def _run(sig: Signature, stack: list):
         else:
             return False, "no term-level rule for this constructor", _path(path), steps
 
-        # The one comparison site.  A leaf (a constant or a one-slot node
-        # such as Nat) is unchanged by any substitution, so it is decided
-        # here in one head step, exactly as ``eq_lazy`` takes and charges it;
-        # anything else goes to ``eq_lazy``.
+        # The one comparison site.  An obligation with no target (``infer``
+        # seeds one) ends the run here with the type the rule concludes, its
+        # own substitutions applied (``env``, or the closures a conversion
+        # rule builds; NATCONVZERO's right side is the input's ``z``).
+        if target is None:
+            if env is not None:
+                expected = _apply((CLO, expected, env))
+            elif tag == BETA or tag == IDCONV or tag == NATCONVZERO or tag == NATCONVSUCC:
+                rhs = expected[3] if tag == NATCONVZERO else _apply(expected[3])
+                expected = (ID, _apply(expected[1]), expected[2], rhs)
+            return True, None, expected, steps
+        # A leaf (a constant or a one-slot node such as Nat) is unchanged by
+        # any substitution, so it is decided here in one head step, exactly
+        # as ``eq_lazy`` takes and charges it; anything else goes to
+        # ``eq_lazy``.
         etag = expected[0]
         if etag == CONST or len(expected) == 1 and etag != VAR and etag != CLO:
             steps += 1
@@ -471,77 +494,23 @@ def check_ctxt(sig: Signature, ctx: Context) -> CheckReport:
 
 
 # Type synthesis.  Uniqueness of types makes the result canonical: the one
-# type the checker would accept.  ``infer`` builds the conclusion of the one
-# rule that fits the head constructor and ``_run`` checks it: first that the
-# conclusion is a type, then the term against it, which verifies every
-# premise, since nothing has been promised about the pieces.
+# type the checker would accept.  ``infer`` reads it off the rule in ``_run``
+# for the head constructor, then checks it as ``check`` would: first that it
+# is a type, then the term against it, which verifies every premise, since
+# nothing has been promised about the pieces.
 
 def infer(sig: Signature, ctx: Context, a: Term) -> Term:
     """Return the unique type of ``a`` over ``ctx`` (which must be
     well-formed), or raise InferFailure.  What it returns is a type that
     ``check(sig, HasType(ctx, a, ty))`` accepts."""
     c = _cons_ctx(ctx)
-    ty = _conclusion(sig, c, a)
-    ok, reason, locus, _ = _run(sig, [
-        (_TERM, c, a, ty, ("term", None)),
-        (_TYPE, c, ty, None, ("type", None)),
-    ])
+    ok, reason, out, _ = _run(sig, [(_TERM, c, a, None, ("term", None))])
+    if ok:
+        ty = out
+        ok, reason, out, _ = _run(sig, [
+            (_TERM, c, a, ty, ("term", None)),
+            (_TYPE, c, ty, None, ("type", None)),
+        ])
     if not ok:
-        raise InferFailure(reason, locus)
+        raise InferFailure(reason, out)
     return ty
-
-
-def _conclusion(sig: Signature, ctx, a: Term) -> Term:
-    """The type in the conclusion of the rule for the head of ``a``, built
-    from its annotations alone; no premise is checked here."""
-    tag = a[0]
-    if tag == VAR:
-        i = a[1]
-        entry = ctx
-        while entry is not None and i > 0:
-            entry = entry[1]
-            i -= 1
-        if entry is None or a[1] < 0:
-            raise InferFailure("unbound variable", ("term",))
-        return _k.inst(entry[0], (), a[1] + 1, 0)[0]
-    if tag == CONST:
-        declared = sig.constants.get(a[1])
-        if declared is None:
-            raise InferFailure("not a term constant", ("term",))
-        return declared
-    if tag == LAM:
-        return (PI, a[1], a[2])
-    if tag == APP:
-        return _inst(a[2], a[4])
-    if tag == BETA:
-        dom, cod, arg, body = a[1], a[2], a[3], a[4]
-        lam = (LAM, dom, cod, body)
-        return (ID, _inst(cod, arg), (APP, dom, cod, lam, arg), _inst(body, arg))
-    if tag == REFL:
-        return (ID, a[1], a[2], a[2])
-    if tag == IDREC:
-        return _inst(a[2], a[5], a[4], a[3])
-    if tag == IDCONV:
-        over, motive, point, base = a[1], a[2], a[3], a[4]
-        rfl = (REFL, over, point)
-        rec = (IDREC, over, motive, point, point, rfl, base)
-        return (ID, _inst(motive, rfl, point, point), rec, _inst(base, point))
-    if tag == ZERO or tag == SUCC:
-        return (NAT,)
-    if tag == NATREC:
-        return _inst(a[1], a[4])
-    if tag == NATCONVZERO:
-        motive, z, s = a[1], a[2], a[3]
-        return (ID, _inst(motive, (ZERO,)), (NATREC, motive, z, s, (ZERO,)), z)
-    if tag == NATCONVSUCC:
-        motive, z, s, m = a[1], a[2], a[3], a[4]
-        rec = (NATREC, motive, z, s, m)
-        succ_rec = (NATREC, motive, z, s, (SUCC, m))
-        return (ID, _inst(motive, (SUCC, m)), succ_rec, _inst(s, rec, m))
-    raise InferFailure("no term-level rule for this constructor", ("term",))
-
-
-def _inst(t: Term, *terms: Term) -> Term:
-    """``t`` with its free indices ``0..n-1`` replaced by ``terms``, the
-    first of them for index 0."""
-    return _k.inst(t, terms, 0, 0)[0]

@@ -339,6 +339,20 @@ def _subst_tele(delta, triple, outer):
     return tuple(_inst(entry, triple, outer, j) for j, entry in enumerate(delta))
 
 
+def _product_motive(sig, ctx, over, delta, motive, base):
+    """(big_motive, s) for a telescope identity eliminator: the telescope
+    product of ``motive``, a plain motive over (ctx, x, y, x = y), and its
+    base case ``s``, which abstracts ``base`` over the telescope at
+    reflexivity."""
+    product = telescope_pi(sig, _ctx3(ctx, over), delta, motive)
+    a1 = shift(over, 1)
+    refl_triple = ((REFL, a1, (VAR, 0)), (VAR, 0), (VAR, 0))
+    delta_refl = _subst_tele(delta, refl_triple, 1)
+    motive_refl = _inst(motive, refl_triple, 1, len(delta))
+    product_refl = telescope_pi(sig, ctx + (over,), delta_refl, motive_refl)
+    return product.pi_type, product_refl.lam(base).term
+
+
 def telescope_idrec(sig: Signature, ctx: Context, over: Term, delta: Telescope,
                     motive: Term, lhs: Term, rhs: Term, path: Term, args,
                     base: Term) -> ElabResult:
@@ -357,16 +371,7 @@ def telescope_idrec(sig: Signature, ctx: Context, over: Term, delta: Telescope,
     if len(args) != len(delta):
         raise ElabError("argument sequence length differs from telescope length")
     k = len(delta)
-    product = telescope_pi(sig, _ctx3(ctx, over), delta, motive)
-    big_motive = product.pi_type
-    # base case for the product motive: abstract the base over the telescope
-    # at reflexivity
-    a1 = shift(over, 1)
-    refl_triple = ((REFL, a1, (VAR, 0)), (VAR, 0), (VAR, 0))
-    delta_refl = _subst_tele(delta, refl_triple, 1)
-    motive_refl = _inst(motive, refl_triple, 1, k)
-    product_refl = telescope_pi(sig, ctx + (over,), delta_refl, motive_refl)
-    s = product_refl.lam(base).term
+    big_motive, s = _product_motive(sig, ctx, over, delta, motive, base)
     carrier = (IDREC, over, big_motive, lhs, rhs, path, s)
     # apply the carrier through the telescope instantiated at the endpoints
     end_triple = (path, rhs, lhs)
@@ -392,14 +397,7 @@ def telescope_idconv(sig: Signature, ctx: Context, over: Term, delta: Telescope,
         raise ElabError("argument sequence length differs from telescope length")
     k = len(delta)
     rfl = (REFL, over, point)
-    product = telescope_pi(sig, _ctx3(ctx, over), delta, motive)
-    big_motive = product.pi_type
-    a1 = shift(over, 1)
-    refl_triple = ((REFL, a1, (VAR, 0)), (VAR, 0), (VAR, 0))
-    delta_refl = _subst_tele(delta, refl_triple, 1)
-    motive_refl = _inst(motive, refl_triple, 1, k)
-    product_refl = telescope_pi(sig, ctx + (over,), delta_refl, motive_refl)
-    s = product_refl.lam(base).term
+    big_motive, s = _product_motive(sig, ctx, over, delta, motive, base)
 
     if k == 0:
         term = (IDCONV, over, big_motive, point, s)

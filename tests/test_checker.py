@@ -840,6 +840,14 @@ def _by_rules(sig, j):
     return r.verdict, r.reason, r.locus
 
 
+def _inferred(sig, ctx, term):
+    """("type", T) if ``infer`` returns T, else ("reject", reason, locus)."""
+    try:
+        return "type", infer(sig, ctx, term)
+    except InferFailure as err:
+        return "reject", err.reason, err.locus
+
+
 @settings(max_examples=120)
 @given(st.randoms(use_true_random=False), st.floats(0.0, 1.0))
 def test_certificates_never_change_a_verdict(rng, share):
@@ -848,7 +856,8 @@ def test_certificates_never_change_a_verdict(rng, share):
     context entries, and its term and type over contexts with one entry
     replaced, added or dropped, all of which share the untouched subterms,
     must keep their (verdict, reason, locus) and stay within C * n^2 + C
-    steps, C = 2."""
+    steps, C = 2; ``infer`` must give each term the type, or the (reason,
+    locus), that it gives a copy."""
     sig = default_signature()
     gen = Generator(sig, rng)
     ctx, term, ty = gen.random_judgement()
@@ -864,15 +873,17 @@ def test_certificates_never_change_a_verdict(rng, share):
     if ctx:
         cases.append(HasType(ctx[1:], term, ty))
     want = [_by_rules(sig, j) for j in cases]
+    want_inferred = [_inferred(sig, fresh_copy(j.ctx), fresh_copy(j.term)) for j in cases]
     held = _certify_obligations(sig, original, rng, share)
     # and some mutants' own accepted sub-judgements
     for j in rng.sample(cases, min(3, len(cases))):
         held += _certify_obligations(sig, j, rng, share)
-    for j, expected in zip(cases, want):
+    for j, expected, inferred in zip(cases, want, want_inferred):
         r = check(sig, j)
         assert (r.verdict, r.reason, r.locus) == expected, j
         n = sum(size(e) for e in j.ctx) + size(j.term) + size(j.ty)
         assert r.steps <= 2 * n * n + 2, (j, r.steps, n)
+        assert _inferred(sig, j.ctx, j.term) == inferred, j
     del held
 
 

@@ -8,6 +8,7 @@ from ott.terms import (
     App, BetaConv, Const, Id, IdConv, IdRec, Lambda, NatConvSucc, NatConvZero,
     NatRec, NatTy, Pi, Refl, Succ, Var, Zero, syntactic_equal,
 )
+from ott.kernel import CLO
 from ott.subst import shift
 from ott.testing import Generator, mutations
 
@@ -66,6 +67,11 @@ def test_infer_failure_carries_reason(sig):
     # head is not a function
     assert _rejection(sig, (), App(A, A, a, a)) == (
         "constant type mismatch", ("term", 2),
+    )
+    # a closure the caller wrote stays uninterpreted: it fails as a term in
+    # the conclusion's type stage, not after being expanded to ``Zero``
+    assert _rejection(sig, (), Refl(NatTy, (CLO, Zero, (0, (), 0)))) == (
+        "no term-level rule for this constructor", ("type", 1),
     )
 
 

@@ -1,6 +1,7 @@
 """Repository hygiene: nothing that .gitignore excludes is tracked, no
-function in the package recurses on the Python stack, and only the kernel
-enters judgements into its certificate index."""
+function in the package recurses on the Python stack, only the kernel
+enters judgements into its certificate index, and only the checker's rule
+table dispatches on a term rule's tag."""
 
 import ast
 import shutil
@@ -158,3 +159,61 @@ def test_certificate_scan_finds_writes():
         ("Certificate", 2), ("Certificate", 3), (_INDEX, 4), (_INDEX, 5),
         (_INDEX, 6), (_INDEX, 7), ("setattr", 8),
     ]
+
+
+# The checker has one rule table, the term branch of ``_run``: no other
+# function in it dispatches on a term rule's tag.  ``VAR`` and ``CONST`` are
+# exempt, since leaves are tested outside the rules, and so is ``CLO``,
+# which no rule has.
+_CHECKER = ROOT / "src" / "ott" / "checker.py"
+_RULE_TABLE = "_run"
+_TERM_RULE_TAGS = {
+    "PI", "LAM", "APP", "BETA", "ID", "REFL", "IDREC", "IDCONV", "NAT", "ZERO",
+    "SUCC", "NATREC", "NATCONVZERO", "NATCONVSUCC",
+}
+
+
+def _tag_comparisons(tree):
+    """(function, line) of each ``==`` or ``!=`` comparison with a term-rule
+    tag, by bare name or as an attribute, in a function other than the rule
+    table; a nested function counts as the function it is in."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    tops = [n for n in tree.body if isinstance(n, functions)]
+    tops += [m for n in tree.body if isinstance(n, ast.ClassDef)
+             for m in n.body if isinstance(m, functions)]
+    found = []
+    for top in tops:
+        if top.name == _RULE_TABLE:
+            continue
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Compare) or not any(
+                    isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops):
+                continue
+            for side in (node.left, *node.comparators):
+                name = side.id if isinstance(side, ast.Name) else (
+                    side.attr if isinstance(side, ast.Attribute) else None)
+                if name in _TERM_RULE_TAGS:
+                    found.append((top.name, node.lineno))
+                    break
+    return sorted(found, key=lambda item: item[1])
+
+
+def test_only_the_rule_table_dispatches_on_term_rules():
+    tree = ast.parse(_CHECKER.read_text(encoding="utf-8"))
+    assert _tag_comparisons(tree) == []
+
+
+def test_tag_comparison_scan_finds_dispatch():
+    tree = ast.parse(
+        "def _run(t):\n    return t[0] == PI\n"
+        "def conclusion(a):\n"
+        "    tag = a[0]\n"
+        "    if tag == VAR or tag == CONST or a[0] == CLO:\n        return None\n"
+        "    if tag == LAM:\n        return (PI, a[1], a[2])\n"
+        "    if _k.NATREC != tag:\n        return None\n"
+        "class C:\n"
+        "    def certify(self, t):\n"
+        "        def leaf():\n            return len(t) == 1 or t[0] == ZERO\n"
+        "        return leaf()\n"
+    )
+    assert _tag_comparisons(tree) == [("conclusion", 7), ("conclusion", 9), ("certify", 14)]
