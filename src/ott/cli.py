@@ -21,7 +21,7 @@ from .derived import (
 )
 from .surface import (
     CheckItem, Definition, ElabItem, InferItem, ParseError, Postulate,
-    parse, print_term, to_core,
+    SurfaceTerm, parse, print_term, to_core,
 )
 from .terms import Signature
 
@@ -44,8 +44,8 @@ def _emit(record: dict, args) -> None:
     status = record.get("verdict", "ok")
     line = "ok   " if status in ("accept", "ok") else "FAIL "
     line += record.get("display", "")
-    if status == "reject":
-        line += f"  -- {record.get('reason')} at {record.get('locus')}"
+    if status == "reject" and "reason" in record:
+        line += f"  -- {record['reason']} at {record.get('locus')}"
     if record.get("error"):
         line += f"  -- {record['error']}"
     if getattr(args, "steps", False) and "steps" in record:
@@ -150,79 +150,52 @@ def _run_item(item, state: _ScriptState, args) -> None:
     raise AssertionError(f"unhandled item {item!r}")
 
 
+# Each elaborator by op, taking the item's resolved arguments after ``ctx``;
+# looked up when called, so a wrapper on this module's names sees every call.
+_ELABORATORS = {
+    "transport": lambda *a: transport(*a),
+    "symmetry": lambda *a: symmetry(*a),
+    "transitivity": lambda *a: transitivity(*a),
+    "congr_app": lambda *a: congruence_app(*a),
+    "tele_pi": lambda *a: telescope_pi(*a),
+    "tele_lam": lambda sig, ctx, delta, body, head: (
+        telescope_pi(sig, ctx, delta, body).lam(head)),
+    "tele_app": lambda sig, ctx, delta, body, head, fun_args: (
+        telescope_pi(sig, ctx, delta, body).app(head, fun_args)),
+    "tele_beta": lambda sig, ctx, delta, body, head, fun_args: (
+        telescope_pi(sig, ctx, delta, body).betaconv(head, fun_args)),
+    "tele_idrec": lambda *a: telescope_idrec(*a),
+    "tele_idconv": lambda *a: telescope_idconv(*a),
+}
+
+
 def _run_elab(item: ElabItem, state: _ScriptState, args) -> None:
     sig = state.sig
     ctx, names = state.context_of(item.bindings)
-    payload = item.payload
     reserved = state.reserved
 
-    def core(surface, extra=()):
-        return to_core(surface, list(names) + list(extra), sig, state.defs)
+    def core(pair):
+        binders, surface = pair
+        return to_core(surface, names + binders, sig, state.defs)
 
+    call = []
+    for arg in item.args:  # a (binders, term) pair, or a tuple of them
+        if arg and isinstance(arg[-1], SurfaceTerm):
+            call.append(core(arg))
+        else:
+            call.append(tuple(core(pair) for pair in arg))
     shown = f"elab {item.op}"
     try:
-        if item.op in ("transport", "congr_app"):
-            over = core(payload["over"])
-            family = core(payload["family"], (payload["binder"],))
-            terms = [core(t) for t in payload["terms"]]
-            if item.op == "transport":
-                result = transport(sig, ctx, over, family, *terms)
-            else:
-                result = congruence_app(sig, ctx, over, family, *terms)
-        elif item.op == "symmetry":
-            result = symmetry(sig, ctx, *[core(t) for t in payload["terms"]])
-        elif item.op == "transitivity":
-            result = transitivity(sig, ctx, *[core(t) for t in payload["terms"]])
-        elif item.op in ("tele_pi", "tele_lam", "tele_app", "tele_beta"):
-            tele_names: list = []
-            entries = []
-            for bname, bty in payload["tele"]:
-                entries.append(core(bty, tele_names))
-                tele_names.append(bname)
-            body = core(payload["body"], tele_names)
-            product = telescope_pi(sig, ctx, tuple(entries), body)
-            if item.op == "tele_pi":
-                rendered = print_term(product.pi_type, names, reserved)
-                _emit({"item": "elab", "display": f"{shown} => {rendered}",
-                       "verdict": "accept", "term": rendered}, args)
-                return
-            if item.op == "tele_lam":
-                result = product.lam(core(payload["head"], tele_names))
-            else:
-                fun_args = [core(t) for t in payload["args"]]
-                if item.op == "tele_app":
-                    result = product.app(core(payload["head"]), fun_args)
-                else:
-                    result = product.betaconv(
-                        core(payload["head"], tele_names), fun_args
-                    )
-        else:  # tele_idrec / tele_idconv
-            over = core(payload["over"])
-            xyu = payload["xyu"]
-            tele_names = list(xyu)
-            entries = []
-            for bname, bty in payload["tele"]:
-                entries.append(core(bty, tele_names))
-                tele_names.append(bname)
-            motive = core(payload["motive"], tele_names)
-            base_scope = payload["base_binders"]
-            base = core(payload["base"], base_scope)
-            ends = [core(t) for t in payload["ends"]]
-            fun_args = [core(t) for t in payload["args"]]
-            if item.op == "tele_idrec":
-                result = telescope_idrec(
-                    sig, ctx, over, tuple(entries), motive,
-                    ends[0], ends[1], ends[2], fun_args, base,
-                )
-            else:
-                result = telescope_idconv(
-                    sig, ctx, over, tuple(entries), motive,
-                    ends[0], fun_args, base,
-                )
-    except (ElabError, ParseError) as exc:
+        result = _ELABORATORS[item.op](sig, ctx, *call)
+    except ElabError as exc:
         state.failures += 1
         _emit({"item": "elab", "display": shown, "verdict": "reject",
                "error": str(exc)}, args)
+        return
+    if item.op == "tele_pi":
+        rendered = print_term(result.pi_type, names, reserved)
+        _emit({"item": "elab", "display": f"{shown} => {rendered}",
+               "verdict": "accept", "term": rendered}, args)
         return
     term_text = print_term(result.term, names, reserved)
     type_text = print_term(result.stated_type, names, reserved)

@@ -40,7 +40,7 @@ from typing import Optional
 from . import kernel as _k
 from .checker import Certificate, HasType, TypeWF, certify, check
 from .kernel import APP, BETA, ID, IDCONV, IDREC, LAM, PI, REFL, VAR
-from .subst import shift, subst
+from .subst import shift
 from .terms import Context, Signature, Telescope, Term
 
 __all__ = [

@@ -5,9 +5,13 @@ deterministic with one token of lookahead, and every annotation of the core
 rules is syntactically present: an application spells out both the domain and
 the codomain family, an eliminator its motive, and so on.
 
-Core terms are nameless; this module is the only place names exist.  Parsing
-resolves names innermost-first (binders, then script definitions, then the
-signature), so alpha-equivalent inputs produce identical core terms.
+Core terms are nameless; this module is the only place names exist.  The
+parser scopes every item's terms: each is read with the binder names that
+the item writes over it (an ``ElabItem`` lists its elaborator's arguments in
+call order, each with its binders), so the runner only adds the item's
+context.  Name resolution goes innermost-first (binders, then script
+definitions, then the signature), so alpha-equivalent inputs produce
+identical core terms.
 Printing generates fresh binder names deterministically, avoiding everything
 visible, so ``parse . print`` is the identity on well-scoped core terms.
 Each constructor's notation is written once, in the syntax table
@@ -153,7 +157,12 @@ class InferItem:
 class ElabItem:
     bindings: tuple
     op: str
-    payload: dict = field(default_factory=dict)
+    # the elaborator's arguments after ``ctx``, in call order: each a
+    # (binder-name tuple, SurfaceTerm) pair whose binders are the names
+    # written in the item that scope over the term, or a tuple of such pairs
+    # for a telescope (each entry scoped by the entries before it) or an
+    # argument list
+    args: tuple = ()
     span: tuple = field(default=(0, 0), compare=False)
 
 
@@ -298,11 +307,6 @@ class _Parser:
         tok = self.peek()
         return tok[0] == "kw" and tok[1] == word
 
-    def eat_kw(self, word: str):
-        if not self.at_kw(word):
-            self.fail(f"expected {word!r}")
-        return self.next()
-
     # terms ---------------------------------------------------------------
 
     def term(self) -> SurfaceTerm:
@@ -370,17 +374,6 @@ class _Parser:
                 self.pos = pos
                 return done
 
-    def _family1(self):
-        """``{A, x.B}``: a type and a one-binder family."""
-        self.expect("{")
-        dom = self.term()
-        self.expect(",")
-        binder = self.name()
-        self.expect(".")
-        cod = self.term()
-        self.expect("}")
-        return dom, binder, cod
-
     # scripts --------------------------------------------------------------
 
     def bindings(self):
@@ -403,6 +396,15 @@ class _Parser:
                     break
                 self.next()
         self.expect("]")
+        return tuple(out)
+
+    def telescope(self, scope: list) -> tuple:
+        """Bindings as ``(binders, type)`` pairs, each entry scoped by
+        ``scope`` and the entries before it; their names join ``scope``."""
+        out = []
+        for name, ty in self.bindings():
+            out.append((tuple(scope), ty))
+            scope.append(name)
         return tuple(out)
 
     def item(self):
@@ -449,92 +451,73 @@ class _Parser:
             if op_tok[0] != "name" or op_tok[1] not in _ELAB_OPS:
                 self.fail(f"expected an elaborator name (one of {', '.join(_ELAB_OPS)})")
             self.next()
-            payload = self._elab_payload(op_tok[1])
-            return ElabItem(binds, op_tok[1], payload, span)
+            return ElabItem(binds, op_tok[1], self._elab_args(op_tok[1]), span)
         self.fail(f"expected an item, found {text!r}")
 
-    def _elab_payload(self, op: str) -> dict:
-        if op == "transport":
-            dom, binder, fam = self._family1()
-            terms = self._term_args(4)
-            return {"over": dom, "binder": binder, "family": fam, "terms": terms}
-        if op == "symmetry":
-            return {"terms": self._term_args(4)}
-        if op == "transitivity":
-            return {"terms": self._term_args(6)}
-        if op == "congr_app":
-            dom, binder, fam = self._family1()
-            terms = self._term_args(4)
-            return {"over": dom, "binder": binder, "family": fam, "terms": terms}
-        if op in ("tele_pi", "tele_lam", "tele_app", "tele_beta"):
-            self.expect("{")
-            tele = self.bindings()
-            self.expect(".")
-            body = self.term()
-            self.expect("}")
-            payload = {"tele": tele, "body": body}
-            if op == "tele_pi":
-                return payload
+    def _elab_args(self, op: str) -> tuple:
+        """The arguments of ``op`` after ``ctx``, in call order, each term
+        paired with the binders written in the item that scope over it."""
+        if op in ("symmetry", "transitivity"):
             self.expect("(")
-            payload["head"] = self.term()
-            if op in ("tele_app", "tele_beta") and len(tele) > 0:
-                self.expect(";")
-                payload["args"] = self._comma_terms()
-            else:
-                payload["args"] = ()
+            args = self._terms(4 if op == "symmetry" else 6)
             self.expect(")")
-            return payload
-        # tele_idrec / tele_idconv:
-        #   {A; x y u. [tele] . P}(a, b, p; q...; x zs. d)
+            return args
         self.expect("{")
-        over = self.term()
-        self.expect(";")
-        x = self.name()
-        y = self.name()
-        u = self.name()
+        if op in ("transport", "congr_app"):
+            # {A, x.B}(four terms)
+            over = ((), self.term())
+            self.expect(",")
+            binder = (self.name(),)
+            self.expect(".")
+            family = (binder, self.term())
+            self.expect("}")
+            self.expect("(")
+            args = (over, family) + self._terms(4)
+            self.expect(")")
+            return args
+        # {[tele] . B}(head; args) or {A; x y u. [tele] . P}(ends; args; x zs. d)
+        lead, scope = (), []
+        if op in ("tele_idrec", "tele_idconv"):
+            lead = (((), self.term()),)
+            self.expect(";")
+            scope = [self.name(), self.name(), self.name()]
+            self.expect(".")
+        tele = self.telescope(scope)
         self.expect(".")
-        tele = self.bindings()
-        self.expect(".")
-        motive = self.term()
+        args = lead + (tele, (tuple(scope), self.term()))
         self.expect("}")
+        if op == "tele_pi":
+            return args
         self.expect("(")
-        if op == "tele_idrec":
-            lhs = self.term()
-            self.expect(",")
-            rhs = self.term()
-            self.expect(",")
-            pth = self.term()
-            ends = (lhs, rhs, pth)
+        if op in ("tele_lam", "tele_app", "tele_beta"):
+            head = (() if op == "tele_app" else tuple(scope), self.term())
+            if op == "tele_lam":
+                args += (head,)
+            elif tele:
+                self.expect(";")
+                args += (head, self._terms())
+            else:
+                args += (head, ())
         else:
-            ends = (self.term(),)
-        self.expect(";")
-        args = self._comma_terms() if self.peek()[0] != ";" else ()
-        self.expect(";")
-        names = [self.name()]
-        while self.peek()[0] == "name":
-            names.append(self.name())
-        self.expect(".")
-        base = self.term()
+            args += self._terms(3 if op == "tele_idrec" else 1)
+            self.expect(";")
+            args += (self._terms() if self.peek()[0] != ";" else (),)
+            self.expect(";")
+            names = [self.name()]
+            while self.peek()[0] == "name":
+                names.append(self.name())
+            self.expect(".")
+            args += ((tuple(names), self.term()),)
         self.expect(")")
-        return {
-            "over": over, "xyu": (x, y, u), "tele": tele, "motive": motive,
-            "ends": ends, "args": args, "base_binders": tuple(names), "base": base,
-        }
+        return args
 
-    def _term_args(self, count: int):
-        self.expect("(")
-        out = [self.term()]
-        for _ in range(count - 1):
+    def _terms(self, count: int = 0) -> tuple:
+        """Comma-separated terms as ``((), term)`` pairs: exactly ``count``
+        of them, or as many as there are when ``count`` is 0."""
+        out = [((), self.term())]
+        while len(out) != count and (count or self.peek()[0] == ","):
             self.expect(",")
-            out.append(self.term())
-        self.expect(")")
-        return tuple(out)
-
-    def _comma_terms(self):
-        out = [self.term()]
-        while self.peek()[0] == ",":
-            self.next()
-            out.append(self.term())
+            out.append(((), self.term()))
         return tuple(out)
 
     def script(self) -> Script:
@@ -821,27 +804,29 @@ def _print_item(item) -> str:
 
 
 def _print_elab(item: ElabItem) -> str:
-    p = item.payload
-    if item.op in ("transport", "congr_app"):
-        fam = f"{{{_print_surface(p['over'])}, {p['binder']}.{_print_surface(p['family'])}}}"
-        args = ", ".join(_print_surface(t) for t in p["terms"])
-        return f"{item.op}{fam}({args})"
-    if item.op in ("symmetry", "transitivity"):
-        args = ", ".join(_print_surface(t) for t in p["terms"])
-        return f"{item.op}({args})"
-    if item.op in ("tele_pi", "tele_lam", "tele_app", "tele_beta"):
-        head = f"{{{_print_bindings(p['tele'])} . {_print_surface(p['body'])}}}"
-        if item.op == "tele_pi":
-            return f"tele_pi{head}"
-        args = _print_surface(p["head"])
-        if p["args"]:
-            args += "; " + ", ".join(_print_surface(t) for t in p["args"])
-        return f"{item.op}{head}({args})"
-    fam = (
-        f"{{{_print_surface(p['over'])}; {' '.join(p['xyu'])}. "
-        f"{_print_bindings(p['tele'])} . {_print_surface(p['motive'])}}}"
-    )
-    ends = ", ".join(_print_surface(t) for t in p["ends"])
-    args = ", ".join(_print_surface(t) for t in p["args"])
-    binders = " ".join(p["base_binders"])
-    return f"{item.op}{fam}({ends}; {args}; {binders}.{_print_surface(p['base'])})"
+    op, args = item.op, item.args
+
+    def terms(pairs) -> str:
+        return ", ".join(_print_surface(t) for _, t in pairs)
+
+    if op in ("symmetry", "transitivity"):
+        return f"{op}({terms(args)})"
+    if op in ("transport", "congr_app"):
+        (_, over), ((binder,), family) = args[:2]
+        return (f"{op}{{{_print_surface(over)}, {binder}.{_print_surface(family)}}}"
+                f"({terms(args[2:])})")
+    if op in ("tele_idrec", "tele_idconv"):
+        (_, over), tele, (scope, motive), *ends, fun_args, (names, base) = args
+        tele = _print_bindings(zip(scope[3:], (t for _, t in tele)))
+        return (f"{op}{{{_print_surface(over)}; {' '.join(scope[:3])}. {tele} . "
+                f"{_print_surface(motive)}}}({terms(ends)}; {terms(fun_args)}; "
+                f"{' '.join(names)}.{_print_surface(base)})")
+    tele, (scope, body) = args[:2]
+    tele = _print_bindings(zip(scope, (t for _, t in tele)))
+    head = f"{{{tele} . {_print_surface(body)}}}"
+    if op == "tele_pi":
+        return f"tele_pi{head}"
+    text = terms(args[2:3])
+    if args[3:] and args[3]:
+        text += "; " + terms(args[3])
+    return f"{op}{head}({text})"

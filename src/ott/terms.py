@@ -118,12 +118,11 @@ class Signature:
     Instances are immutable; ``with_type``/``with_const`` return extensions.
     """
 
-    __slots__ = ("atomic_types", "constants", "order")
+    __slots__ = ("atomic_types", "constants")
 
-    def __init__(self, atomic_types=(), constants=(), order=()):
+    def __init__(self, atomic_types=(), constants=()):
         self.atomic_types = frozenset(atomic_types)
         self.constants = dict(constants)
-        self.order = tuple(order)
 
     def _check_fresh(self, name: str) -> None:
         if name in self.atomic_types or name in self.constants:
@@ -131,13 +130,13 @@ class Signature:
 
     def with_type(self, name: str) -> "Signature":
         self._check_fresh(name)
-        return Signature(self.atomic_types | {name}, self.constants, self.order + (name,))
+        return Signature(self.atomic_types | {name}, self.constants)
 
     def with_const(self, name: str, ty: Term) -> "Signature":
         self._check_fresh(name)
         consts = dict(self.constants)
         consts[name] = ty
-        return Signature(self.atomic_types, consts, self.order + (name,))
+        return Signature(self.atomic_types, consts)
 
     def __contains__(self, name: str) -> bool:
         return name in self.atomic_types or name in self.constants

@@ -141,6 +141,89 @@ elab [] |- tele_pi{[x : A, e : Id(A, x, a)] . Nat}
     assert "rechecked : Id(A, y, x)" in result.stdout
 
 
+def test_elab_rejection_prints_its_error_only(tmp_path, capsys):
+    """An elab rejection has no reason or locus, so none is printed."""
+    from ott import cli
+
+    path = _write(tmp_path, "sym.ott", """
+postulate A : Type
+elab [x : A, y : A, p : Id(A, x, x)] |- symmetry(A, x, y, p)
+""")
+    assert cli.main(["elab", path]) == 1
+    assert capsys.readouterr().out == (
+        "FAIL elab symmetry  -- precondition failed: transport: path relates the endpoints\n"
+    )
+
+
+def _unbound_exit(tmp_path, capsys, text, line, name):
+    """Run ``text`` whose line ``line`` has the first unbound name, ``name``:
+    exit 2 at that name's position, and no record for any item."""
+    from ott import cli
+
+    path = _write(tmp_path, "unbound.ott", text)
+    assert cli.main(["--json", "check", path]) == 2
+    col = text.splitlines()[line - 1].index(f"{name},") + 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"{path}:{line}:{col}: unbound name {name!r}\n")
+
+
+def test_unbound_name_in_elab_item_exits_two(tmp_path, capsys):
+    _unbound_exit(tmp_path, capsys, """postulate A : Type
+postulate a : A
+elab [x : A, p : Id(A, x, x)] |- symmetry(A, x, q, p)
+check [] |- a : A
+""", 3, "q")
+
+
+def test_unbound_names_in_elab_item_reported_in_text_order(tmp_path, capsys):
+    """Of two unbound names in one elab item, the first in the text is
+    reported, although the elaborator takes the base after the ends."""
+    _unbound_exit(tmp_path, capsys, """postulate A : Type
+elab [x : A, p : Id(A, x, x)] |- tele_idrec{A; x y u. [e : Id(A, x, y)] . Id(A, x, y)}(x, r, p; p; x e. s)
+""", 2, "r")
+
+
+def test_every_elab_op_is_dispatched():
+    """Every elaborator the parser accepts has an entry in the CLI's table."""
+    from ott.cli import _ELABORATORS
+    from ott.surface import _ELAB_OPS
+
+    assert sorted(_ELABORATORS) == sorted(_ELAB_OPS)
+
+
+def test_equality_demo_stated_types():
+    import pathlib
+
+    path = pathlib.Path(__file__).resolve().parent.parent / "demo" / "equality.ott"
+    result = _run(["--json", "check", str(path)])
+    assert result.returncode == 0, result.stderr
+    records = [json.loads(line) for line in result.stdout.splitlines()]
+    shown = [(r["display"].split()[1], r.get("stated_type", r["term"])) for r in records]
+    assert shown == [
+        ("transport", "Id(A, y, y)"),
+        ("symmetry", "Id(A, y, x)"),
+        ("transitivity", "Id(A, x, z)"),
+        ("congr_app", "Id(A, app{A, x.A}(f, a), app{A, x.A}(g, a))"),
+        ("tele_pi", "Pi(x : A) Pi(y : Id(A, x, a)) Id(A, x, x)"),
+        ("tele_lam", "Pi(x : A) Pi(y : Id(A, x, a)) Id(A, x, x)"),
+        ("tele_app", "Id(A, a, a)"),
+        ("tele_beta", "Id(Nat, app{Nat, x.Nat}(app{A, y.Pi(z : Nat) Nat}(lam(z : A -> "
+                      "Pi(u : Nat) Nat) lam(u : Nat -> Nat) succ(u), a), zero), succ(zero))"),
+        ("tele_beta", "Id(Nat, app{Nat, x.Nat}(app{Nat, y.Pi(z : Nat) Nat}(app{A, z.Pi(u : Nat) "
+                      "Pi(v : Nat) Nat}(lam(u : A -> Pi(v : Nat) Pi(w : Nat) Nat) lam(v : Nat -> "
+                      "Pi(w : Nat) Nat) lam(w : Nat -> Nat) succ(v), a), zero), succ(zero)), "
+                      "succ(zero))"),
+        ("tele_idrec", "Id(A, x, y)"),
+        ("tele_idconv", "Id(Id(A, x, x), app{Id(A, x, x), y.Id(A, x, x)}(idrec{A, z u v.Pi(w : "
+                        "Id(A, z, u)) Id(A, z, u)}(x, x, refl(A, x), z.lam(w : Id(A, z, z) -> "
+                        "Id(A, z, z)) w), refl(A, x)), refl(A, x))"),
+        ("tele_idconv", "Id(Id(A, x, x), app{Nat, y.Id(A, x, x)}(app{Id(A, x, x), z.Pi(u : Nat) "
+                        "Id(A, x, x)}(idrec{A, u v w.Pi(p : Id(A, u, v)) Pi(q : Nat) Id(A, u, v)}"
+                        "(x, x, refl(A, x), u.lam(p : Id(A, u, u) -> Pi(q : Nat) Id(A, u, u)) "
+                        "lam(q : Nat -> Id(A, u, u)) p), refl(A, x)), zero), refl(A, x))"),
+    ]
+
+
 def test_definitions_are_transparent(tmp_path):
     path = _write(tmp_path, "defs.ott", """
 postulate A : Type

@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from ott.surface import (
-    ParseError, parse, parse_term, print_script, print_term, to_core,
+    ParseError, SurfaceTerm, parse, parse_term, print_script, print_term, to_core,
 )
 from ott.terms import (
     App, Const, Id, IdRec, Lambda, NatRec, NatTy, Pi, Refl, Succ, Var, Zero,
@@ -125,9 +125,38 @@ elab [x : A, y : A, p : Id(A, x, y)] |- transitivity(A, x, y, y, p, refl(A, y))
 elab [] |- tele_pi{[x : A, e : Id(A, x, a)] . Nat}
 elab [] |- tele_beta{[x : A, n : Nat] . Nat}(succ(n); a, zero)
 elab [x : A] |- tele_idrec{A; x y u. [e : Id(A, x, y)] . Id(A, x, y)}(x, x, refl(A, x); refl(A, x); x e. e)
+elab [x : A, y : A, p : Id(A, x, y)] |- transport{A, z.Id(A, z, z)}(x, y, p, refl(A, x))
+elab [f : Pi(v : A) A, g : Pi(v : A) A, h : Id(Pi(v : A) A, f, g)] |- congr_app{A, v.A}(f, g, h, a)
+elab [] |- tele_lam{[x : A, e : Id(A, x, a)] . Id(A, x, x)}(refl(A, x))
+elab [x : A] |- tele_idconv{A; x y u. [e : Id(A, x, y), n : Nat] . Id(A, x, y)}(x; refl(A, x), zero; x e n. e)
+elab [x : A] |- tele_idconv{A; x y u. [] . Id(A, x, y)}(x; ; x. refl(A, x))
+elab [f : Nat] |- tele_app{[] . Nat}(f)
+elab [f : Pi(x : A) Nat] |- tele_app{[x : A] . Nat}(f; a)
 """
     script = parse(src)
     assert parse(print_script(script)) == script
+
+
+def test_elab_args_carry_their_scopes():
+    """Each elab argument is paired with the binders written in the item
+    that scope over it, in the elaborator's call order."""
+
+    def scopes(text):
+        (item,) = parse(text).items
+        return [arg[0] if arg and isinstance(arg[-1], SurfaceTerm) else [b for b, _ in arg]
+                for arg in item.args]
+
+    assert scopes("elab [] |- tele_beta{[x : A, n : Nat] . Nat}(succ(n); a, zero)") == [
+        [(), ("x",)], ("x", "n"), ("x", "n"), [(), ()],
+    ]
+    assert scopes("elab [] |- tele_app{[x : A] . Nat}(f; a)") == [[()], ("x",), (), [()]]
+    assert scopes("elab [] |- transport{A, z.B}(x, y, p, q)") == [(), ("z",)] + [()] * 4
+    assert scopes(
+        "elab [] |- tele_idrec{A; x y u. [e : E, f : F] . P}(l, r, p; s, t; x e f. d)"
+    ) == [
+        (), [("x", "y", "u"), ("x", "y", "u", "e")], ("x", "y", "u", "e", "f"),
+        (), (), (), [(), ()], ("x", "e", "f"),
+    ]
 
 
 def test_definitions_splice_closed_bodies(sig):
