@@ -21,7 +21,7 @@ from .derived import (
 )
 from .surface import (
     CheckItem, Definition, ElabItem, InferItem, ParseError, Postulate,
-    SurfaceTerm, parse, print_term, to_core,
+    is_pair, parse, print_term, to_core,
 )
 from .terms import Signature
 
@@ -180,7 +180,7 @@ def _run_elab(item: ElabItem, state: _ScriptState, args) -> None:
 
     call = []
     for arg in item.args:  # a (binders, term) pair, or a tuple of them
-        if arg and isinstance(arg[-1], SurfaceTerm):
+        if is_pair(arg):
             call.append(core(arg))
         else:
             call.append(tuple(core(pair) for pair in arg))

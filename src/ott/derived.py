@@ -241,10 +241,17 @@ class TelescopePi:
             self.suffixes.insert(0, (PI, entry, self.suffixes[0]))
         self.pi_type: Term = self.suffixes[0]
 
+    def _check_body(self, body_term):
+        """Check a term of the body type over the whole telescope; returns
+        its certificate."""
+        return _require(self.sig, self.ctx + self.delta, body_term, self.body,
+                        "body term inhabits the telescope body")
+
     def lam(self, body_term: Term) -> ElabResult:
         """Abstract a term over the whole telescope."""
+        held = self._check_body(body_term)
         term = _lam_fold(self.delta, self.suffixes, body_term)
-        return _sealed(self.sig, self.ctx, term, self.pi_type)
+        return _sealed(self.sig, self.ctx, term, self.pi_type, held)
 
     def _check_args(self, args):
         if len(args) != len(self.delta):
@@ -263,6 +270,8 @@ class TelescopePi:
         sequence (a context morphism into the telescope)."""
         args = tuple(args)
         result_ty, held = self._check_args(args)
+        held.append(_require(self.sig, self.ctx, fun, self.pi_type,
+                             "function has the telescope product type"))
         steps, _ = _spine_steps(self.delta, self.body, args)
         term = _spine_app(steps, fun, args, 0)
         return _sealed(self.sig, self.ctx, term, result_ty, held)
@@ -281,8 +290,10 @@ class TelescopePi:
         emitted directly.
         """
         args = tuple(args)
-        # the arguments' certificates are held until the witness is sealed
+        # the arguments' and the body's certificates are held until the
+        # witness is sealed
         _, held = self._check_args(args)
+        held.append(self._check_body(body_term))
         return _beta_witness(self.sig, self.ctx, self.delta, self.body,
                              body_term, args)
 
@@ -396,6 +407,8 @@ def telescope_idconv(sig: Signature, ctx: Context, over: Term, delta: Telescope,
     if len(args) != len(delta):
         raise ElabError("argument sequence length differs from telescope length")
     k = len(delta)
+    # held until the witness is sealed
+    held = _require(sig, ctx, point, over, "point inhabits the base type")
     rfl = (REFL, over, point)
     big_motive, s = _product_motive(sig, ctx, over, delta, motive, base)
 
@@ -406,7 +419,7 @@ def telescope_idconv(sig: Signature, ctx: Context, over: Term, delta: Telescope,
             (IDREC, over, big_motive, point, point, rfl, s),
             _inst(s, (point,)),
         )
-        return _sealed(sig, ctx, term, stated)
+        return _sealed(sig, ctx, term, stated, held)
 
     point_triple = (rfl, point, point)
     delta_pt = _subst_tele(delta, point_triple, 0)

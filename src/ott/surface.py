@@ -18,6 +18,16 @@ Each constructor's notation is written once, in the syntax table
 ``_SYNTAX``; the parser, name resolution and both printers are driven by it,
 each on an explicit stack, so no term is too deep to read or write.
 
+A surface term is an exact tuple that starts with its head token
+``(kind, text, line, col)``.  A name is its token alone, such as
+``("name", "x", 1, 5)``.  A constructor is its keyword's token followed by
+its children in core slot order, each written as the tuple of binder names
+that scope over it and then the child itself: ``lam(x : A -> A) x`` at the
+start of a line is ``("kw", "lam", 1, 1, (), A, ("x",), A, ("x",), x)``,
+where each ``A`` and ``x`` is that name's token.  A parsed tree holds
+nothing but tuples, strings and ints, so the cyclic garbage collector can
+untrack it instead of rescanning it while a script is checked.
+
 Script definitions are transparent abbreviations: they are checked once and
 spliced into later terms during name resolution, before the checker ever
 runs, so the kernel only sees core rules and no new equalities appear.
@@ -36,9 +46,9 @@ from .kernel import (
 from .terms import Signature, Term
 
 __all__ = [
-    "ParseError", "SurfaceTerm", "Script",
+    "ParseError", "Script",
     "Postulate", "Definition", "CheckItem", "InferItem", "ElabItem",
-    "parse", "parse_term", "to_core", "print_term", "print_script",
+    "is_pair", "parse", "parse_term", "to_core", "print_term", "print_script",
 ]
 
 
@@ -111,45 +121,37 @@ def _lex(text: str) -> list:
     return tokens
 
 
-# Surface terms: one generic node whose children carry their binder names,
-# mirroring the core constructors' binder table, plus bare names.
-
-@dataclass(frozen=True)
-class SurfaceTerm:
-    kind: str  # a core tag name, or "name"
-    name: Optional[str] = None
-    children: tuple = ()  # of (binder-name tuple, SurfaceTerm)
-    span: tuple = field(default=(0, 0), compare=False)
-
+# Script items.  Their terms are surface terms, laid out as the module
+# docstring says.
 
 @dataclass(frozen=True)
 class Postulate:
     name: str
-    ty: Optional[SurfaceTerm]  # None declares an atomic type
+    ty: Optional[tuple]  # None declares an atomic type
     span: tuple = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
 class Definition:
     name: str
-    ty: SurfaceTerm
-    body: SurfaceTerm
+    ty: tuple
+    body: tuple
     span: tuple = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
 class CheckItem:
-    bindings: tuple  # of (name, SurfaceTerm)
+    bindings: tuple  # of (name, term)
     form: str  # "term", "type", or "ctxt"
-    term: Optional[SurfaceTerm] = None
-    ty: Optional[SurfaceTerm] = None
+    term: Optional[tuple] = None
+    ty: Optional[tuple] = None
     span: tuple = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
 class InferItem:
     bindings: tuple
-    term: SurfaceTerm
+    term: tuple
     span: tuple = field(default=(0, 0), compare=False)
 
 
@@ -158,12 +160,18 @@ class ElabItem:
     bindings: tuple
     op: str
     # the elaborator's arguments after ``ctx``, in call order: each a
-    # (binder-name tuple, SurfaceTerm) pair whose binders are the names
-    # written in the item that scope over the term, or a tuple of such pairs
-    # for a telescope (each entry scoped by the entries before it) or an
-    # argument list
+    # (binder-name tuple, term) pair whose binders are the names written in
+    # the item that scope over the term, or a tuple of such pairs for a
+    # telescope (each entry scoped by the entries before it) or an argument
+    # list; ``is_pair`` tells the two apart
     args: tuple = ()
     span: tuple = field(default=(0, 0), compare=False)
+
+
+def is_pair(arg: tuple) -> bool:
+    """Whether an ``ElabItem`` argument is one ``(binders, term)`` pair, not
+    a tuple of them: only a pair ends in a term, which starts with a string."""
+    return bool(arg) and type(arg[-1][0]) is str
 
 
 @dataclass(frozen=True)
@@ -187,8 +195,7 @@ _ELAB_OPS = (
 # order of first appearance, as many as ``BINDERS`` gives its slot.  A binder
 # written twice (betaconv's and idrec's second ``x``, natrec's second ``n``)
 # reads a new name in the parser, which scopes over the children after it;
-# the core printer writes the one fresh name it chose for that binder.  The
-# surface kind of a constructor is its keyword in lower case.
+# the core printer writes the one fresh name it chose for that binder.
 _SYNTAX = (
     ("Pi", PI, "( x : 1 ) 2x"),
     ("lam", LAM, "( x : 1 -> 2x ) 3x"),
@@ -225,10 +232,9 @@ class _Row:
     ``Nat``, and None otherwise.
     """
 
-    __slots__ = ("kind", "tag", "segments", "pieces", "binders", "word")
+    __slots__ = ("tag", "segments", "pieces", "binders", "word")
 
     def __init__(self, keyword: str, tag: int, notation: str):
-        self.kind = keyword.lower()
         self.tag = tag
         scoping = (0,) + BINDERS[tag]
         words = notation.split()
@@ -272,7 +278,6 @@ class _Row:
 
 
 _BY_KEYWORD = {entry[0]: _Row(*entry) for entry in _SYNTAX}
-_BY_KIND = {row.kind: row for row in _BY_KEYWORD.values()}
 _BY_TAG = {row.tag: row for row in _BY_KEYWORD.values()}
 
 
@@ -309,33 +314,37 @@ class _Parser:
 
     # terms ---------------------------------------------------------------
 
-    def term(self) -> SurfaceTerm:
+    def term(self) -> tuple:
         """One term, read on an explicit stack of open constructors.
 
-        A frame is ``[row, segment index, binder names, children, span,
-        binders of the next child]``; an open parenthesis is None.
+        A frame is ``[row, segment index, binder names, the term so far
+        as a list, binders of the next child]``; an open parenthesis is None.
         """
         tokens = self.tokens
         pos = self.pos
         frames: list = []
         while True:
-            kind, word, line, col = tokens[pos]
+            tok = tokens[pos]
+            kind = tok[0]
             if kind == "name":
                 pos += 1
-                done = SurfaceTerm("name", name=word, span=(line, col))
+                done = tok
             elif kind == "(":
                 pos += 1
                 frames.append(None)
                 continue
             else:
-                row = _BY_KEYWORD.get(word) if kind == "kw" else None
+                row = _BY_KEYWORD.get(tok[1]) if kind == "kw" else None
                 if row is None:
                     self.pos = pos
-                    self.fail(f"expected a term, found {word!r}")
+                    self.fail(f"expected a term, found {tok[1]!r}")
                 pos += 1
-                names = [None] * row.binders if row.binders else ()
-                frames.append([row, 0, names, [], (line, col), None])
-                done = None
+                if row.word is not None:
+                    done = tok
+                else:
+                    names = [None] * row.binders if row.binders else ()
+                    frames.append([row, 0, names, list(tok), None])
+                    done = None
             # hand the finished term to the innermost open constructor, and
             # close every constructor it completes
             while frames:
@@ -349,7 +358,8 @@ class _Parser:
                     frames.pop()
                     continue
                 if done is not None:
-                    frame[3].append((frame[5], done))
+                    frame[3].append(frame[4])
+                    frame[3].append(done)
                 row, at, names = frame[0], frame[1], frame[2]
                 lead, k = row.segments[at]
                 for step in lead:
@@ -366,10 +376,10 @@ class _Parser:
                     pos += 1
                 if k is not None:
                     frame[1] = at + 1
-                    frame[5] = tuple(names[:k])
+                    frame[4] = tuple(names[:k])
                     break
                 frames.pop()
-                done = SurfaceTerm(row.kind, children=tuple(frame[3]), span=frame[4])
+                done = tuple(frame[3])
             else:
                 self.pos = pos
                 return done
@@ -547,7 +557,7 @@ def parse(text: Union[str, bytes]) -> Script:
     return _Parser(_decode(text)).script()
 
 
-def parse_term(text: Union[str, bytes]) -> SurfaceTerm:
+def parse_term(text: Union[str, bytes]) -> tuple:
     p = _Parser(_decode(text))
     out = p.term()
     p.expect("eof")
@@ -556,10 +566,10 @@ def parse_term(text: Union[str, bytes]) -> SurfaceTerm:
 
 # name resolution ----------------------------------------------------------
 
-_TAG_OF = {kind: row.tag for kind, row in _BY_KIND.items()}
+_TAG_OF = {keyword: row.tag for keyword, row in _BY_KEYWORD.items()}
 
 
-def to_core(s: SurfaceTerm, scope, sig: Signature, defs=None) -> Term:
+def to_core(s: tuple, scope, sig: Signature, defs=None) -> Term:
     """Resolve names to de Bruijn indices; binders shadow definitions, which
     shadow signature constants.  Definitions splice in their (closed) bodies.
     Children are resolved left to right, so an error names the first unbound
@@ -568,22 +578,22 @@ def to_core(s: SurfaceTerm, scope, sig: Signature, defs=None) -> Term:
     names = None  # the scope as a cons list, innermost name first
     for name in scope:
         names = (name, names)
-    # the node being resolved: its tag and resolved children, its
-    # (binders, child) pairs, the next pair, and the scope around it
-    done, todo, at = [], (((), s),), 0
+    # the node being resolved: its tag and resolved children, the node
+    # itself, the index of its next child's binders, and the scope around it
+    done, todo, at = [], ((), s), 0
     stack = []
     while True:
         if at < len(todo):
-            binders, child = todo[at]
-            at += 1
+            binders, child = todo[at], todo[at + 1]
+            at += 2
             inner = names
             for binder in binders:
                 inner = (binder, inner)
-            if child.kind != "name":
+            if child[0] != "name":
                 stack.append((done, todo, at, names))
-                done, todo, at, names = [_TAG_OF[child.kind]], child.children, 0, inner
+                done, todo, at, names = [_TAG_OF[child[1]]], child, 4, inner
                 continue
-            word = child.name
+            word = child[1]
             index = 0
             while inner is not None and inner[0] != word:
                 inner = inner[1]
@@ -595,7 +605,7 @@ def to_core(s: SurfaceTerm, scope, sig: Signature, defs=None) -> Term:
             elif word in sig:
                 done.append((CONST, word))
             else:
-                raise ParseError(f"unbound name {word!r}", *child.span)
+                raise ParseError(f"unbound name {word!r}", child[2], child[3])
         elif stack:
             term = tuple(done)
             done, todo, at, names = stack.pop()
@@ -741,33 +751,34 @@ def print_script(script: Script) -> str:
     return "\n".join(out) + "\n"
 
 
-def _print_surface(s: SurfaceTerm) -> str:
+def _print_surface(s: tuple) -> str:
     out: list = []
     append = out.append
-    # the children of the innermost open node and its remaining pieces; the
-    # nodes around it are on the stack
-    children = pieces = None
+    # the innermost open node and its remaining pieces; the nodes around it
+    # are on the stack.  Child ``slot`` of a node is at index 2 * slot + 3,
+    # after its binders.
+    node = pieces = None
     stack = [(None, None)]
     child = s  # the next term to write
     while True:
-        if child.kind == "name":
-            append(child.name)
+        if child[0] == "name":
+            append(child[1])
         else:
-            row = _BY_KIND.get(child.kind)
+            row = _BY_KEYWORD.get(child[1])
             if row is None:
-                raise ValueError(f"cannot print surface kind {child.kind}")
-            stack.append((children, pieces))
-            children, pieces = child.children, iter(row.pieces)
+                raise ValueError(f"cannot print surface keyword {child[1]}")
+            stack.append((node, pieces))
+            node, pieces = child, iter(row.pieces)
         while pieces is not None:
             for text, slot, k in pieces:
                 append(text)
                 if slot > 0:
-                    child = children[slot - 1][1]
+                    child = node[2 * slot + 3]
                     break
                 if slot:
-                    append(children[-slot - 1][0][k])
+                    append(node[2 - 2 * slot][k])
             else:
-                children, pieces = stack.pop()
+                node, pieces = stack.pop()
                 continue
             break
         else:
@@ -806,27 +817,28 @@ def _print_item(item) -> str:
 def _print_elab(item: ElabItem) -> str:
     op, args = item.op, item.args
 
-    def terms(pairs) -> str:
+    def terms(*args) -> str:
+        """The terms of arguments, each a pair or a tuple of pairs, in order
+        and separated by commas."""
+        pairs = [pair for arg in args for pair in ((arg,) if is_pair(arg) else arg)]
         return ", ".join(_print_surface(t) for _, t in pairs)
 
     if op in ("symmetry", "transitivity"):
-        return f"{op}({terms(args)})"
+        return f"{op}({terms(*args)})"
     if op in ("transport", "congr_app"):
         (_, over), ((binder,), family) = args[:2]
         return (f"{op}{{{_print_surface(over)}, {binder}.{_print_surface(family)}}}"
-                f"({terms(args[2:])})")
+                f"({terms(*args[2:])})")
     if op in ("tele_idrec", "tele_idconv"):
         (_, over), tele, (scope, motive), *ends, fun_args, (names, base) = args
         tele = _print_bindings(zip(scope[3:], (t for _, t in tele)))
         return (f"{op}{{{_print_surface(over)}; {' '.join(scope[:3])}. {tele} . "
-                f"{_print_surface(motive)}}}({terms(ends)}; {terms(fun_args)}; "
+                f"{_print_surface(motive)}}}({terms(*ends)}; {terms(fun_args)}; "
                 f"{' '.join(names)}.{_print_surface(base)})")
     tele, (scope, body) = args[:2]
     tele = _print_bindings(zip(scope, (t for _, t in tele)))
     head = f"{{{tele} . {_print_surface(body)}}}"
     if op == "tele_pi":
         return f"tele_pi{head}"
-    text = terms(args[2:3])
-    if args[3:] and args[3]:
-        text += "; " + terms(args[3])
-    return f"{op}{head}({text})"
+    # the head, then the argument list after a semicolon unless it is empty
+    return f"{op}{head}({'; '.join(terms(arg) for arg in args[2:] if arg)})"

@@ -1,13 +1,16 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from ott.checker import HasType, check
 from ott.oracle import DerivationSpace
-from ott.surface import print_context, print_term
+from ott.surface import _lex, print_context, print_term
 from ott.terms import Const, NatTy, Signature
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _run(args, cwd=None):
@@ -189,6 +192,75 @@ def test_every_elab_op_is_dispatched():
     from ott.surface import _ELAB_OPS
 
     assert sorted(_ELABORATORS) == sorted(_ELAB_OPS)
+
+
+def test_ill_typed_telescope_input_fails_its_item_only(tmp_path, capsys):
+    """A telescope body of the wrong type is a failed precondition: the
+    item fails, and the script goes on to the next item."""
+    from ott import cli
+
+    path = _write(tmp_path, "tele.ott", """postulate A : Type
+postulate a : A
+elab [] |- tele_lam{[x : A, e : Id(A, x, a)] . Id(A, x, x)}(refl(A, a))
+check [] |- a : A
+""")
+    assert cli.main(["check", path]) == 1
+    assert capsys.readouterr().out == (
+        "FAIL elab tele_lam  -- precondition failed: body term inhabits the telescope body\n"
+        "ok   check |- a : A\n"
+    )
+
+
+def test_telescope_item_mutants_never_crash(tmp_path, capsys):
+    """Every single-token mutant of the equality demo's telescope items (a
+    token deleted, or replaced by ``a``, ``x`` or ``zero``) ends with exit
+    0, 1 or 2, never with an exception."""
+    from ott import cli
+
+    lines = (ROOT / "demo" / "equality.ott").read_text(encoding="utf-8").splitlines()
+    prelude = [line for line in lines if line.startswith("postulate")]
+    items = [line for line in lines if line.startswith("elab") and "tele_" in line]
+    assert len(items) == 8
+    path = tmp_path / "mutant.ott"
+    codes = set()
+    for item in items:
+        words = [tok[1] for tok in _lex(item)[:-1]]
+        for at in range(len(words)):
+            for word in ((), ("a",), ("x",), ("zero",)):
+                mutant = " ".join(words[:at] + list(word) + words[at + 1:])
+                path.write_text("\n".join(prelude + [mutant]) + "\n")
+                codes.add(cli.main(["check", str(path)]))
+    capsys.readouterr()
+    assert codes == {0, 1, 2}
+
+
+def _benchmark_script():
+    """The benchmark's seed-1 script at 100 items."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    return workloads.script_text(1, items=100)[0]
+
+
+@pytest.mark.parametrize("name, code", [("basics", 0), ("equality", 0), ("script-1-100", 1)])
+def test_json_records_match_recorded_outputs(tmp_path, capsys, name, code):
+    """``ott --json check`` prints the records in ``tests/golden``, where
+    each verdict's wall-clock ``nanoseconds`` is left out, and exits with
+    the recorded code."""
+    from ott import cli
+
+    if name == "script-1-100":
+        path = _write(tmp_path, "script.ott", _benchmark_script())
+    else:
+        path = str(ROOT / "demo" / f"{name}.ott")
+    assert cli.main(["--json", "check", path]) == code
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    for record in records:
+        record.pop("nanoseconds", None)
+    text = "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
+    assert text == (ROOT / "tests" / "golden" / f"{name}.jsonl").read_text(encoding="utf-8")
 
 
 def test_equality_demo_stated_types():

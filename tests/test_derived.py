@@ -248,6 +248,48 @@ def test_telescope_idrec_length_two(sig):
     assert syntactic_equal(witness.stated_type[1], NatTy)
 
 
+def _bad_telescope_inputs():
+    """One ill-typed input per telescope operation, and the precondition it
+    fails.  The kernel would reject each emitted term, so without that
+    precondition the operation ends in a RecheckFailure."""
+    sig = Signature().with_type("A").with_const("a", A)
+    ctx, x, y, p = _path_context()
+    product = telescope_pi(sig, (), (A,), NatTy)
+    delta = (Id(shift(A, 3), Var(2), Var(1)),)  # e : Id(A, x, y)
+    motive = Id(shift(A, 4), Var(3), Var(2))  # Id(A, x, y)
+    body = "body term inhabits the telescope body"
+    function = "function has the telescope product type"
+    return [
+        # a term of A where the body is Nat
+        ("lam", lambda: product.lam(a), body),
+        # a constant of A where a function into Nat is expected
+        ("app", lambda: product.app(a, (a,)), function),
+        ("betaconv", lambda: product.betaconv(a, (a,)), body),
+        # the base has type A, not Id(A, x, x)
+        ("idrec base", lambda: telescope_idrec(
+            sig, ctx, A, delta, motive, x, y, p, (p,), Var(2)), body),
+        # p relates x to y, not y to x: the carrier is ill-typed
+        ("idrec carrier", lambda: telescope_idrec(
+            sig, ctx, A, (), Id(shift(A, 3), Var(2), Var(1)), y, x, p, (),
+            Refl(shift(A, 1), Var(0))), function),
+        ("idconv base", lambda: telescope_idconv(
+            sig, ctx, A, delta, motive, x, (Refl(A, x),), Var(2)), body),
+        # zero is not a point of A
+        ("idconv point", lambda: telescope_idconv(
+            sig, ctx, A, (), Id(shift(A, 3), Var(2), Var(1)), Zero, (),
+            Refl(shift(A, 1), Var(0))), "point inhabits the base type"),
+    ]
+
+
+@pytest.mark.parametrize("name, call, what", _bad_telescope_inputs(),
+                         ids=[case[0] for case in _bad_telescope_inputs()])
+def test_telescope_operations_reject_ill_typed_input(name, call, what):
+    """Ill-typed user input is a failed precondition, never a recheck
+    failure."""
+    with pytest.raises(ElabError, match=f"^precondition failed: {what}$"):
+        call()
+
+
 # rechecks ------------------------------------------------------------------------
 #
 # Every judgement an elaborator sends reaches ``check``.  One whose term is a

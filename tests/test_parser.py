@@ -1,10 +1,13 @@
+import dataclasses
+import gc
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
 from ott.surface import (
-    ParseError, SurfaceTerm, parse, parse_term, print_script, print_term, to_core,
+    ParseError, is_pair, parse, parse_term, print_script, print_term, to_core,
 )
 from ott.terms import (
     App, Const, Id, IdRec, Lambda, NatRec, NatTy, Pi, Refl, Succ, Var, Zero,
@@ -13,6 +16,7 @@ from ott.terms import (
 from ott.testing import Generator
 
 A = Const("A")
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _core(text, scope, sig):
@@ -134,7 +138,21 @@ elab [f : Nat] |- tele_app{[] . Nat}(f)
 elab [f : Pi(x : A) Nat] |- tele_app{[x : A] . Nat}(f; a)
 """
     script = parse(src)
-    assert parse(print_script(script)) == script
+    assert _without_spans(parse(print_script(script))) == _without_spans(script)
+
+
+def _without_spans(x):
+    """A parse result with the line and column of every term and item left
+    out, as nested tuples."""
+    if dataclasses.is_dataclass(x):
+        return (type(x).__name__,) + tuple(
+            _without_spans(getattr(x, f.name)) for f in dataclasses.fields(x)
+            if f.name != "span")
+    if isinstance(x, tuple):
+        if len(x) >= 4 and x[0] in ("name", "kw") and type(x[2]) is int:
+            x = x[:2] + x[4:]  # a term: its head token's text, then its children
+        return tuple(_without_spans(y) for y in x)
+    return x
 
 
 def test_elab_args_carry_their_scopes():
@@ -143,8 +161,7 @@ def test_elab_args_carry_their_scopes():
 
     def scopes(text):
         (item,) = parse(text).items
-        return [arg[0] if arg and isinstance(arg[-1], SurfaceTerm) else [b for b, _ in arg]
-                for arg in item.args]
+        return [arg[0] if is_pair(arg) else [b for b, _ in arg] for arg in item.args]
 
     assert scopes("elab [] |- tele_beta{[x : A, n : Nat] . Nat}(succ(n); a, zero)") == [
         [(), ("x",)], ("x", "n"), ("x", "n"), [(), ()],
@@ -232,3 +249,33 @@ def test_deep_nests_need_no_deep_python_stack(sig):
         assert print_script(parse(item)) == item + "\n"
     finally:
         sys.setrecursionlimit(limit)
+
+
+def _terms(script):
+    """Every term of a parsed script, subterms included, with its depth."""
+    todo = []
+    for item in script.items:
+        todo.extend(t for _, t in getattr(item, "bindings", ()))
+        todo.extend(getattr(item, f, None) for f in ("ty", "body", "term"))
+        for arg in getattr(item, "args", ()):
+            todo.extend(t for _, t in ((arg,) if is_pair(arg) else arg))
+    todo = [(t, 0) for t in todo if t is not None]
+    while todo:
+        t, depth = todo.pop()
+        yield t, depth
+        # a constructor's children follow its head token and their binders
+        todo.extend((child, depth + 1) for child in t[5::2])
+
+
+def test_parsed_terms_are_plain_tuples_the_collector_untracks():
+    """Every term node is an exact tuple of strings, ints and such tuples,
+    so the cyclic garbage collector can untrack a parsed script instead of
+    rescanning it.  A full collection untracks each tuple whose contents
+    are untracked by then, so a fresh tree can take one collection per
+    level of its deepest term."""
+    for path in sorted((ROOT / "demo").glob("*.ott")):
+        nodes = list(_terms(parse(path.read_bytes())))
+        assert nodes and all(type(t) is tuple for t, _ in nodes)
+        for _ in range(max(depth for _, depth in nodes) + 1):
+            gc.collect()
+        assert [t for t, _ in nodes if gc.is_tracked(t)] == []

@@ -4,7 +4,8 @@
 ``reference_surface`` are the parser's term rule and the two printers
 as they were written before the syntax table: one hand-written branch per
 constructor, recursing on the Python stack.  The parser must build the same
-trees with the same spans, or raise the same ParseError at the same place;
+tuples, the positions of every node included, or raise the same ParseError
+at the same place;
 the printers must write the same text, or raise the same ValueError.  The one
 intended difference is a negative de Bruijn index, which the reference
 printer writes as a name from the wrong end of the scope.
@@ -23,7 +24,7 @@ from ott.kernel import (
     NATCONVZERO, NATREC, PI, REFL, SUCC, VAR, ZERO,
 )
 from ott.surface import (
-    KEYWORDS, ParseError, SurfaceTerm, _decode, _fresh, _lex, _Parser,
+    KEYWORDS, ParseError, _decode, _fresh, _lex, _Parser,
     _print_surface, print_term,
 )
 from ott.terms import Const, Var
@@ -32,8 +33,19 @@ from ott.testing import Generator, default_signature, replace_at, subterm_paths
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def _node(keyword, span, *children):
+    """The constructor written as ``keyword`` at ``span``, from its
+    ``(binders, child)`` pairs in slot order."""
+    return ("kw", keyword) + span + tuple(x for pair in children for x in pair)
+
+
+def _children(s):
+    """A constructor's ``(binders, child)`` pairs in slot order."""
+    return tuple(zip(s[4::2], s[5::2]))
+
+
 class ReferenceParser(_Parser):
-    def term(self) -> SurfaceTerm:
+    def term(self) -> tuple:
         kind, word, line, col = self.peek()
         span = (line, col)
         if kind == "(":
@@ -43,21 +55,21 @@ class ReferenceParser(_Parser):
             return inner
         if kind == "name":
             self.next()
-            return SurfaceTerm("name", name=word, span=span)
+            return ("name", word) + span
         if kind != "kw":
             self.fail(f"expected a term, found {word!r}")
         if word == "Nat":
             self.next()
-            return SurfaceTerm("nat", span=span)
+            return _node("Nat", span)
         if word == "zero":
             self.next()
-            return SurfaceTerm("zero", span=span)
+            return _node("zero", span)
         if word == "succ":
             self.next()
             self.expect("(")
             arg = self.term()
             self.expect(")")
-            return SurfaceTerm("succ", children=(((), arg),), span=span)
+            return _node("succ", span, ((), arg))
         if word == "Pi":
             self.next()
             self.expect("(")
@@ -66,7 +78,7 @@ class ReferenceParser(_Parser):
             dom = self.term()
             self.expect(")")
             cod = self.term()
-            return SurfaceTerm("pi", children=(((), dom), ((binder,), cod)), span=span)
+            return _node("Pi", span, ((), dom), ((binder,), cod))
         if word == "lam":
             self.next()
             self.expect("(")
@@ -77,11 +89,7 @@ class ReferenceParser(_Parser):
             cod = self.term()
             self.expect(")")
             body = self.term()
-            return SurfaceTerm(
-                "lam",
-                children=(((), dom), ((binder,), cod), ((binder,), body)),
-                span=span,
-            )
+            return _node("lam", span, ((), dom), ((binder,), cod), ((binder,), body))
         if word == "app":
             self.next()
             dom, binder, cod = self._family1()
@@ -90,11 +98,7 @@ class ReferenceParser(_Parser):
             self.expect(",")
             arg = self.term()
             self.expect(")")
-            return SurfaceTerm(
-                "app",
-                children=(((), dom), ((binder,), cod), ((), fun), ((), arg)),
-                span=span,
-            )
+            return _node("app", span, ((), dom), ((binder,), cod), ((), fun), ((), arg))
         if word == "betaconv":
             self.next()
             dom, binder, cod = self._family1()
@@ -105,10 +109,8 @@ class ReferenceParser(_Parser):
             self.expect(".")
             body = self.term()
             self.expect(")")
-            return SurfaceTerm(
-                "betaconv",
-                children=(((), dom), ((binder,), cod), ((), arg), ((b2,), body)),
-                span=span,
+            return _node(
+                "betaconv", span, ((), dom), ((binder,), cod), ((), arg), ((b2,), body)
             )
         if word == "Id":
             self.next()
@@ -119,9 +121,7 @@ class ReferenceParser(_Parser):
             self.expect(",")
             rhs = self.term()
             self.expect(")")
-            return SurfaceTerm(
-                "id", children=(((), over), ((), lhs), ((), rhs)), span=span
-            )
+            return _node("Id", span, ((), over), ((), lhs), ((), rhs))
         if word == "refl":
             self.next()
             self.expect("(")
@@ -129,7 +129,7 @@ class ReferenceParser(_Parser):
             self.expect(",")
             point = self.term()
             self.expect(")")
-            return SurfaceTerm("refl", children=(((), over), ((), point)), span=span)
+            return _node("refl", span, ((), over), ((), point))
         if word == "idrec":
             self.next()
             over, (x, y, u), motive = self._family3()
@@ -144,13 +144,9 @@ class ReferenceParser(_Parser):
             self.expect(".")
             base = self.term()
             self.expect(")")
-            return SurfaceTerm(
-                "idrec",
-                children=(
-                    ((), over), ((x, y, u), motive), ((), lhs), ((), rhs),
-                    ((), pth), ((bx,), base),
-                ),
-                span=span,
+            return _node(
+                "idrec", span, ((), over), ((x, y, u), motive), ((), lhs), ((), rhs),
+                ((), pth), ((bx,), base),
             )
         if word == "idconv":
             self.next()
@@ -162,10 +158,8 @@ class ReferenceParser(_Parser):
             self.expect(".")
             base = self.term()
             self.expect(")")
-            return SurfaceTerm(
-                "idconv",
-                children=(((), over), ((x, y, u), motive), ((), point), ((bx,), base)),
-                span=span,
+            return _node(
+                "idconv", span, ((), over), ((x, y, u), motive), ((), point), ((bx,), base)
             )
         if word in ("natrec", "natconv_zero", "natconv_succ"):
             self.next()
@@ -186,7 +180,7 @@ class ReferenceParser(_Parser):
                 self.expect(",")
                 children.append(((), self.term()))
             self.expect(")")
-            return SurfaceTerm(word, children=tuple(children), span=span)
+            return _node(word, span, *children)
         self.fail(f"expected a term, found {word!r}")
 
     def _family1(self):
@@ -306,97 +300,97 @@ def reference_print_term(t, scope=(), reserved=()) -> str:
     return go(t, tuple(scope))
 
 
-def reference_surface(s: SurfaceTerm) -> str:
-    if s.kind == "name":
-        return s.name
-    if s.kind == "nat":
+def reference_surface(s: tuple) -> str:
+    if s[0] == "name":
+        return s[1]
+    kind, children = s[1], _children(s)
+    if kind == "Nat":
         return "Nat"
-    if s.kind == "zero":
+    if kind == "zero":
         return "zero"
-    if s.kind == "succ":
-        return f"succ({reference_surface(s.children[0][1])})"
-    if s.kind == "pi":
-        (_, dom), (binder, cod) = s.children
+    if kind == "succ":
+        return f"succ({reference_surface(children[0][1])})"
+    if kind == "Pi":
+        (_, dom), (binder, cod) = children
         return (
             f"Pi({binder[0]} : {reference_surface(dom)}) "
             f"{reference_surface(cod)}"
         )
-    if s.kind == "lam":
-        (_, dom), (binder, cod), (_, body) = s.children
+    if kind == "lam":
+        (_, dom), (binder, cod), (_, body) = children
         return (
             f"lam({binder[0]} : {reference_surface(dom)} -> "
             f"{reference_surface(cod)}) {reference_surface(body)}"
         )
-    if s.kind == "app":
-        (_, dom), (binder, cod), (_, fun), (_, arg) = s.children
+    if kind == "app":
+        (_, dom), (binder, cod), (_, fun), (_, arg) = children
         return (
             f"app{{{reference_surface(dom)}, {binder[0]}.{reference_surface(cod)}}}"
             f"({reference_surface(fun)}, {reference_surface(arg)})"
         )
-    if s.kind == "betaconv":
-        (_, dom), (binder, cod), (_, arg), (b2, body) = s.children
+    if kind == "betaconv":
+        (_, dom), (binder, cod), (_, arg), (b2, body) = children
         return (
             f"betaconv{{{reference_surface(dom)}, {binder[0]}.{reference_surface(cod)}}}"
             f"({reference_surface(arg)}, {b2[0]}.{reference_surface(body)})"
         )
-    if s.kind == "id":
-        parts = ", ".join(reference_surface(c) for _, c in s.children)
+    if kind == "Id":
+        parts = ", ".join(reference_surface(c) for _, c in children)
         return f"Id({parts})"
-    if s.kind == "refl":
-        parts = ", ".join(reference_surface(c) for _, c in s.children)
+    if kind == "refl":
+        parts = ", ".join(reference_surface(c) for _, c in children)
         return f"refl({parts})"
-    if s.kind == "idrec":
-        (_, over), (xyu, motive), (_, lhs), (_, rhs), (_, pth), (bx, base) = s.children
+    if kind == "idrec":
+        (_, over), (xyu, motive), (_, lhs), (_, rhs), (_, pth), (bx, base) = children
         fam = f"{{{reference_surface(over)}, {' '.join(xyu)}.{reference_surface(motive)}}}"
         return (
             f"idrec{fam}({reference_surface(lhs)}, {reference_surface(rhs)}, "
             f"{reference_surface(pth)}, {bx[0]}.{reference_surface(base)})"
         )
-    if s.kind == "idconv":
-        (_, over), (xyu, motive), (_, point), (bx, base) = s.children
+    if kind == "idconv":
+        (_, over), (xyu, motive), (_, point), (bx, base) = children
         fam = f"{{{reference_surface(over)}, {' '.join(xyu)}.{reference_surface(motive)}}}"
         return f"idconv{fam}({reference_surface(point)}, {bx[0]}.{reference_surface(base)})"
-    if s.kind in ("natrec", "natconv_zero", "natconv_succ"):
-        (nb, motive), (_, z), (nm, scase) = s.children[:3]
+    if kind in ("natrec", "natconv_zero", "natconv_succ"):
+        (nb, motive), (_, z), (nm, scase) = children[:3]
         out = (
-            f"{s.kind}{{{nb[0]}.{reference_surface(motive)}}}"
+            f"{kind}{{{nb[0]}.{reference_surface(motive)}}}"
             f"({reference_surface(z)}, {' '.join(nm)}.{reference_surface(scase)}"
         )
-        if len(s.children) > 3:
-            out += f", {reference_surface(s.children[3][1])}"
+        if len(children) > 3:
+            out += f", {reference_surface(children[3][1])}"
         return out + ")"
-    raise ValueError(f"cannot print surface kind {s.kind}")
+    raise ValueError(f"cannot print surface keyword {kind}")
 
 
 # parsing ----------------------------------------------------------------------
 
 def _walk(tree):
-    """Every node of a parse result, once each, in a fixed order."""
+    """Every value in a parse result, once each, in a fixed order."""
     todo = [tree]
     while todo:
         x = todo.pop()
         yield x
-        if isinstance(x, SurfaceTerm):
-            todo.extend(child for _, child in x.children)
-        elif dataclasses.is_dataclass(x):
+        if dataclasses.is_dataclass(x):
             todo.extend(getattr(x, f.name) for f in dataclasses.fields(x))
-        elif isinstance(x, dict):
-            todo.extend(x[k] for k in sorted(x))
         elif isinstance(x, tuple):
             todo.extend(x)
 
 
+def _is_term(x):
+    """Whether a value in a parse result is a term: a tuple that starts with
+    a token, where a binder tuple holds only strings."""
+    return type(x) is tuple and len(x) >= 4 and x[0] in ("name", "kw") and type(x[2]) is int
+
+
 def _fields(tree):
-    """Everything a parse produced, spans included, as a flat list: the
-    dataclasses leave spans out of ==, and == recurses."""
+    """Everything a parse produced as a flat list, with the line and column
+    of every term and item: items leave their spans out of ==, and ==
+    recurses."""
     out = []
     for x in _walk(tree):
-        if isinstance(x, SurfaceTerm):
-            out.append((x.kind, x.name, x.span, tuple(b for b, _ in x.children)))
-        elif dataclasses.is_dataclass(x):
+        if dataclasses.is_dataclass(x):
             out.append(type(x).__name__)
-        elif isinstance(x, dict):
-            out.append(tuple(sorted(x)))
         elif isinstance(x, tuple):
             out.append(len(x))
         else:
@@ -417,7 +411,7 @@ def _assert_parses_alike(text):
     if new[0] != "error":
         # both printers of surface terms write the same text
         for s in _walk(_Parser(text).script()):
-            if isinstance(s, SurfaceTerm):
+            if _is_term(s):
                 assert _print_surface(s) == reference_surface(s)
     return new[0] != "error"
 
