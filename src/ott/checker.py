@@ -40,28 +40,44 @@ obligation, per comparison step, per variable-lookup hop and per materialized
 node.  The benchmark gates on it instead of wall time.
 
 Certificates.  ``certify`` is ``check`` that, when it accepts a ``HasType``
-judgement whose term is not a leaf, also returns a ``Certificate`` for it,
-which this module indexes by the term object for exactly as long as the
-caller holds the certificate.  Plain ``check`` and ``infer`` issue none, and
-only this module enters one into the index.  A term obligation with a target
-whose subject is a certified object, under the same ``Signature`` object, is
-discharged by two comparisons instead of its rule: its context against the
-certificate's, entry by entry, and its target against the certificate's type.
-A comparison of one object with itself costs one step, anything else what
-``eq_lazy`` charges with the obligation's side as the target, where a
-closure never matches; on a mismatch those steps are charged and the rule
-is applied as before.  ``check`` makes
-the same test on a whole ``HasType`` judgement before seeding any stage.
+judgement whose term is not a leaf, or a ``TypeWF`` judgement whose type has
+more nodes than its context has entries plus one, also returns a
+``Certificate`` for it, which this module indexes by the subject object (the
+term, or the type) for exactly as long as the caller holds the certificate.
+``instantiate`` issues the other kind: from a certified ``delta, x : T |- B
+type``, a context ``ctx`` that is ``delta`` followed by ``k`` more entries
+and a component ``s`` of type ``T`` weakened by ``k`` over ``ctx``, it
+writes the instance ``B[s]`` (the other variables weakened by ``k``) and
+certifies ``TypeWF(ctx, instance)``.  That is the admissible substitution
+rule after weakening, so it costs the comparison of ``delta`` with the front
+of ``ctx``, the check of ``s`` and the nodes written, but no walk of ``B``.
+It checks neither ``ctx`` nor ``T``: the certificate promises that the
+instance is a type provided ``ctx`` is well-formed, which is exactly the
+promise a type obligation already runs under.  Plain ``check`` and ``infer``
+issue none, and only this module enters one into the index.
 
-A verdict is a pure function of the obligation, and the certificate's
-judgement passed every stage, so a discharged obligation is one the rule
-would have accepted: verdicts, reasons and loci never depend on which
-certificates are live, only steps do.  The quadratic argument still holds.
-Each comparison stops at the first mismatch and walks no further than the
-obligation's own context and target, whose sizes are linear in the input,
-so an obligation costs at most a linear number of extra steps, and there is
-at most one obligation per input node.  With no live certificate ``_run``
-makes no lookup at all.
+A term obligation with a target whose subject has a ``HasType``
+certificate, or a type obligation whose subject has a ``TypeWF`` one, under
+the same ``Signature`` object, is discharged by comparison instead of its
+rule: its context against the certificate's, entry by entry, and for a term
+its target against the certificate's type.  No term rule's subject is a
+``Pi`` or an ``Id``, so an object is never both, and a certificate of one
+kind never discharges an obligation of the other.  A comparison of one
+object with itself costs one step, anything else what ``eq_lazy`` charges
+with the obligation's side as the target, where a closure never matches; on
+a mismatch those steps are charged and the rule is applied as before.
+``check`` makes the same test on a whole ``HasType`` judgement before
+seeding any stage.
+
+A verdict is a pure function of the obligation, and a certificate's
+judgement passed the stages an obligation of its kind is promised, so a
+discharged obligation is one the rule would have accepted: verdicts, reasons
+and loci never depend on which certificates are live, only steps do.  The
+quadratic argument still holds.  Each comparison stops at the first mismatch
+and walks no further than the obligation's own context and target, whose
+sizes are linear in the input, so an obligation costs at most a linear
+number of extra steps, and there is at most one obligation per input node.
+With no live certificate ``_run`` makes no lookup at all.
 """
 
 from __future__ import annotations
@@ -82,6 +98,7 @@ from .terms import Context, Signature, Term
 __all__ = [
     "CheckReport", "Judgement", "CtxtWF", "TypeWF", "HasType",
     "check", "check_ctxt", "infer", "InferFailure", "Certificate", "certify",
+    "instantiate",
 ]
 
 
@@ -137,11 +154,16 @@ class InferFailure(Exception):
 
 @dataclass(frozen=True, eq=False)
 class Certificate:
-    """A ``HasType`` judgement the kernel accepted under ``sig``.  Only
-    ``certify`` makes one; while it lives, an obligation on the same term
-    object that matches it is discharged by comparison."""
+    """A ``HasType`` or ``TypeWF`` judgement the kernel accepted under
+    ``sig``.  ``certify`` makes one for a judgement that passed every stage;
+    ``instantiate`` makes a ``conditional`` one, for ``TypeWF(ctx,
+    instance)`` provided ``ctx`` is well-formed.  While it lives, an
+    obligation of the same kind (a term obligation for ``HasType``, a type
+    obligation for ``TypeWF``) on the same subject object that matches it is
+    discharged by comparison."""
     sig: Signature
-    judgement: HasType
+    judgement: Union[HasType, TypeWF]
+    conditional: bool = False
 
 
 # id(term) -> weak reference to the live Certificate indexed for that term
@@ -191,18 +213,21 @@ def _apply(clo):
     return _k.inst(clo[1], terms, outer, lift)[0]
 
 
-def _matches(j: HasType, ctx, target):
+def _matches(j, ctx, target):
     """(equal, steps): whether the obligation ``ctx |- _ : target`` (``ctx``
-    a cons list) has the context and type of the judgement ``j``; the target
-    first, then the entries innermost first, each stopping at the first
-    difference."""
-    ty = j.ty
-    if ty is target:
-        steps = 1
-    else:
-        eq, steps = _k.eq_lazy(ty, target)
-        if not eq:
-            return False, steps
+    a cons list) has the context and type of the ``HasType`` judgement
+    ``j``, or, with ``target`` None, the obligation ``ctx |- _ type`` the
+    context of the ``TypeWF`` judgement ``j``; the target first, then the
+    entries innermost first, each stopping at the first difference."""
+    steps = 0
+    if target is not None:
+        ty = j.ty
+        if ty is target:
+            steps = 1
+        else:
+            eq, steps = _k.eq_lazy(ty, target)
+            if not eq:
+                return False, steps
     entries = j.ctx
     i = len(entries)
     while i and ctx is not None:
@@ -235,13 +260,26 @@ def _run(sig: Signature, stack: list):
         steps += 1
         tag = t[0]
         if kind == _TYPE:
-            if tag == PI:
-                stack.append((_TYPE, (t[1], ctx), t[2], None, (1, path)))
-                stack.append((_TYPE, ctx, t[1], None, (0, path)))
-            elif tag == ID:
-                stack.append((_TERM, ctx, t[3], t[1], (2, path)))
-                stack.append((_TERM, ctx, t[2], t[1], (1, path)))
-                stack.append((_TYPE, ctx, t[1], None, (0, path)))
+            if tag == PI or tag == ID:
+                # a certified type is discharged by comparing contexts; a
+                # leaf type never has a certificate
+                if certs is not None:
+                    ref = certs.get(id(t))
+                    if ref is not None:
+                        cert = ref()
+                        if (cert is not None and cert.sig is sig
+                                and cert.judgement.__class__ is TypeWF):
+                            eq, c = _matches(cert.judgement, ctx, None)
+                            steps += c
+                            if eq:
+                                continue
+                if tag == PI:
+                    stack.append((_TYPE, (t[1], ctx), t[2], None, (1, path)))
+                    stack.append((_TYPE, ctx, t[1], None, (0, path)))
+                else:
+                    stack.append((_TERM, ctx, t[3], t[1], (2, path)))
+                    stack.append((_TERM, ctx, t[2], t[1], (1, path)))
+                    stack.append((_TYPE, ctx, t[1], None, (0, path)))
             elif tag != NAT and not (tag == CONST and t[1] in atomics):
                 return False, "not a type", _path(path), steps
             continue
@@ -252,7 +290,8 @@ def _run(sig: Signature, stack: list):
             ref = certs.get(id(t))
             if ref is not None:
                 cert = ref()
-                if cert is not None and cert.sig is sig and target is not None:
+                if (cert is not None and cert.sig is sig and target is not None
+                        and cert.judgement.__class__ is HasType):
                     eq, c = _matches(cert.judgement, ctx, target)
                     steps += c
                     if eq:
@@ -458,7 +497,7 @@ def check(sig: Signature, j: Judgement) -> CheckReport:
     if _certificates and isinstance(j, HasType):
         ref = _certificates.get(id(j.term))
         cert = ref() if ref is not None else None
-        if cert is not None and cert.sig is sig:
+        if cert is not None and cert.sig is sig and cert.judgement.__class__ is HasType:
             eq, cmp_steps = _matches(cert.judgement, _cons_ctx(j.ctx), j.ty)
             if eq:
                 ns = time.perf_counter_ns() - t0
@@ -471,21 +510,109 @@ def check(sig: Signature, j: Judgement) -> CheckReport:
     return CheckReport("reject", reason, locus, steps, ns)
 
 
-def certify(sig: Signature, j: HasType) -> Tuple[CheckReport, Optional[Certificate]]:
-    """``check(sig, j)``, and on acceptance of a term that is not a leaf a
-    certificate for ``j``, or None.  The kernel indexes the certificate for
-    as long as the caller holds it, unless a live one for the same term
-    object is indexed already; either way it stays sound to hold."""
-    report = check(sig, j)
-    t = j.term
-    if not report.ok or t[0] == VAR or t[0] == CONST or len(t) == 1:
-        return report, None
-    cert = Certificate(sig, j)
-    key = id(t)
+def _issue(sig: Signature, j, subject: Term, conditional=False) -> Certificate:
+    """A certificate for ``j``, indexed by ``subject`` for as long as the
+    caller holds it unless a live one for the same object is indexed
+    already; either way it stays sound to hold."""
+    cert = Certificate(sig, j, conditional)
+    key = id(subject)
     ref = _certificates.get(key)
     if ref is None or ref() is None:
         _certificates[key] = weakref.ref(cert, partial(_forget, key))
-    return report, cert
+    return cert
+
+
+def _exceeds(t: Term, bound: int) -> bool:
+    """Whether ``t`` has more than ``bound`` nodes; walks at most
+    ``bound + 1`` of them."""
+    stack = [t]
+    while stack:
+        x = stack.pop()
+        bound -= 1
+        if bound < 0:
+            return True
+        if x[0] > CONST and len(x) > 1:
+            stack.extend(x[1:])
+    return False
+
+
+def certify(sig: Signature, j: Union[HasType, TypeWF]
+            ) -> Tuple[CheckReport, Optional[Certificate]]:
+    """``check(sig, j)``, and on acceptance a certificate for ``j``, which
+    the kernel indexes for as long as the caller holds it, or None.  A term
+    gets one unless it is a leaf; a type gets one if it has more nodes than
+    its context has entries plus one, since a discharge compares every entry
+    and could cost as much as the rules."""
+    report = check(sig, j)
+    if not report.ok:
+        return report, None
+    if isinstance(j, HasType):
+        t = j.term
+        if t[0] == VAR or t[0] == CONST or len(t) == 1:
+            return report, None
+    else:
+        t = j.ty
+        if not _exceeds(t, len(j.ctx) + 1):
+            return report, None
+    return report, _issue(sig, j, t)
+
+
+def instantiate(cert: Certificate, ctx: Context, s: Term
+                ) -> Tuple[CheckReport, Optional[Term], Optional[Certificate]]:
+    """The instance of a certified family at ``s``, typed by the
+    substitution rule instead of by the rules for its constructors.
+
+    ``cert`` is a certificate from ``certify`` for ``TypeWF(delta + (T,),
+    B)``; a conditional one would not show that ``T`` is a type.  If ``ctx``
+    is ``delta`` followed by ``k`` more entries and ``s`` has type ``T``
+    weakened by ``k`` over ``ctx``, then ``B`` under the environment
+    ``(0, (s,), k)``, ``s`` for its last entry's variable and the others
+    weakened past the ``k`` entries, is a type over ``ctx`` provided ``ctx``
+    is well-formed, the promise a type obligation runs under.
+
+    Returns ``(report, instance, certificate)``: on acceptance the instance
+    and a conditional certificate for ``TypeWF(ctx, instance)``, which, as
+    with ``certify``, an instance with no more nodes than ``ctx`` has
+    entries plus one does not get; on rejection None for both.  The
+    report's steps count the comparison of ``delta`` with the front of
+    ``ctx``, the check of ``s`` and the nodes written, so the cost is linear
+    in ``delta``, ``s`` and the instance written, never a walk of ``B``.
+    """
+    t0 = time.perf_counter_ns()
+    j = cert.judgement
+    if j.__class__ is not TypeWF or not j.ctx or cert.conditional:
+        raise ValueError("instantiate needs a certified TypeWF judgement over a binder")
+    entries = j.ctx
+    n = len(entries) - 1
+    k = len(ctx) - n
+    ok, steps, i = k >= 0, 1, 0
+    # delta is the front of ctx, compared entry by entry as ``_matches`` does
+    while ok and i < n:
+        e, g = entries[i], ctx[i]
+        if e is g:
+            c = 1
+        else:
+            ok, c = _k.eq_lazy(e, g)
+        steps += c
+        i += 1
+    if not ok:
+        reason = "context does not extend the family's"
+        locus = (("ctx", i - 1 if k >= 0 else len(ctx)),)
+    else:
+        # s against T weakened by k, as one term obligation under the type
+        # stage's promise that ctx is well-formed and the target a type
+        target, c = _k.inst(entries[n], (), k, 0)
+        ok, reason, locus, c2 = _run(
+            cert.sig, [(_TERM, _cons_ctx(ctx), s, target, ("component", None))])
+        steps += c + c2
+    if not ok:
+        ns = time.perf_counter_ns() - t0
+        return CheckReport("reject", reason, locus, steps, ns), None, None
+    out, nodes = _k.inst(j.ty, (s,), k, 0)
+    steps += nodes
+    issued = _issue(cert.sig, TypeWF(ctx, out), out, True) if nodes > len(ctx) + 1 else None
+    ns = time.perf_counter_ns() - t0
+    return CheckReport("accept", None, None, steps, ns), out, issued
 
 
 def check_ctxt(sig: Signature, ctx: Context) -> CheckReport:

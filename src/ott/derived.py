@@ -7,17 +7,26 @@ core term.  Admissibility is witnessed operationally: every returned term was
 accepted by the kernel at its stated type, and a RecheckFailure here always
 means a construction bug, never user error.
 
-Every sealed result and every precondition on a term is checked with
+Every sealed result and every precondition is checked with
 ``ott.checker.certify``, and the emitter holds the certificate it returns: a
 result's for as long as the result lives (``ElabResult.certificate``), a
-precondition's until the emitter's own result is sealed.  While a
-certificate is held, the kernel discharges an obligation on its term object
-at the certified context and type by comparison, both when the term comes
-back as a precondition and when it sits inside a larger emitted term: the
+precondition's until the emitter's own result is sealed (a telescope
+product's for as long as the product lives).  While a certificate is held,
+the kernel discharges an obligation on its term or type object at the
+certified context (and type) by comparison, both when the object comes back
+as a precondition and when it sits inside a larger emitted term: the
 reversed path inside transitivity's transport, the induction hypothesis
 inside betaconv's congruence, the point inside transport's application.
-Only the kernel enters judgements into its index, and only ones it accepted;
-every new term still goes through the kernel's rules.
+
+Transport writes six instances of its family into the term it emits.  It
+asks the kernel for each with ``ott.checker.instantiate``, from the family's
+certificate: the kernel checks the component and writes the instance, and
+its certificate says the instance is a type over the instance's context
+provided that context is well-formed.  So neither the point precondition
+nor the sealed recheck walks an instance as a type; they compare contexts.
+Only the kernel enters judgements into its index, and only ones its rules or
+the substitution rule accepted; every new term still goes through the
+kernel's rules.
 
 Index conventions (worked through in docs/transport-indices.md): a motive
 over three binders sees the innermost binder (the path) as index 0, its right
@@ -38,7 +47,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import kernel as _k
-from .checker import Certificate, HasType, TypeWF, certify, check
+# ``check`` is not called here, but stays a name of this module: profilers
+# and tests wrap the kernel entry points where the elaborators import them
+from .checker import Certificate, HasType, TypeWF, certify, check, instantiate  # noqa: F401
 from .kernel import APP, BETA, ID, IDCONV, IDREC, LAM, PI, REFL, VAR
 from .subst import shift
 from .terms import Context, Signature, Telescope, Term
@@ -81,9 +92,35 @@ def _require(sig, ctx, term, ty, what):
     return cert
 
 
-def _require_type(sig, ctx, ty, what):
-    if not check(sig, TypeWF(ctx, ty)).ok:
+def _require_type(sig, ctx, ty, what, entry_what=None):
+    """Check a type precondition; returns its certificate, held like a
+    term precondition's.  A failure at context entry ``i`` is reported as
+    ``entry_what(i)`` when that is given, so one judgement can stand for the
+    checks of the entries it extends the context by."""
+    report, cert = certify(sig, TypeWF(ctx, ty))
+    if not report.ok:
+        locus = report.locus[0]
+        if entry_what is not None and locus != "type":
+            what = entry_what(locus[1])
         raise ElabError(f"precondition failed: {what}")
+    return cert
+
+
+def _instance(family, cert, ctx, extra, s, held):
+    """The instance of ``family`` (over ``ctx`` and one more entry) at
+    ``s`` over ``ctx + extra``: ``s`` for the family's variable, the others
+    weakened past ``extra``.  With the family's certificate the kernel types
+    it by the substitution lemma and the instance's certificate, if any, is
+    appended to ``held``; a family too small to have a certificate is
+    materialized and left to the rules."""
+    if cert is None:
+        return _inst(family, (s,), len(extra))
+    report, out, issued = instantiate(cert, ctx + extra, s)
+    if not report.ok:
+        raise RecheckFailure(f"instance refused: {report.reason} at {report.locus}")
+    if issued is not None:
+        held.append(issued)
+    return out
 
 
 def _sealed(sig, ctx, term, ty, held=()) -> ElabResult:
@@ -107,26 +144,30 @@ def transport(sig: Signature, ctx: Context, family_over: Term, family: Term,
     base case is the identity function; the result applies that function to
     ``point``.
     """
-    _require_type(sig, ctx, family_over, "transport: base is a type")
-    _require_type(sig, ctx + (family_over,), family, "transport: family is a type")
-    held = [_require(sig, ctx, path, (ID, family_over, src, dst),
-                     "transport: path relates the endpoints")]
-    fam_src = _inst(family, (src,))
-    fam_dst = _inst(family, (dst,))
+    # the family's context stage checks the base
+    fam = _require_type(sig, ctx + (family_over,), family, "transport: family is a type",
+                        lambda i: "transport: base is a type")
+    held = [fam, _require(sig, ctx, path, (ID, family_over, src, dst),
+                          "transport: path relates the endpoints")]
+    fam_src = _instance(family, fam, ctx, (), src, held)
+    fam_dst = _instance(family, fam, ctx, (), dst, held)
     held.append(_require(sig, ctx, point, fam_src,
                          "transport: point inhabits the source fiber"))
 
     # Motive over (x, y, u): functions from family[x] to family[y].  At the
     # domain the binders in scope are x,y,u so x is index 2; the codomain
     # adds its own binder, putting y at index 2 as well.
-    motive = (PI, _inst(family, ((VAR, 2),), 3), _inst(family, ((VAR, 2),), 4))
+    binders = _ctx3((), family_over)
+    dom = _instance(family, fam, ctx, binders, (VAR, 2), held)
+    motive = (PI, dom, _instance(family, fam, ctx, binders + (dom,), (VAR, 2), held))
     # Base: under x the identity function on family[x].  The domain is the
     # family itself: x is its own index 0.
-    base = (LAM, family, _inst(family, ((VAR, 1),), 2), (VAR, 0))
+    base = (LAM, family, _instance(family, fam, ctx, (family_over, family), (VAR, 1), held),
+            (VAR, 0))
     carrier = (IDREC, family_over, motive, src, dst, path, base)
     # The carrier's type is the motive at (src, dst, path), i.e. functions
     # from family[src] to family[dst]; apply it to the point.
-    codomain = _inst(family, (shift(dst, 1),), 1)
+    codomain = _instance(family, fam, ctx, (fam_src,), shift(dst, 1), held)
     term = (APP, fam_src, codomain, carrier, point)
     return _sealed(sig, ctx, term, fam_dst, held)
 
@@ -230,11 +271,14 @@ class TelescopePi:
         self.ctx = ctx
         self.delta = tuple(delta)
         self.body = body
-        scope = ctx
-        for i, entry in enumerate(self.delta):
-            _require_type(sig, scope, entry, f"telescope entry {i} is a type")
-            scope = scope + (entry,)
-        _require_type(sig, scope, body, "telescope body is a type")
+        # one judgement: its context stage checks the entries in order, and
+        # an ill-formed ``ctx`` counts against the first entry, or with none
+        # against the body
+        first = len(ctx)
+        self._held = _require_type(
+            sig, ctx + self.delta, body, "telescope body is a type",
+            (lambda i: f"telescope entry {max(i - first, 0)} is a type")
+            if self.delta else None)
         # suffix[j] = product over entries j.. (suffix[0] is the full type)
         self.suffixes = [body]
         for entry in reversed(self.delta):

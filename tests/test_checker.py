@@ -1,18 +1,20 @@
+import gc
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ott.checker
 from ott.checker import (
     _TERM, CtxtWF, HasType, InferFailure, TypeWF, _cons_ctx, _run,
-    _seed_judgement, certify, check, check_ctxt, infer,
+    _seed_judgement, certify, check, check_ctxt, infer, instantiate,
 )
 from ott.terms import (
     App, BetaConv, Const, Id, IdConv, IdRec, Lambda, NatConvSucc, NatConvZero,
     NatRec, NatTy, Pi, Refl, Signature, Succ, Var, Zero, size, syntactic_equal,
 )
-from ott.kernel import APP, CLO, CONST, NAT, SUCC, VAR
+from ott.kernel import APP, CLO, CONST, NAT, SUCC, VAR, inst
 from ott.subst import shift, subst
 from ott.testing import (
     Generator, default_signature, fresh_copy, mutations, premise_count,
@@ -793,8 +795,10 @@ def test_negative_index_is_the_one_intended_difference(sig):
 
 # certificates ----------------------------------------------------------------------
 #
-# A certificate lets ``_run`` discharge an obligation on its term object by
-# comparison.  Whatever certificates are live, every (verdict, reason, locus)
+# A certificate lets ``_run`` discharge an obligation on its subject object by
+# comparison: a term obligation with a ``HasType`` certificate, a type
+# obligation with a ``TypeWF`` one, which ``certify`` or ``instantiate``
+# issues.  Whatever certificates are live, every (verdict, reason, locus)
 # must be what the rules alone give, within the same quadratic bound.
 
 
@@ -820,23 +824,33 @@ def _entries(ctx) -> tuple:
 
 
 def _certify_obligations(sig, j, rng, share):
-    """Certify about ``share`` of the term obligations that checking ``j``
-    hands out, each as a judgement of its own; returns the certificates."""
+    """Certify about ``share`` of the term and type obligations that
+    checking ``j`` hands out, each as a judgement of its own; returns the
+    certificates."""
     stack = _Popped(_seed_judgement(j))
     _run(sig, stack)
     held = []
     for kind, ctx, t, target, _ in stack.popped:
-        if kind == _TERM and rng.random() < share:
-            report, cert = certify(sig, HasType(_entries(ctx), t, target))
+        if rng.random() < share:
+            ctx = _entries(ctx)
+            sub = HasType(ctx, t, target) if kind == _TERM else TypeWF(ctx, t)
+            report, cert = certify(sig, sub)
             if cert is not None:
                 held.append(cert)
     return held
 
 
+def _copy(j):
+    """An equal judgement that shares no object with ``j``, so no
+    certificate applies to it."""
+    if isinstance(j, HasType):
+        return HasType(fresh_copy(j.ctx), fresh_copy(j.term), fresh_copy(j.ty))
+    return TypeWF(fresh_copy(j.ctx), fresh_copy(j.ty))
+
+
 def _by_rules(sig, j):
-    """(verdict, reason, locus) of ``j`` with no certificate for any of its
-    objects: a copy shares none."""
-    r = check(sig, HasType(fresh_copy(j.ctx), fresh_copy(j.term), fresh_copy(j.ty)))
+    """(verdict, reason, locus) of ``j`` by the rules alone."""
+    r = check(sig, _copy(j))
     return r.verdict, r.reason, r.locus
 
 
@@ -848,16 +862,67 @@ def _inferred(sig, ctx, term):
         return "reject", err.reason, err.locus
 
 
+def _random_instance(sig, gen, rng):
+    """A certified family over a generated context, a component the
+    generator finds for it over that context with up to two more entries,
+    and what ``instantiate`` makes of them: (held certificates, context,
+    instance), or None when the generator finds no family large enough to
+    be certified or no component."""
+    delta = gen.random_context(rng.randrange(0, 3))
+    over = gen.random_type(delta, 4)
+    family = gen.random_type(delta + (over,), 8)
+    _, fam = certify(sig, TypeWF(delta + (over,), family))
+    if fam is None:
+        return None
+    ctx = delta
+    for _ in range(rng.randrange(0, 3)):
+        ctx = ctx + (gen.random_type(ctx, 3),)
+    k = len(ctx) - len(delta)
+    s = gen.random_term(ctx, shift(over, k), 4)
+    if s is None:
+        return None
+    report, out, cert = instantiate(fam, ctx, s)
+    assert report.ok and syntactic_equal(out, inst(family, (s,), k, 0)[0])
+    assert (cert is None) == (size(out) <= len(ctx) + 1)
+    return [fam, cert], ctx, out
+
+
+def _instance_cases(gen, ctx, instance):
+    """Judgements on a certified instance: as a type at its own context,
+    at a context with one entry more or less on the outside, at one with an
+    entry replaced, and as the type of generated terms and their mutants;
+    and the instance as a term of itself."""
+    cases = [TypeWF(ctx, instance), TypeWF((NatTy,) + ctx, instance),
+             HasType(ctx, instance, instance)]
+    if ctx:
+        cases.append(TypeWF(ctx[1:], instance))
+        i = gen.rng.randrange(len(ctx))
+        for m in list(mutations(ctx[i]))[:4]:
+            cases.append(TypeWF(ctx[:i] + (m,) + ctx[i + 1:], instance))
+    term = gen.random_term(ctx, instance, 4)
+    if term is not None:
+        cases.append(HasType(ctx, term, instance))
+        cases += [HasType(ctx, m, instance) for m in list(mutations(term))[:6]]
+    return cases
+
+
+def _size(j):
+    n = sum(size(e) for e in j.ctx) + size(j.ty)
+    return n + size(j.term) if isinstance(j, HasType) else n
+
+
 @settings(max_examples=120)
 @given(st.randoms(use_true_random=False), st.floats(0.0, 1.0))
 def test_certificates_never_change_a_verdict(rng, share):
-    """Certificates for random accepted sub-judgements of a generated
-    judgement.  The judgement, its single-node mutants of term, type and
-    context entries, and its term and type over contexts with one entry
-    replaced, added or dropped, all of which share the untouched subterms,
-    must keep their (verdict, reason, locus) and stay within C * n^2 + C
-    steps, C = 2; ``infer`` must give each term the type, or the (reason,
-    locus), that it gives a copy."""
+    """Certificates for random accepted term and type sub-judgements of a
+    generated judgement, and for an instance that ``instantiate`` makes of
+    a generated family.  The judgement, its single-node mutants of term,
+    type and context entries, and its term and type over contexts with one
+    entry replaced, added or dropped, all of which share the untouched
+    subterms, and judgements on the instance, must keep their (verdict,
+    reason, locus) and stay within C * n^2 + C steps, C = 2; ``infer`` must
+    give each term the type, or the (reason, locus), that it gives a
+    copy."""
     sig = default_signature()
     gen = Generator(sig, rng)
     ctx, term, ty = gen.random_judgement()
@@ -872,19 +937,128 @@ def test_certificates_never_change_a_verdict(rng, share):
     cases.append(HasType((NatTy,) + ctx, term, ty))
     if ctx:
         cases.append(HasType(ctx[1:], term, ty))
+    held = []
+    made = _random_instance(sig, gen, rng)
+    if made is not None:
+        held, instance_ctx, instance = made
+        cases += _instance_cases(gen, instance_ctx, instance)
     want = [_by_rules(sig, j) for j in cases]
-    want_inferred = [_inferred(sig, fresh_copy(j.ctx), fresh_copy(j.term)) for j in cases]
-    held = _certify_obligations(sig, original, rng, share)
-    # and some mutants' own accepted sub-judgements
+    terms = [j for j in cases if isinstance(j, HasType)]
+    want_inferred = [_inferred(sig, fresh_copy(j.ctx), fresh_copy(j.term)) for j in terms]
+    held += _certify_obligations(sig, original, rng, share)
+    # and some other cases' own accepted sub-judgements
     for j in rng.sample(cases, min(3, len(cases))):
         held += _certify_obligations(sig, j, rng, share)
-    for j, expected, inferred in zip(cases, want, want_inferred):
+    for j, expected in zip(cases, want):
         r = check(sig, j)
         assert (r.verdict, r.reason, r.locus) == expected, j
-        n = sum(size(e) for e in j.ctx) + size(j.term) + size(j.ty)
+        n = _size(j)
         assert r.steps <= 2 * n * n + 2, (j, r.steps, n)
+    for j, inferred in zip(terms, want_inferred):
         assert _inferred(sig, j.ctx, j.term) == inferred, j
     del held
+
+
+def _family():
+    """z : A |- Id(A, z, z) over [A], certified, and its instance at
+    ``a`` over [A], which is large enough to be certified too."""
+    return (A,), A, Id(A, Var(0), Var(0))
+
+
+def test_instantiate_types_an_instance_by_the_substitution_lemma(sig):
+    delta, over, family = _family()
+    _, fam = certify(sig, TypeWF(delta + (over,), family))
+    report, out, cert = instantiate(fam, delta, a)
+    assert report.ok and out == Id(A, a, a)
+    assert cert is not None and cert.judgement == TypeWF(delta, out)
+    # the report charges one step, one per entry compared, the component's
+    # obligation and comparison, and the materialized nodes; a check of the
+    # instance walks its context, then compares it instead of walking the
+    # instance
+    assert report.steps == 1 + len(delta) + 2 + size(out)
+    discharged = size(A) + 1 + len(delta)
+    assert check(sig, TypeWF(delta, out)).steps == discharged
+    assert check(sig, TypeWF(delta, fresh_copy(out))).steps > discharged
+    # past one more entry the variables of the context are weakened, and a
+    # variable component is compared with the weakened entry type
+    report, out, cert = instantiate(fam, delta + (NatTy,), Var(1))
+    assert report.ok and out == Id(A, Var(1), Var(1)) and cert is not None
+    assert check(sig, TypeWF(delta + (NatTy,), out)).ok
+    # an instance no larger than its context plus one gets no certificate
+    report, out, cert = instantiate(fam, delta + (NatTy, NatTy), Var(2))
+    assert report.ok and out == Id(A, Var(2), Var(2)) and cert is None
+
+
+def test_instantiate_refuses_an_ill_typed_component_or_another_context(sig):
+    delta, over, family = _family()
+    _, fam = certify(sig, TypeWF(delta + (over,), family))
+    bad = [
+        (delta, Zero, "zero against non-Nat type", ("component",)),
+        (delta + (NatTy,), Var(0), "variable type mismatch", ("component",)),
+        (delta, Var(1), "unbound variable", ("component",)),
+        ((NatTy,), a, "context does not extend the family's", (("ctx", 0),)),
+        ((), a, "context does not extend the family's", (("ctx", 0),)),
+    ]
+    # only a judgement that passed every stage is a family: an instance
+    # certificate does not show that its context's last entry is a type
+    _, instance, cert = instantiate(fam, delta + (NatTy,), Var(1))
+    _, term = certify(sig, HasType((A,), Refl(A, a), Id(A, a, a)))
+    for other in (cert, term):
+        with pytest.raises(ValueError):
+            instantiate(other, (A, A), a)
+    before = set(ott.checker._certificates)
+    for ctx, s, reason, locus in bad:
+        report, out, cert = instantiate(fam, ctx, s)
+        assert (report.verdict, report.reason, report.locus) == ("reject", reason, locus)
+        assert out is None and cert is None
+    assert set(ott.checker._certificates) <= before
+
+
+def test_instance_certified_at_an_ill_formed_context_accepts_nothing(sig):
+    """An instance certificate promises what a type stage is promised: its
+    context is not checked, and ``check`` checks the context first."""
+    delta, over, family = _family()
+    _, fam = certify(sig, TypeWF(delta + (over,), family))
+    ctx = delta + (Zero,)  # zero is not a type
+    report, out, cert = instantiate(fam, ctx, Var(1))
+    assert report.ok and cert is not None
+    for j in (TypeWF(ctx, out), HasType(ctx, Refl(A, Var(1)), out)):
+        r = check(sig, j)
+        assert (r.verdict, r.reason, r.locus) == _by_rules(sig, j) == (
+            "reject", "not a type", (("ctx", 1),))
+
+
+def test_certificates_discharge_only_their_own_kind(sig):
+    """No term rule's subject has tag PI or ID, so a type object is never
+    a term; a certified type is still no term of itself, and a certified
+    term is still no type."""
+    pi = Pi(A, Id(A, Var(0), Var(0)))
+    _, as_type = certify(sig, TypeWF((A,), pi))
+    assert as_type is not None
+    refl = Refl(A, Var(0))
+    _, as_term = certify(sig, HasType((A,), refl, Id(A, Var(0), Var(0))))
+    assert as_term is not None
+    for j in (HasType((A,), pi, pi), HasType((A, pi), Var(0), pi),
+              HasType((A,), App(A, A, Lambda(A, A, Var(0)), pi), A),
+              TypeWF((A,), refl), TypeWF((A,), Id(A, refl, refl)),
+              TypeWF((A,), Pi(pi, pi))):
+        r = check(sig, j)
+        assert (r.verdict, r.reason, r.locus) == _by_rules(sig, j), j
+    assert _inferred(sig, (A,), pi) == _inferred(sig, (A,), fresh_copy(pi))
+
+
+def test_dead_certificates_discharge_nothing(sig):
+    delta, over, family = _family()
+    report, fam = certify(sig, TypeWF(delta + (over,), family))
+    full = check(sig, TypeWF(delta + (over,), fresh_copy(family))).steps
+    assert check(sig, TypeWF(delta + (over,), family)).steps < full == report.steps
+    _, out, cert = instantiate(fam, delta, a)
+    walked = check(sig, TypeWF(delta, fresh_copy(out))).steps
+    assert check(sig, TypeWF(delta, out)).steps < walked
+    del fam, cert
+    gc.collect()
+    assert check(sig, TypeWF(delta + (over,), family)).steps == full
+    assert check(sig, TypeWF(delta, out)).steps == walked
 
 
 def test_certified_judgement_is_discharged_by_comparison(sig):

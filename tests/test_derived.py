@@ -7,7 +7,7 @@ import pytest
 
 import ott.checker
 import ott.derived
-from ott.checker import HasType, check
+from ott.checker import HasType, TypeWF, check
 from ott.derived import (
     ElabError, congruence_app, symmetry, telescope_idconv, telescope_idrec,
     telescope_pi, transitivity, transport,
@@ -57,6 +57,18 @@ def test_transport_rejects_bad_point(sig):
         transport(sig, ctx, A, NatTy, x, y, p, a)
 
 
+@pytest.mark.parametrize("over, family, what", [
+    # a term where the base type belongs
+    (a, Id(shift(A, 1), Var(0), Var(0)), "base is a type"),
+    # z : A |- Id(A, z, 0) relates a term of A to a numeral
+    (A, Id(shift(A, 1), Var(0), Zero), "family is a type"),
+])
+def test_transport_names_the_ill_formed_base_or_family(sig, over, family, what):
+    ctx, x, y, p = _path_context()
+    with pytest.raises(ElabError, match=f"^precondition failed: transport: {what}$"):
+        transport(sig, ctx, over, family, x, y, p, Refl(A, x))
+
+
 def test_transport_random_instances(sig, rng):
     gen = Generator(sig, rng)
     done = 0
@@ -97,6 +109,37 @@ def test_transport_base_domain_is_the_family_itself(sig, rng):
         IdRec(A, Pi(Id(shift(A, 3), Var(2), Var(2)), Id(shift(A, 4), Var(2), Var(2))),
               x, y, p, Lambda(family, Id(shift(A, 2), Var(1), Var(1)), Var(0))),
         Refl(A, x)))
+
+
+def test_transport_rechecks_in_steps_linear_in_the_family(monkeypatch):
+    """Transport over x. Id(A, chain(x), chain(x)), a chain of applications
+    of the identity or a constant function.  The kernel types the family's
+    instances from its certificate, so the point precondition does not walk
+    fam[src] as a type and the sealed recheck walks none of the six
+    instances the term holds: it stays under ten steps per family node
+    (about eight; fifteen when every instance was walked)."""
+    sig = Signature().with_type("A").with_const("a", A).with_const("c", A)
+    funs = (Lambda(A, A, Var(0)), Lambda(A, A, Const("c")))
+    rng = random.Random(5)
+    links = [rng.choice(funs) for _ in range(256)]
+
+    def chain(v):
+        for f in links:
+            v = App(A, A, f, v)
+        return v
+
+    ctx, x, y, p = _path_context()
+    family = Id(A, chain(Var(0)), chain(Var(0)))
+    seen = _kernel_checks(monkeypatch)
+    result = transport(sig, ctx, A, family, x, y, p, Refl(A, chain(x)))
+    assert syntactic_equal(result.stated_type, Id(A, chain(y), chain(y)))
+    has_type = [(j, r) for j, r in seen if isinstance(j, HasType)]
+    (point, at_point), (sealed, at_seal) = has_type[-2:]
+    assert sealed.term is result.term
+    # checking the point's judgement on a copy walks fam[src], at least one
+    # step per node
+    assert at_point.steps <= _full_steps(sig, point) - size(point.ty)
+    assert at_seal.steps < 10 * size(family)
 
 
 # symmetry / transitivity ----------------------------------------------------
@@ -197,6 +240,18 @@ def test_telescope_rejects_wrong_argument_count(sig):
 def test_telescope_rejects_ill_formed_entry(sig):
     with pytest.raises(ElabError):
         telescope_pi(sig, (), (Zero,), NatTy)
+
+
+@pytest.mark.parametrize("ctx, delta, body, what", [
+    ((), (A, Zero), NatTy, "telescope entry 1 is a type"),
+    ((), (A,), Zero, "telescope body is a type"),
+    # an ill-formed outer context fails the first check
+    ((Zero,), (A,), NatTy, "telescope entry 0 is a type"),
+    ((Zero,), (), NatTy, "telescope body is a type"),
+])
+def test_telescope_names_the_ill_formed_entry_or_body(sig, ctx, delta, body, what):
+    with pytest.raises(ElabError, match=f"^precondition failed: {what}$"):
+        telescope_pi(sig, ctx, delta, body)
 
 
 def test_telescope_dependent_length_two(sig):
@@ -315,17 +370,23 @@ def _kernel_checks(monkeypatch):
 
 
 def _same_judgement(j, k):
-    return (j.term is k.term and syntactic_equal(j.ty, k.ty)
-            and len(j.ctx) == len(k.ctx)
+    """The same term object at an equal type, or the same type object,
+    at an equal context."""
+    if isinstance(j, HasType):
+        same = (isinstance(k, HasType) and j.term is k.term
+                and syntactic_equal(j.ty, k.ty))
+    else:
+        same = isinstance(k, TypeWF) and j.ty is k.ty
+    return (same and len(j.ctx) == len(k.ctx)
             and all(syntactic_equal(e, f) for e, f in zip(j.ctx, k.ctx)))
 
 
 def _repeated(seen):
-    """(judgement, report) of each HasType judgement that reaches the
-    kernel a second time."""
-    has_type = [(j, r) for j, r in seen if isinstance(j, HasType)]
-    return [(j, r) for i, (j, r) in enumerate(has_type)
-            if any(_same_judgement(k, j) for k, _ in has_type[:i])]
+    """(judgement, report) of each HasType or TypeWF judgement that reaches
+    the kernel a second time."""
+    sent = [(j, r) for j, r in seen if isinstance(j, (HasType, TypeWF))]
+    return [(j, r) for i, (j, r) in enumerate(sent)
+            if any(_same_judgement(k, j) for k, _ in sent[:i])]
 
 
 def _checks_on(seen, term):
