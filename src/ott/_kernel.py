@@ -151,7 +151,30 @@ def inst(t, terms, outer, lift):
     return out[0], count
 
 
-def eq_lazy(expected, target):
+def _provenance(index, x):
+    """``x``'s provenance ``(family, s, k, n)`` if ``index`` holds a live
+    entry for the object, else None."""
+    ref = index.get(id(x))
+    holder = ref() if ref is not None else None
+    return holder.provenance if holder is not None else None
+
+
+def _components(index, x, env, y):
+    """The pairs that decide ``x`` under ``env`` against the target ``y``
+    when both are live instances of one family object, else None: ``x``'s
+    component under the environment against ``y``'s, then one pair per
+    outer variable of the family."""
+    px = _provenance(index, x)
+    py = None if px is None else _provenance(index, y)
+    if py is None or py[0] is not px[0]:
+        return None
+    k1, k2 = px[2], py[2]
+    pairs = [((CLO, (VAR, i + k1), env), (VAR, i + k2)) for i in range(py[3])]
+    pairs.append(((CLO, px[1], env), py[1]))
+    return pairs
+
+
+def eq_lazy(expected, target, index=None):
     """Compare a term skeleton against a concrete target term.
 
     ``expected`` may contain ``(CLO, body, env)`` leaves standing for *body
@@ -160,56 +183,92 @@ def eq_lazy(expected, target):
     target.  ``target`` must be closure-free.  Returns ``(equal, steps)``
     where ``steps`` counts head comparisons (bounded by size(target) plus one
     when the terms are equal).
+
+    ``index``, when given, maps ``id`` of a term object to a weak reference
+    whose referent's ``provenance`` is None or ``(family, s, k, n)``: the
+    object is ``inst(family, (s,), k, 0)`` and ``family`` has no free
+    variable past ``n``.  When a closure's body and its target are two such
+    instances of one family object, the pair is first decided by their
+    components, for one step: ``s`` under the closure's environment against
+    the target's ``s``, and each outer variable ``i - 1 + k`` (``i`` from 1
+    to the target's ``n``) against its counterpart.  Their equality is the
+    instances' equality, since substitution is structural; if one differs,
+    the pair is walked as it would be without ``index``, and no other pair
+    is tested during either.  So the answer never depends on ``index``, only
+    the steps do.
     """
     steps = 0
     stack = [(expected, target)]
-    while stack:
-        e, t = stack.pop()
-        etag = e[0]
-        while etag == CLO:
-            body = e[1]
-            env = e[2]
-            lift = env[0]
-            terms = env[1]
-            btag = body[0]
-            if btag == VAR:
-                i = body[1]
-                if i < lift:
-                    e = body
-                elif i - lift < len(terms):
-                    sub = terms[i - lift]
-                    if lift == 0:
-                        e = sub
+    idx = index
+    # while one pair is decided on a stack of its own: the stack set aside,
+    # and the pair itself as long as its components are being compared
+    outer = trial = None
+    while True:
+        while stack:
+            e, t = stack.pop()
+            etag = e[0]
+            while etag == CLO:
+                body = e[1]
+                env = e[2]
+                lift = env[0]
+                terms = env[1]
+                btag = body[0]
+                if btag == VAR:
+                    i = body[1]
+                    if i < lift:
+                        e = body
+                    elif i - lift < len(terms):
+                        sub = terms[i - lift]
+                        if lift == 0:
+                            e = sub
+                        else:
+                            e = (CLO, sub, (0, (), lift))
                     else:
-                        e = (CLO, sub, (0, (), lift))
+                        e = (VAR, i - len(terms) + env[2])
+                    etag = e[0]
+                elif btag == CONST or len(body) == 1:
+                    e = body
+                    etag = btag
                 else:
-                    e = (VAR, i - len(terms) + env[2])
-                etag = e[0]
-            elif btag == CONST or len(body) == 1:
-                e = body
-                etag = btag
+                    if idx is not None and id(body) in idx:
+                        pairs = _components(idx, body, env, t)
+                        if pairs is not None:
+                            steps += 1
+                            outer, stack, trial, idx = stack, pairs, (e, t), None
+                            break
+                    steps += 1
+                    if btag != t[0]:
+                        if trial is None:
+                            return False, steps
+                        stack, trial = [trial], None
+                        break
+                    binders = BINDERS[btag]
+                    k = len(body) - 1
+                    while k >= 1:
+                        b = binders[k - 1]
+                        cenv = env if b == 0 else (lift + b, terms, env[2])
+                        stack.append(((CLO, body[k], cenv), t[k]))
+                        k -= 1
+                    break
             else:
                 steps += 1
-                if btag != t[0]:
-                    return False, steps
-                binders = BINDERS[btag]
-                k = len(body) - 1
-                while k >= 1:
-                    b = binders[k - 1]
-                    cenv = env if b == 0 else (lift + b, terms, env[2])
-                    stack.append(((CLO, body[k], cenv), t[k]))
-                    k -= 1
-                break
-        else:
-            steps += 1
-            if etag != t[0]:
-                return False, steps
-            if etag == VAR or etag == CONST:
-                if e[1] != t[1]:
-                    return False, steps
-            elif len(e) > 1:
-                k = len(e) - 1
-                while k >= 1:
-                    stack.append((e[k], t[k]))
-                    k -= 1
-    return True, steps
+                if etag != t[0]:
+                    if trial is None:
+                        return False, steps
+                    stack, trial = [trial], None
+                    continue
+                if etag == VAR or etag == CONST:
+                    if e[1] != t[1]:
+                        if trial is None:
+                            return False, steps
+                        stack, trial = [trial], None
+                elif len(e) > 1:
+                    k = len(e) - 1
+                    while k >= 1:
+                        stack.append((e[k], t[k]))
+                        k -= 1
+        if outer is None:
+            return True, steps
+        # the components all matched, or the pair was walked: back to the
+        # stack set aside, testing pairs again
+        stack, outer, trial, idx = outer, None, None, index

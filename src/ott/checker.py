@@ -56,6 +56,34 @@ instance is a type provided ``ctx`` is well-formed, which is exactly the
 promise a type obligation already runs under.  Plain ``check`` and ``infer``
 issue none, and only this module enters one into the index.
 
+An instance's certificate records its provenance ``(B, s, k, n)``: it is
+``inst(B, (s,), k, 0)`` for the family object ``B``, whose free variables
+are among the ``n + 1`` of ``delta, x`` (``n = |delta|``).  A type that
+``certify`` certifies over a context with at least one entry is the
+identity instance of itself, ``(B, Var 0, 1, n)``.  The comparison at
+``_run``'s comparison site passes the index to ``eq_lazy``, and when it
+meets an instance ``X`` under a closure environment ``E`` against a live
+instance ``Y`` of the same ``B`` object, it first compares their
+components: ``s_X`` under ``E`` against ``s_Y``, and for each outer
+variable ``i`` from 1 to ``n``, ``Var(i - 1 + k_X)`` under ``E`` against
+``Var(i - 1 + k_Y)``.  Substitution is structural, so if those match, ``X``
+under ``E`` is ``Y``; if one differs, the pair is walked as it would have
+been, so ``eq_lazy``'s answer never changes.  ``instantiate`` records no
+provenance for a component with more nodes than the instance (the family
+does not use its variable).
+
+The motive of an identity eliminator is written at reflexivity for its
+base's premise.  When the motive object has a live ``TypeWF`` certificate,
+``_run`` leaves that instance unwritten and gives the base's obligation the
+closure ``(CLO, motive, env)`` as its target, marked with a private object
+so that no closure in the input is taken for one.  Where the base's rule
+states a type with no substitution of its own, the comparison site
+compares that type against the closure with the sides swapped; anything
+else, and a mismatch there, writes the instance then, charged the nodes
+``inst`` charges, and compares as before.  A closure in the stated type,
+the input's or a conversion rule's, never matches a swapped comparison, so
+it meets the same comparison as without the certificate.
+
 A term obligation with a target whose subject has a ``HasType``
 certificate, or a type obligation whose subject has a ``TypeWF`` one, under
 the same ``Signature`` object, is discharged by comparison instead of its
@@ -77,7 +105,15 @@ quadratic argument still holds.  Each comparison stops at the first mismatch
 and walks no further than the obligation's own context and target, whose
 sizes are linear in the input, so an obligation costs at most a linear
 number of extra steps, and there is at most one obligation per input node.
-With no live certificate ``_run`` makes no lookup at all.
+A component comparison costs at most ``n + size(s_Y) + 1`` steps.  ``Y``
+has more than ``n`` nodes (it is certified) and at least as many as
+``s_Y`` (a larger component gets no provenance), and ``Y`` is the part of
+the comparison's target it stands against, so both terms are linear in the
+input.  No pair inside a component comparison, or inside the walk that
+follows a failed one, is tested again, so the tested pairs of one
+comparison are disjoint subterms of its target and the comparison stays
+linear in its target.  With no live certificate ``_run`` makes no lookup at
+all, and ``eq_lazy`` gets no index.
 """
 
 from __future__ import annotations
@@ -160,10 +196,21 @@ class Certificate:
     instance)`` provided ``ctx`` is well-formed.  While it lives, an
     obligation of the same kind (a term obligation for ``HasType``, a type
     obligation for ``TypeWF``) on the same subject object that matches it is
-    discharged by comparison."""
+    discharged by comparison.
+
+    ``provenance`` is None for a term.  For a type it is ``(B, s, k, n)``
+    when the type is ``inst(B, (s,), k, 0)`` for the family object ``B``
+    over ``n`` entries and one binder: an instance from ``instantiate``, or
+    ``(B, Var 0, 1, n)`` for a type ``certify`` certified over ``n + 1``
+    entries, the family as its own identity instance.  ``eq_lazy``
+    compares two live instances of one family object by these components
+    before walking them, and a live ``TypeWF`` certificate on an identity
+    eliminator's motive lets ``_run`` leave the motive at reflexivity
+    unwritten."""
     sig: Signature
     judgement: Union[HasType, TypeWF]
     conditional: bool = False
+    provenance: Optional[tuple] = None
 
 
 # id(term) -> weak reference to the live Certificate indexed for that term
@@ -180,9 +227,23 @@ def _forget(key, ref):
         _certificates.pop(key, None)
 
 
+def _live(certs, sig, t, kind):
+    """The live certificate of class ``kind`` (``HasType`` or ``TypeWF``)
+    indexed for the object ``t`` under ``sig``, or None."""
+    ref = certs.get(id(t))
+    cert = ref() if ref is not None else None
+    if cert is not None and cert.sig is sig and cert.judgement.__class__ is kind:
+        return cert
+    return None
+
+
 _TYPE = 0
 _TERM = 1
 _NAT = (NAT,)
+# The last slot of the closure that ``_run``'s IDREC rule gives its base's
+# obligation as the target, the motive at reflexivity left unwritten.  No
+# input holds this object, so a closure in the input is never taken for it.
+_UNWRITTEN = object()
 
 # Task tuples: (kind, ctx cons-list, subject, target-or-None, path cons-list).
 # The context is a linked list (entry, parent) with the innermost entry at the
@@ -225,7 +286,9 @@ def _matches(j, ctx, target):
         if ty is target:
             steps = 1
         else:
-            eq, steps = _k.eq_lazy(ty, target)
+            # a motive left unwritten is compared with the sides swapped
+            eq, steps = (_k.eq_lazy(target, ty) if target[-1] is _UNWRITTEN
+                         else _k.eq_lazy(ty, target))
             if not eq:
                 return False, steps
     entries = j.ctx
@@ -254,6 +317,8 @@ def _run(sig: Signature, stack: list):
     consts = sig.constants
     atomics = sig.atomic_types
     certs = _certificates or None
+    # whether this run has left a motive unwritten (IDREC)
+    unwritten = False
     steps = 0
     while stack:
         kind, ctx, t, target, path = stack.pop()
@@ -263,16 +328,13 @@ def _run(sig: Signature, stack: list):
             if tag == PI or tag == ID:
                 # a certified type is discharged by comparing contexts; a
                 # leaf type never has a certificate
-                if certs is not None:
-                    ref = certs.get(id(t))
-                    if ref is not None:
-                        cert = ref()
-                        if (cert is not None and cert.sig is sig
-                                and cert.judgement.__class__ is TypeWF):
-                            eq, c = _matches(cert.judgement, ctx, None)
-                            steps += c
-                            if eq:
-                                continue
+                if certs is not None and id(t) in certs:
+                    cert = _live(certs, sig, t, TypeWF)
+                    if cert is not None:
+                        eq, c = _matches(cert.judgement, ctx, None)
+                        steps += c
+                        if eq:
+                            continue
                 if tag == PI:
                     stack.append((_TYPE, (t[1], ctx), t[2], None, (1, path)))
                     stack.append((_TYPE, ctx, t[1], None, (0, path)))
@@ -286,16 +348,14 @@ def _run(sig: Signature, stack: list):
 
         # a certified subject is discharged by comparison; a variable or a
         # constant is a leaf, which never has a certificate
-        if certs is not None and tag != VAR and tag != CONST:
-            ref = certs.get(id(t))
-            if ref is not None:
-                cert = ref()
-                if (cert is not None and cert.sig is sig and target is not None
-                        and cert.judgement.__class__ is HasType):
-                    eq, c = _matches(cert.judgement, ctx, target)
-                    steps += c
-                    if eq:
-                        continue
+        if (certs is not None and tag != VAR and tag != CONST and target is not None
+                and id(t) in certs):
+            cert = _live(certs, sig, t, HasType)
+            if cert is not None:
+                eq, c = _matches(cert.judgement, ctx, target)
+                steps += c
+                if eq:
+                    continue
 
         # term against target.  Each rule pushes its premises and names the
         # type its conclusion states, ``expected`` (standing under the
@@ -406,19 +466,36 @@ def _run(sig: Signature, stack: list):
                 rhs = expected[3] if tag == NATCONVZERO else _apply(expected[3])
                 expected = (ID, _apply(expected[1]), expected[2], rhs)
             return True, None, expected, steps
+        # A motive at reflexivity that IDREC left unwritten.  An
+        # ``expected`` with no environment of its own is compared against it
+        # with the sides swapped, where a closure in ``expected`` never
+        # matches; anything else, or a mismatch there, writes the motive as
+        # IDREC would have, charged the same nodes, and compares as below,
+        # so the verdict is the same.
+        swapped = False
+        if unwritten and target[-1] is _UNWRITTEN:
+            if env is None:
+                swapped, c = _k.eq_lazy(target, expected, certs)
+                steps += c
+            if not swapped:
+                lift, terms, outer = target[2]
+                target, c = _k.inst(target[1], terms, outer, lift)
+                steps += c
         # A leaf (a constant or a one-slot node such as Nat) is unchanged by
         # any substitution, so it is decided here in one head step, exactly
         # as ``eq_lazy`` takes and charges it; anything else goes to
         # ``eq_lazy``.
         etag = expected[0]
-        if etag == CONST or len(expected) == 1 and etag != VAR and etag != CLO:
+        if swapped:
+            pass
+        elif etag == CONST or len(expected) == 1 and etag != VAR and etag != CLO:
             steps += 1
             if etag != target[0] or etag == CONST and expected[1] != target[1]:
                 return False, why, _path(path), steps
         else:
             if env is not None:
                 expected = (CLO, expected, env)
-            eq, c = _k.eq_lazy(expected, target)
+            eq, c = _k.eq_lazy(expected, target, certs)
             steps += c
             if not eq:
                 return False, why, _path(path), steps
@@ -439,8 +516,14 @@ def _run(sig: Signature, stack: list):
                 minst = p
                 steps += 1
             else:
-                minst, c3 = _k.inst(p, ((REFL, a1, (VAR, 0)), (VAR, 0), (VAR, 0)), 1, 0)
-                steps += c3
+                refl = ((REFL, a1, (VAR, 0)), (VAR, 0), (VAR, 0))
+                if certs is not None and _live(certs, sig, p, TypeWF) is not None:
+                    # the base's target stays a closure until it is compared
+                    minst = (CLO, p, (0, refl, 1), _UNWRITTEN)
+                    unwritten = True
+                else:
+                    minst, c3 = _k.inst(p, refl, 1, 0)
+                    steps += c3
             ctx3 = ((ID, a2, (VAR, 1), (VAR, 0)), (a1, (a, ctx)))
             stack.append((_TERM, (a, ctx), base, minst, (5, path)))
             stack.append((_TERM, ctx, pth, (ID, a, lhs, rhs), (4, path)))
@@ -495,9 +578,8 @@ def check(sig: Signature, j: Judgement) -> CheckReport:
     t0 = time.perf_counter_ns()
     cmp_steps = 0
     if _certificates and isinstance(j, HasType):
-        ref = _certificates.get(id(j.term))
-        cert = ref() if ref is not None else None
-        if cert is not None and cert.sig is sig and cert.judgement.__class__ is HasType:
+        cert = _live(_certificates, sig, j.term, HasType)
+        if cert is not None:
             eq, cmp_steps = _matches(cert.judgement, _cons_ctx(j.ctx), j.ty)
             if eq:
                 ns = time.perf_counter_ns() - t0
@@ -510,11 +592,12 @@ def check(sig: Signature, j: Judgement) -> CheckReport:
     return CheckReport("reject", reason, locus, steps, ns)
 
 
-def _issue(sig: Signature, j, subject: Term, conditional=False) -> Certificate:
+def _issue(sig: Signature, j, subject: Term, conditional=False,
+           provenance=None) -> Certificate:
     """A certificate for ``j``, indexed by ``subject`` for as long as the
     caller holds it unless a live one for the same object is indexed
     already; either way it stays sound to hold."""
-    cert = Certificate(sig, j, conditional)
+    cert = Certificate(sig, j, conditional, provenance)
     key = id(subject)
     ref = _certificates.get(key)
     if ref is None or ref() is None:
@@ -542,10 +625,14 @@ def certify(sig: Signature, j: Union[HasType, TypeWF]
     the kernel indexes for as long as the caller holds it, or None.  A term
     gets one unless it is a leaf; a type gets one if it has more nodes than
     its context has entries plus one, since a discharge compares every entry
-    and could cost as much as the rules."""
+    and could cost as much as the rules.  A type over a context with at
+    least one entry is the identity instance of itself as a family,
+    ``B[Var 0]`` with the other variables weakened by 1, and its
+    certificate records that provenance."""
     report = check(sig, j)
     if not report.ok:
         return report, None
+    provenance = None
     if isinstance(j, HasType):
         t = j.term
         if t[0] == VAR or t[0] == CONST or len(t) == 1:
@@ -554,7 +641,9 @@ def certify(sig: Signature, j: Union[HasType, TypeWF]
         t = j.ty
         if not _exceeds(t, len(j.ctx) + 1):
             return report, None
-    return report, _issue(sig, j, t)
+        if j.ctx:
+            provenance = (t, (VAR, 0), 1, len(j.ctx) - 1)
+    return report, _issue(sig, j, t, provenance=provenance)
 
 
 def instantiate(cert: Certificate, ctx: Context, s: Term
@@ -610,7 +699,12 @@ def instantiate(cert: Certificate, ctx: Context, s: Term
         return CheckReport("reject", reason, locus, steps, ns), None, None
     out, nodes = _k.inst(j.ty, (s,), k, 0)
     steps += nodes
-    issued = _issue(cert.sig, TypeWF(ctx, out), out, True) if nodes > len(ctx) + 1 else None
+    issued = None
+    if nodes > len(ctx) + 1:
+        # a component larger than the instance is one the family does not
+        # use; comparing it could cost more than walking the instance
+        provenance = None if _exceeds(s, nodes) else (j.ty, s, k, n)
+        issued = _issue(cert.sig, TypeWF(ctx, out), out, True, provenance)
     ns = time.perf_counter_ns() - t0
     return CheckReport("accept", None, None, steps, ns), out, issued
 

@@ -24,9 +24,18 @@ certificate: the kernel checks the component and writes the instance, and
 its certificate says the instance is a type over the instance's context
 provided that context is well-formed.  So neither the point precondition
 nor the sealed recheck walks an instance as a type; they compare contexts.
-Only the kernel enters judgements into its index, and only ones its rules or
-the substitution rule accepted; every new term still goes through the
-kernel's rules.
+The certificate also records the instance's provenance, the family object,
+the component and the weakening, and the family counts as its own identity
+instance.  The sealed recheck compares one instance against another six
+times (docs/transport-indices.md lists them), and the kernel decides each
+pair by comparing their components, at most the family's outer variables
+plus the component's nodes plus one step, instead of walking the family.
+With a certified family, transport also certifies its motive as a type, so
+the recheck leaves the motive at reflexivity unwritten and the base is
+compared against it lazily.  The recheck's cost then does not depend on
+the family's size.  Only the kernel enters judgements into its index, and
+only ones its rules or the substitution rule accepted; every new term still
+goes through the kernel's rules.
 
 Index conventions (worked through in docs/transport-indices.md): a motive
 over three binders sees the innermost binder (the path) as index 0, its right
@@ -123,6 +132,15 @@ def _instance(family, cert, ctx, extra, s, held):
     return out
 
 
+def _certified_type(sig, ctx, ty):
+    """The certificate of an emitted type; as with a term, a failure is a
+    construction bug."""
+    report, cert = certify(sig, TypeWF(ctx, ty))
+    if not report.ok:
+        raise RecheckFailure(f"emitted type failed recheck: {report.reason} at {report.locus}")
+    return cert
+
+
 def _sealed(sig, ctx, term, ty, held=()) -> ElabResult:
     """Recheck an emitted term; ``held`` keeps the certificates of the
     emitter's preconditions alive until then."""
@@ -160,6 +178,11 @@ def transport(sig: Signature, ctx: Context, family_over: Term, family: Term,
     binders = _ctx3((), family_over)
     dom = _instance(family, fam, ctx, binders, (VAR, 2), held)
     motive = (PI, dom, _instance(family, fam, ctx, binders + (dom,), (VAR, 2), held))
+    if fam is not None:
+        # with the motive's certificate the recheck leaves the motive at
+        # reflexivity unwritten; both instances in it are certified, so the
+        # check compares contexts
+        held.append(_certified_type(sig, ctx + binders, motive))
     # Base: under x the identity function on family[x].  The domain is the
     # family itself: x is its own index 0.
     base = (LAM, family, _instance(family, fam, ctx, (family_over, family), (VAR, 1), held),

@@ -14,6 +14,7 @@ from ott.terms import (
     App, BetaConv, Const, Id, IdConv, IdRec, Lambda, NatConvSucc, NatConvZero,
     NatRec, NatTy, Pi, Refl, Signature, Succ, Var, Zero, size, syntactic_equal,
 )
+from ott import kernel as _k
 from ott.kernel import APP, CLO, CONST, NAT, SUCC, VAR, inst
 from ott.subst import shift, subst
 from ott.testing import (
@@ -862,29 +863,84 @@ def _inferred(sig, ctx, term):
         return "reject", err.reason, err.locus
 
 
-def _random_instance(sig, gen, rng):
-    """A certified family over a generated context, a component the
-    generator finds for it over that context with up to two more entries,
-    and what ``instantiate`` makes of them: (held certificates, context,
-    instance), or None when the generator finds no family large enough to
-    be certified or no component."""
+def _random_family(sig, gen, rng):
+    """A family over a generated context, certified: (its certificate,
+    delta, the type of its variable), or None when the generator finds no
+    family large enough to be certified."""
     delta = gen.random_context(rng.randrange(0, 3))
     over = gen.random_type(delta, 4)
     family = gen.random_type(delta + (over,), 8)
     _, fam = certify(sig, TypeWF(delta + (over,), family))
-    if fam is None:
-        return None
+    return None if fam is None else (fam, delta, over)
+
+
+def _component(gen, delta, over, ctx):
+    """A generated component for a family over ``delta`` at ``ctx``, or
+    None."""
+    return gen.random_term(ctx, shift(over, len(ctx) - len(delta)), 4)
+
+
+def _random_instance(gen, rng, fam, delta, over):
+    """A component the generator finds for a certified family over its
+    context with up to two more entries, and what ``instantiate`` makes of
+    them: (held certificates, context, instance), or None when the
+    generator finds no component."""
     ctx = delta
     for _ in range(rng.randrange(0, 3)):
         ctx = ctx + (gen.random_type(ctx, 3),)
     k = len(ctx) - len(delta)
-    s = gen.random_term(ctx, shift(over, k), 4)
+    s = _component(gen, delta, over, ctx)
     if s is None:
         return None
     report, out, cert = instantiate(fam, ctx, s)
-    assert report.ok and syntactic_equal(out, inst(family, (s,), k, 0)[0])
+    assert report.ok and syntactic_equal(out, inst(fam.judgement.ty, (s,), k, 0)[0])
     assert (cert is None) == (size(out) <= len(ctx) + 1)
-    return [fam, cert], ctx, out
+    return [cert], ctx, out
+
+
+def _instance_comparisons(gen, rng, fam, delta, over):
+    """Judgements whose rule compares an instance of a certified family
+    under an environment against another instance of it: a variable whose
+    entry is one, at a type that is one (the entry under a shift), and an
+    application whose codomain is one, at a type that is one (the codomain
+    under the argument).  Each second instance is at the component that
+    makes the two equal, or at a generated one, or is the first instance
+    itself, whose outer variables then differ.  Returns (held
+    certificates, judgements)."""
+    held, cases = [], []
+
+    def instance(ctx, s):
+        report, out, cert = instantiate(fam, ctx, s)
+        assert report.ok
+        held.append(cert)
+        return out
+
+    ctx = delta
+    for _ in range(rng.randrange(0, 2)):
+        ctx = ctx + (gen.random_type(ctx, 3),)
+    s = _component(gen, delta, over, ctx)
+    if s is not None:
+        outer = ctx + (instance(ctx, s),)
+        for _ in range(rng.randrange(0, 2)):
+            outer = outer + (gen.random_type(outer, 3),)
+        m = len(outer) - len(ctx) - 1
+        for s2 in (shift(s, m + 1), _component(gen, delta, over, outer)):
+            if s2 is not None:
+                cases.append(HasType(outer, Var(m), instance(outer, s2)))
+        cases.append(HasType(outer, Var(m), outer[len(ctx)]))
+    dom = shift(over, len(ctx) - len(delta))
+    s = Var(0) if rng.random() < 0.5 else _component(gen, delta, over, ctx + (dom,))
+    arg = gen.random_term(ctx, dom, 4)
+    if s is not None and arg is not None:
+        cod = instance(ctx + (dom,), s)
+        fun = gen.random_term(ctx, Pi(dom, cod), 4)
+        if fun is not None:
+            app = App(dom, cod, fun, arg)
+            for s2 in (subst(s, arg), _component(gen, delta, over, ctx)):
+                if s2 is not None:
+                    cases.append(HasType(ctx, app, instance(ctx, s2)))
+            cases.append(HasType(ctx, app, cod))
+    return held, cases
 
 
 def _instance_cases(gen, ctx, instance):
@@ -915,14 +971,15 @@ def _size(j):
 @given(st.randoms(use_true_random=False), st.floats(0.0, 1.0))
 def test_certificates_never_change_a_verdict(rng, share):
     """Certificates for random accepted term and type sub-judgements of a
-    generated judgement, and for an instance that ``instantiate`` makes of
-    a generated family.  The judgement, its single-node mutants of term,
+    generated judgement, and for instances that ``instantiate`` makes of a
+    generated family.  The judgement, its single-node mutants of term,
     type and context entries, and its term and type over contexts with one
     entry replaced, added or dropped, all of which share the untouched
-    subterms, and judgements on the instance, must keep their (verdict,
-    reason, locus) and stay within C * n^2 + C steps, C = 2; ``infer`` must
-    give each term the type, or the (reason, locus), that it gives a
-    copy."""
+    subterms, judgements on an instance, and judgements that compare two
+    instances of the family under an environment, must keep their
+    (verdict, reason, locus) and stay within C * n^2 + C steps, C = 2;
+    ``infer`` must give each term the type, or the (reason, locus), that it
+    gives a copy."""
     sig = default_signature()
     gen = Generator(sig, rng)
     ctx, term, ty = gen.random_judgement()
@@ -938,10 +995,17 @@ def test_certificates_never_change_a_verdict(rng, share):
     if ctx:
         cases.append(HasType(ctx[1:], term, ty))
     held = []
-    made = _random_instance(sig, gen, rng)
-    if made is not None:
-        held, instance_ctx, instance = made
-        cases += _instance_cases(gen, instance_ctx, instance)
+    family = _random_family(sig, gen, rng)
+    if family is not None:
+        held.append(family[0])
+        made = _random_instance(gen, rng, *family)
+        if made is not None:
+            certs, instance_ctx, instance = made
+            held += certs
+            cases += _instance_cases(gen, instance_ctx, instance)
+        certs, compared = _instance_comparisons(gen, rng, *family)
+        held += certs
+        cases += compared
     want = [_by_rules(sig, j) for j in cases]
     terms = [j for j in cases if isinstance(j, HasType)]
     want_inferred = [_inferred(sig, fresh_copy(j.ctx), fresh_copy(j.term)) for j in terms]
@@ -1059,6 +1123,187 @@ def test_dead_certificates_discharge_nothing(sig):
     gc.collect()
     assert check(sig, TypeWF(delta + (over,), family)).steps == full
     assert check(sig, TypeWF(delta, out)).steps == walked
+
+
+def _applied(arg):
+    """``(lam(z : A) z)(arg)``, the identity applied at ``arg``."""
+    return App(A, A, Lambda(A, A, Var(0)), arg)
+
+
+def _instances(sig, family):
+    """The certified family ``z : A |- family`` over [A], its instance
+    ``x`` at ``a`` over [A], and ``y``, the instance at ``a`` over [A, x],
+    which equals ``x`` weakened by one, so the variable rule compares
+    ``x`` under that shift against ``y``: (held certificates, judgement,
+    x, y)."""
+    _, fam = certify(sig, TypeWF((A, A), family))
+    _, x, x_cert = instantiate(fam, (A,), a)
+    _, y, y_cert = instantiate(fam, (A, x), a)
+    assert fam is not None and x_cert is not None and y_cert is not None
+    return [fam, x_cert, y_cert], HasType((A, x), Var(0), y), x, y
+
+
+_SHIFT = (0, (), 1)
+
+
+def test_instances_of_one_family_compare_by_their_components(sig):
+    """x under the shift against y is ``a`` against ``a`` and the family's
+    one outer variable, Var(0) shifted against Var(1), plus one step: three
+    steps where the walk takes one per node of y."""
+    family = Id(A, _applied(Var(0)), Var(1))
+    held, j, x, y = _instances(sig, family)
+    index = ott.checker._certificates
+    assert _k.eq_lazy((CLO, x, _SHIFT), y, index) == (True, 3)
+    assert _k.eq_lazy((CLO, x, _SHIFT), y) == (True, size(y))
+    # x under the shift against x itself: the components ``a`` match, the
+    # outer variable does not (Var(1) against Var(0)), so the pair is
+    # walked, to the mismatch at that variable
+    walked = _k.eq_lazy((CLO, x, _SHIFT), x)
+    assert walked == (False, size(x))
+    assert _k.eq_lazy((CLO, x, _SHIFT), x, index) == (False, 3 + size(x))
+    r = check(sig, j)
+    assert (r.verdict, r.reason, r.locus) == _by_rules(sig, j) == ("accept", None, None)
+    # the family itself is its identity instance: its variable at Var(0)
+    # weakened by one, against the instance at Var(1) past one more entry
+    fam = held[0]
+    _, z, z_cert = instantiate(fam, (A, A, family), Var(1))
+    assert _k.eq_lazy((CLO, family, _SHIFT), z, index) == (True, 3)
+    j = HasType((A, A, family), Var(0), z)
+    assert check(sig, j).ok and check(sig, j).steps < check(sig, _copy(j)).steps
+    del held, z_cert
+
+
+def test_components_that_differ_where_the_family_does_not_look_fall_back(sig):
+    """A family that never uses its variable has equal instances at
+    different components: the components differ, so the pair is walked,
+    and the answer is the walk's."""
+    family = Id(A, _applied(Var(1)), Var(1))
+    _, fam = certify(sig, TypeWF((A, A), family))
+    _, x, x_cert = instantiate(fam, (A,), a)
+    _, y, y_cert = instantiate(fam, (A, x), Var(1))
+    assert syntactic_equal(y, shift(x, 1))
+    walked = _k.eq_lazy((CLO, x, _SHIFT), y)
+    assert walked == (True, size(y))
+    # one step for the test, one for ``a`` against Var(1), then the walk
+    assert _k.eq_lazy((CLO, x, _SHIFT), y, ott.checker._certificates) == (True, 2 + size(y))
+    j = HasType((A, x), Var(0), y)
+    r = check(sig, j)
+    assert (r.verdict, r.reason, r.locus) == _by_rules(sig, j) == ("accept", None, None)
+    # a component larger than its instance gets no provenance: comparing it
+    # could cost more than walking the instance
+    big = _applied(_applied(a))
+    _, z, z_cert = instantiate(fam, (A,), big)
+    assert size(big) > size(z) and z_cert is not None and z_cert.provenance is None
+    assert x_cert.provenance == (family, a, 0, 1)
+    # and an outer variable that differs where the family does not look
+    family = Id(A, _applied(Var(0)), Var(0))
+    _, fam = certify(sig, TypeWF((A, A), family))
+    _, x, x_cert = instantiate(fam, (A,), a)
+    _, y, y_cert = instantiate(fam, (A, A), a)
+    assert syntactic_equal(x, y)
+    assert _k.eq_lazy(x, y) == (True, size(y))
+    assert _k.eq_lazy((CLO, x, (0, (), 0)), y, ott.checker._certificates) == (
+        True, 2 + 1 + size(y))
+    del fam, x_cert, y_cert
+
+
+def test_equal_family_objects_share_no_provenance(sig):
+    """Two instances at matching components of two equal family objects
+    are walked: provenance names the family object, not its syntax."""
+    family = Id(A, _applied(Var(0)), Var(1))
+    other = fresh_copy(family)
+    _, fam = certify(sig, TypeWF((A, A), family))
+    _, fam2 = certify(sig, TypeWF((A, A), other))
+    _, x, x_cert = instantiate(fam, (A,), a)
+    _, y, y_cert = instantiate(fam2, (A, x), a)
+    assert x_cert.provenance[0] is family and y_cert.provenance[0] is other
+    index = ott.checker._certificates
+    assert _k.eq_lazy((CLO, x, _SHIFT), y, index) == _k.eq_lazy((CLO, x, _SHIFT), y) == (
+        True, size(y))
+    j = HasType((A, x), Var(0), y)
+    r = check(sig, j)
+    assert (r.verdict, r.reason, r.locus) == _by_rules(sig, j)
+    del fam, fam2, x_cert, y_cert
+
+
+def test_dead_instance_certificate_gives_the_full_walk(sig):
+    family = Id(A, _applied(Var(0)), Var(1))
+    held, j, x, y = _instances(sig, family)
+    index = ott.checker._certificates
+    compared = check(sig, j).steps
+    assert _k.eq_lazy((CLO, x, _SHIFT), y, index) == (True, 3)
+    del held[2]
+    gc.collect()
+    assert _k.eq_lazy((CLO, x, _SHIFT), y, index) == (True, size(y))
+    assert check(sig, j).steps > compared
+    del held
+
+
+@pytest.mark.parametrize("body", [Var(0), Refl(A, _applied(_applied(Var(1)))), a],
+                         ids=["variable", "reflexivity", "constant"])
+def test_base_annotation_holding_a_closure_keeps_its_verdict(sig, body):
+    """The base's lambda annotation is a closure that stands for the
+    family.  The comparison with the sides swapped, against the motive left
+    unwritten, cannot match it, so the motive at reflexivity is written and
+    compared as without the motive's certificate: the same verdict, reason
+    and locus either way."""
+    from ott.derived import _ctx3, transport
+
+    ctx = (A, A, Id(A, Var(1), Var(0)))
+    chain = _applied(_applied(Var(0)))
+    family = Id(A, chain, chain)
+    point = Refl(A, _applied(_applied(Var(2))))
+    result = transport(sig, ctx, A, family, Var(2), Var(1), Var(0), point)
+    fam_src, codomain, carrier, _ = result.term[1:]
+    _, over, motive, lhs, rhs, path, base = carrier
+    assert base[1] is family
+    bad = Lambda((CLO, family, (0, (), 0)), base[2], body)
+    carrier = IdRec(over, motive, lhs, rhs, path, bad)
+    j = HasType(ctx, App(fam_src, codomain, carrier, point), result.stated_type)
+    _, motive_cert = certify(sig, TypeWF(ctx + _ctx3((), over), motive))
+    assert motive_cert is not None
+    with_certificate = check(sig, j)
+    del motive_cert
+    gc.collect()
+    without = check(sig, j)
+    assert (with_certificate.verdict, with_certificate.reason, with_certificate.locus) == (
+        without.verdict, without.reason, without.locus)
+
+
+def test_a_closure_in_the_input_is_never_an_unwritten_motive(sig):
+    """The target the IDREC rule leaves unwritten is a closure that only
+    the kernel builds.  A closure the input holds, as a lambda's codomain
+    or as a stated type, still never matches a target, whatever
+    certificates are live."""
+    lam = HasType((), Lambda(A, (CLO, A, (0, (), 0)), a), Pi(A, A))
+    term, ty = Refl(A, Var(0)), Id(A, Var(0), Var(0))
+    stated = HasType((A,), term, (CLO, ty, (0, (), 0)))
+    want = [_by_rules(sig, j) for j in (lam, stated)]
+    assert want == [("reject", "constant type mismatch", ("term", 2)),
+                    ("reject", "not a type", ("type",))]
+    _, cert = certify(sig, HasType((A,), term, ty))
+    assert cert is not None
+    for j, expected in zip((lam, stated), want):
+        r = check(sig, j)
+        assert (r.verdict, r.reason, r.locus) == expected
+    del cert
+
+
+def test_unwritten_motive_meets_a_substituted_type_written(sig):
+    """A rule that states its type under a substitution, such as the
+    variable rule's shift, is never compared with the sides swapped: the
+    motive is written first.  Here the entry, unshifted, is the motive,
+    and shifted it is not."""
+    from ott.checker import _UNWRITTEN
+
+    _, held = certify(sig, HasType((A,), Refl(A, Var(0)), Id(A, Var(0), Var(0))))
+    assert held is not None
+    entry = Id(A, Var(0), Var(0))
+    motive = (CLO, fresh_copy(entry), (0, (), 0), _UNWRITTEN)
+    obligation = (_TERM, _cons_ctx((A, entry)), Var(0), motive, ("term", None))
+    ok, reason, locus, _ = _run(sig, [obligation])
+    assert (ok, reason, locus) == (False, "variable type mismatch", ("term",))
+    del held
 
 
 def test_certified_judgement_is_discharged_by_comparison(sig):

@@ -113,33 +113,37 @@ def test_transport_base_domain_is_the_family_itself(sig, rng):
 
 def test_transport_rechecks_in_steps_linear_in_the_family(monkeypatch):
     """Transport over x. Id(A, chain(x), chain(x)), a chain of applications
-    of the identity or a constant function.  The kernel types the family's
-    instances from its certificate, so the point precondition does not walk
-    fam[src] as a type and the sealed recheck walks none of the six
-    instances the term holds: it stays under ten steps per family node
-    (about eight; fifteen when every instance was walked)."""
+    of the identity or a constant function, at 64 and at 256 links.  The
+    kernel types the family's instances from its certificate, so the point
+    precondition does not walk fam[src] as a type, and the sealed recheck
+    walks none of the six instances the term holds: it compares each pair
+    of them by their components and leaves the motive at reflexivity
+    unwritten, so it costs the same steps at both sizes."""
     sig = Signature().with_type("A").with_const("a", A).with_const("c", A)
     funs = (Lambda(A, A, Var(0)), Lambda(A, A, Const("c")))
     rng = random.Random(5)
     links = [rng.choice(funs) for _ in range(256)]
-
-    def chain(v):
-        for f in links:
-            v = App(A, A, f, v)
-        return v
-
     ctx, x, y, p = _path_context()
-    family = Id(A, chain(Var(0)), chain(Var(0)))
-    seen = _kernel_checks(monkeypatch)
-    result = transport(sig, ctx, A, family, x, y, p, Refl(A, chain(x)))
-    assert syntactic_equal(result.stated_type, Id(A, chain(y), chain(y)))
-    has_type = [(j, r) for j, r in seen if isinstance(j, HasType)]
-    (point, at_point), (sealed, at_seal) = has_type[-2:]
-    assert sealed.term is result.term
-    # checking the point's judgement on a copy walks fam[src], at least one
-    # step per node
-    assert at_point.steps <= _full_steps(sig, point) - size(point.ty)
-    assert at_seal.steps < 10 * size(family)
+    sealed_steps = []
+    for length in (64, 256):
+        def chain(v):
+            for f in links[:length]:
+                v = App(A, A, f, v)
+            return v
+
+        family = Id(A, chain(Var(0)), chain(Var(0)))
+        seen = _kernel_checks(monkeypatch)
+        result = transport(sig, ctx, A, family, x, y, p, Refl(A, chain(x)))
+        assert syntactic_equal(result.stated_type, Id(A, chain(y), chain(y)))
+        has_type = [(j, r) for j, r in seen if isinstance(j, HasType)]
+        (point, at_point), (sealed, at_seal) = has_type[-2:]
+        assert sealed.term is result.term
+        # checking the point's judgement on a copy walks fam[src], at least
+        # one step per node
+        assert at_point.steps <= _full_steps(sig, point) - size(point.ty)
+        sealed_steps.append(at_seal.steps)
+        monkeypatch.undo()
+    assert sealed_steps[0] == sealed_steps[1]
 
 
 # symmetry / transitivity ----------------------------------------------------
