@@ -11,13 +11,10 @@ benchmark.
 
 from .checker import (
     CheckReport, CtxtWF, HasType, InferFailure, Judgement, TypeWF,
-    check, check_ctxt, infer,
+    check, infer,
 )
 from .kernel import BACKEND
-from .subst import (
-    ContextMorphism, SubstEnv, apply_morphism, compose, equal_under_subst,
-    identity, shift, subst,
-)
+from .subst import ContextMorphism, apply_morphism, compose, identity, shift, subst
 from .terms import (
     App, BetaConv, Const, Context, Id, IdConv, IdRec, Lambda, NatConvSucc,
     NatConvZero, NatRec, NatTy, Pi, Refl, Signature, Succ, Telescope, Term,
@@ -32,8 +29,8 @@ __all__ = [
     "Var", "Const", "Pi", "Lambda", "App", "BetaConv", "Id", "Refl",
     "IdRec", "IdConv", "NatTy", "Zero", "Succ", "NatRec", "NatConvZero",
     "NatConvSucc", "size", "syntactic_equal",
-    "SubstEnv", "ContextMorphism", "shift", "subst", "equal_under_subst",
-    "apply_morphism", "compose", "identity",
+    "ContextMorphism", "shift", "subst", "apply_morphism", "compose",
+    "identity",
     "CheckReport", "Judgement", "CtxtWF", "TypeWF", "HasType",
-    "check", "check_ctxt", "infer", "InferFailure",
+    "check", "infer", "InferFailure",
 ]

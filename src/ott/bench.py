@@ -18,22 +18,21 @@ The families pin down the checker's distinct cost paths:
 
 Every generated judgement is derivable by construction and verified once at
 generation time; sizes land within ten percent of the request.  Generation is
-closed-form, hence deterministic; the seed is recorded in reports for
-forward compatibility but does not currently influence the shapes.
+closed-form, hence deterministic: ``BenchConfig.seed`` is accepted and not
+used.
 """
 
 from __future__ import annotations
 
 import math
 import statistics
-import time
 from dataclasses import dataclass
 from typing import Optional
 
 from . import kernel as _kernel
 from .checker import HasType, Judgement, check
 from .terms import (
-    App, BetaConv, Const, Id, IdRec, Lambda, NatConvSucc, NatRec, NatTy, Pi,
+    App, Const, Id, IdRec, Lambda, NatConvSucc, NatRec, NatTy, Pi,
     Refl, Signature, Succ, Var, Zero, size,
 )
 
@@ -49,6 +48,7 @@ DEFAULT_SIZES = tuple(2 ** k for k in range(10, 18))
 
 @dataclass(frozen=True)
 class BenchConfig:
+    """One family at the given sizes; ``seed`` is accepted and not used."""
     family: str
     sizes: tuple = DEFAULT_SIZES
     repetitions: int = 1
@@ -75,7 +75,6 @@ class BenchRow:
 @dataclass(frozen=True)
 class BenchReport:
     family: str
-    seed: int
     backend: str
     rows: tuple
     slope: float
@@ -246,6 +245,6 @@ def run_bench(cfg: BenchConfig) -> BenchReport:
         [r.judgement_size for r in rows], [r.median_steps for r in rows]
     )
     return BenchReport(
-        cfg.family, cfg.seed, _kernel.BACKEND, tuple(rows),
+        cfg.family, _kernel.BACKEND, tuple(rows),
         slope, intercept, slope <= SLOPE_LIMIT, _wall_slope(rows),
     )

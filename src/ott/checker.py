@@ -133,7 +133,7 @@ from .terms import Context, Signature, Term
 
 __all__ = [
     "CheckReport", "Judgement", "CtxtWF", "TypeWF", "HasType",
-    "check", "check_ctxt", "infer", "InferFailure", "Certificate", "certify",
+    "check", "infer", "InferFailure", "Certificate", "certify",
     "instantiate",
 ]
 
@@ -707,11 +707,6 @@ def instantiate(cert: Certificate, ctx: Context, s: Term
         issued = _issue(cert.sig, TypeWF(ctx, out), out, True, provenance)
     ns = time.perf_counter_ns() - t0
     return CheckReport("accept", None, None, steps, ns), out, issued
-
-
-def check_ctxt(sig: Signature, ctx: Context) -> CheckReport:
-    """Decide that ``ctx`` is a well-formed context."""
-    return check(sig, CtxtWF(ctx))
 
 
 # Type synthesis.  Uniqueness of types makes the result canonical: the one

@@ -1,7 +1,8 @@
 """Command-line front door: run check scripts and the scaling benchmark.
 
 Exit codes: 0 all verdicts accept, 1 at least one verification failure,
-2 syntax or name error, 3 usage or I/O error.  Any nesting depth that the
+2 syntax or name error, 3 usage or I/O error (a closed standard output
+among them).  Any nesting depth that the
 checker accepts is accepted.  ``--json`` switches every command to a
 line-delimited record stream; ``--steps`` adds the instrumented counters to
 the human-readable output.
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .bench import DEFAULT_SIZES, FAMILIES, BenchConfig, run_bench
@@ -236,7 +238,7 @@ def _cmd_bench(args) -> int:
     sizes = tuple(int(s) for s in args.sizes.split(","))
     status = OK
     for family in FAMILIES if args.family == "all" else [args.family]:
-        report = run_bench(BenchConfig(family, sizes, args.reps, args.seed))
+        report = run_bench(BenchConfig(family, sizes, args.reps))
         if args.json:
             for row in report.rows:
                 print(json.dumps({
@@ -275,13 +277,11 @@ def main(argv=None) -> int:
     parser.add_argument("--steps", action="store_true",
                         help="show step counters in human output")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("check", "infer", "elab"):
-        p = sub.add_parser(name, help=f"run a .ott script (emphasis: {name} items)")
-        p.add_argument("path")
+    p = sub.add_parser("check", help="run a .ott script")
+    p.add_argument("path")
     b = sub.add_parser("bench", help="run the scaling benchmark")
     b.add_argument("--family", default="all", choices=FAMILIES + ("all",))
     b.add_argument("--sizes", default=",".join(str(s) for s in DEFAULT_SIZES))
-    b.add_argument("--seed", type=int, default=0)
     b.add_argument("--reps", type=int, default=1)
 
     try:
@@ -289,13 +289,22 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return USAGE if exc.code not in (0, None) else 0
 
-    if args.command != "bench":
-        return run_script(args.path, args)
     try:
-        return _cmd_bench(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if args.command == "check":
+            status = run_script(args.path, args)
+        else:
+            try:
+                status = _cmd_bench(args)
+            except ValueError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                status = USAGE
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: point stdout at devnull, so that the flush at
+        # interpreter exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return USAGE
+    return status
 
 
 if __name__ == "__main__":

@@ -55,12 +55,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from . import kernel as _k
 # ``check`` is not called here, but stays a name of this module: profilers
 # and tests wrap the kernel entry points where the elaborators import them
 from .checker import Certificate, HasType, TypeWF, certify, check, instantiate  # noqa: F401
 from .kernel import APP, BETA, ID, IDCONV, IDREC, LAM, PI, REFL, VAR
-from .subst import shift
+from .subst import inst, shift
 from .terms import Context, Signature, Telescope, Term
 
 __all__ = [
@@ -85,11 +84,6 @@ class ElabResult:
     context: Context
     # the kernel's certificate for the judgement, None for a leaf term
     certificate: Optional[Certificate] = field(compare=False, repr=False)
-
-
-def _inst(t, terms, outer=0, lift=0):
-    out, _ = _k.inst(t, terms, outer, lift)
-    return out
 
 
 def _require(sig, ctx, term, ty, what):
@@ -123,7 +117,7 @@ def _instance(family, cert, ctx, extra, s, held):
     appended to ``held``; a family too small to have a certificate is
     materialized and left to the rules."""
     if cert is None:
-        return _inst(family, (s,), len(extra))
+        return inst(family, (s,), len(extra))
     report, out, issued = instantiate(cert, ctx + extra, s)
     if not report.ok:
         raise RecheckFailure(f"instance refused: {report.reason} at {report.locus}")
@@ -220,7 +214,7 @@ def congruence_app(sig: Signature, ctx: Context, domain: Term, codomain: Term,
     the two applications at ``arg``."""
     fun_ty = (PI, domain, codomain)
     steps = ((domain, codomain),)
-    result_ty = _inst(codomain, (arg,))
+    result_ty = inst(codomain, (arg,))
     return _spine_congruence(sig, ctx, fun_ty, fun_a, fun_b, path, steps, (arg,),
                              result_ty)
 
@@ -246,7 +240,7 @@ def _spine_steps(entries, body, args):
     for arg in args:
         _, dom, cod = cur_ty
         steps.append((dom, cod))
-        cur_ty = _inst(cod, (arg,))
+        cur_ty = inst(cod, (arg,))
     return tuple(steps), cur_ty
 
 
@@ -329,7 +323,7 @@ class TelescopePi:
             dom = scope_ty[1]
             held.append(_require(self.sig, self.ctx, arg, dom,
                                  f"argument {i} inhabits its telescope entry"))
-            scope_ty = _inst(scope_ty[2], (arg,))
+            scope_ty = inst(scope_ty[2], (arg,))
         return scope_ty, held
 
     def app(self, fun: Term, args) -> ElabResult:
@@ -378,9 +372,9 @@ def _beta_witness(sig, ctx, entries, body_ty, body, args) -> ElabResult:
         dom, arg = entries[0], args[0]
         term = (BETA, dom, body_ty, arg, body)
         stated = (
-            ID, _inst(body_ty, (arg,)),
+            ID, inst(body_ty, (arg,)),
             (APP, dom, body_ty, (LAM, dom, body_ty, body), arg),
-            _inst(body, (arg,)),
+            inst(body, (arg,)),
         )
         return _sealed(sig, ctx, term, stated)
     front, last = entries[:-1], entries[-1]
@@ -393,17 +387,17 @@ def _beta_witness(sig, ctx, entries, body_ty, body, args) -> ElabResult:
     _, pi_inst, spine_head, lam_inst = ih.stated_type
     _, dom_i, cod_i = pi_inst
     step = ((dom_i, cod_i),)
-    result_ty = _inst(cod_i, (last_arg,))
+    result_ty = inst(cod_i, (last_arg,))
     # rewrite the head of the final application along the induction hypothesis
     cong = _spine_congruence(sig, ctx, pi_inst, spine_head, lam_inst, ih.term,
                              step, (last_arg,), result_ty)
     # one-variable computation witness at the substituted data
     rev = tuple(reversed(front_args))
-    body_inst = _inst(body, rev, 0, 1)
+    body_inst = inst(body, rev, 0, 1)
     bc = (BETA, dom_i, cod_i, last_arg, body_inst)
     lhs = _spine_app(step, spine_head, (last_arg,), 0)
     mid = _spine_app(step, lam_inst, (last_arg,), 0)
-    rhs = _inst(body_inst, (last_arg,))
+    rhs = inst(body_inst, (last_arg,))
     return transitivity(sig, ctx, result_ty, lhs, mid, rhs, cong.term, bc)
 
 
@@ -414,7 +408,7 @@ def _ctx3(ctx: Context, over: Term) -> Context:
 
 def _subst_tele(delta, triple, outer):
     """Instantiate the three elimination binders under each telescope entry."""
-    return tuple(_inst(entry, triple, outer, j) for j, entry in enumerate(delta))
+    return tuple(inst(entry, triple, outer, j) for j, entry in enumerate(delta))
 
 
 def _product_motive(sig, ctx, over, delta, motive, base):
@@ -426,7 +420,7 @@ def _product_motive(sig, ctx, over, delta, motive, base):
     a1 = shift(over, 1)
     refl_triple = ((REFL, a1, (VAR, 0)), (VAR, 0), (VAR, 0))
     delta_refl = _subst_tele(delta, refl_triple, 1)
-    motive_refl = _inst(motive, refl_triple, 1, len(delta))
+    motive_refl = inst(motive, refl_triple, 1, len(delta))
     product_refl = telescope_pi(sig, ctx + (over,), delta_refl, motive_refl)
     return product.pi_type, product_refl.lam(base).term
 
@@ -454,7 +448,7 @@ def telescope_idrec(sig: Signature, ctx: Context, over: Term, delta: Telescope,
     # apply the carrier through the telescope instantiated at the endpoints
     end_triple = (path, rhs, lhs)
     delta_end = _subst_tele(delta, end_triple, 0)
-    motive_end = _inst(motive, end_triple, 0, k)
+    motive_end = inst(motive, end_triple, 0, k)
     product_end = telescope_pi(sig, ctx, delta_end, motive_end)
     return product_end.app(carrier, args)
 
@@ -482,24 +476,24 @@ def telescope_idconv(sig: Signature, ctx: Context, over: Term, delta: Telescope,
     if k == 0:
         term = (IDCONV, over, big_motive, point, s)
         stated = (
-            ID, _inst(big_motive, (rfl, point, point)),
+            ID, inst(big_motive, (rfl, point, point)),
             (IDREC, over, big_motive, point, point, rfl, s),
-            _inst(s, (point,)),
+            inst(s, (point,)),
         )
         return _sealed(sig, ctx, term, stated, held)
 
     point_triple = (rfl, point, point)
     delta_pt = _subst_tele(delta, point_triple, 0)
-    motive_pt = _inst(motive, point_triple, 0, k)
+    motive_pt = inst(motive, point_triple, 0, k)
     product_pt = telescope_pi(sig, ctx, delta_pt, motive_pt)
-    base_at_point = _inst(base, (point,), 0, k)
+    base_at_point = inst(base, (point,), 0, k)
     # the telescope computation witness for the product, which finishes the
     # chain below; it also checks each argument against its entry
     tail = product_pt.betaconv(base_at_point, args)
 
     carrier = (IDREC, over, big_motive, point, point, rfl, s)
-    s_at_point = _inst(s, (point,))
-    big_motive_pt = _inst(big_motive, point_triple)
+    s_at_point = inst(s, (point,))
+    big_motive_pt = inst(big_motive, point_triple)
 
     # the primitive computation witness rewrites the spine head
     idc = (IDCONV, over, big_motive, point, s)
@@ -515,4 +509,4 @@ def telescope_idconv(sig: Signature, ctx: Context, over: Term, delta: Telescope,
 
 def _inst_args(body: Term, args) -> Term:
     """Instantiate a term binding ``len(args)`` telescope variables."""
-    return _inst(body, tuple(reversed(args)))
+    return inst(body, tuple(reversed(args)))

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from . import kernel as _k
 from .kernel import (
-    APP, BETA, CLO, CONST, ID, IDCONV, IDREC, LAM, NAT, NATCONVSUCC,
+    APP, BETA, CONST, ID, IDCONV, IDREC, LAM, NAT, NATCONVSUCC,
     NATCONVZERO, NATREC, PI, REFL, SUCC, VAR, ZERO,
 )
 

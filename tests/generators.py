@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import random
 
-from .checker import _TERM, _TYPE, _cons_ctx, _run
-from .kernel import APP, CONST, ID, IDREC, LAM, NAT, NATREC, PI, REFL, SUCC, VAR, ZERO
-from .subst import shift
-from . import kernel as _k
-from .terms import Context, Signature, Term
+from ott.checker import _TERM, _TYPE, _cons_ctx, _run
+from ott.kernel import APP, CONST, ID, IDREC, LAM, NAT, NATREC, PI, REFL, SUCC, VAR, ZERO
+from ott.subst import ContextMorphism, inst, shift
+from ott.terms import Context, Signature, Term
 
 __all__ = [
     "Generator", "default_signature", "fresh_copy", "mutations", "premise_count",
@@ -29,11 +28,6 @@ __all__ = [
 
 def default_signature() -> Signature:
     return Signature().with_type("A").with_const("a", (CONST, "A"))
-
-
-def _inst(t, terms, outer=0, lift=0):
-    out, _ = _k.inst(t, terms, outer, lift)
-    return out
 
 
 class Generator:
@@ -164,8 +158,6 @@ class Generator:
         """Contexts E >= Theta >= Delta >= Gamma with typed morphisms between
         them: projections whose components are sometimes replaced by other
         inhabitants of the required type."""
-        from .subst import ContextMorphism
-
         gamma = self.random_context(self.rng.randrange(0, 3), fuel)
 
         def extend(base: Context) -> Context:
@@ -182,7 +174,7 @@ class Generator:
             extra = len(source) - len(target)
             terms: list = []
             for i, entry in enumerate(target):
-                expected = _inst(entry, tuple(reversed(terms)))
+                expected = inst(entry, tuple(reversed(terms)))
                 var_pick = (VAR, len(target) - 1 - i + extra)
                 var_ok = expected == shift(entry, len(target) - i + extra)
                 pick = None

@@ -34,7 +34,8 @@ from ott.terms import (
     App, BetaConv, Const, Id, IdConv, IdRec, Lambda, NatConvZero, NatRec,
     NatTy, Pi, Refl, Signature, Succ, Var, Zero, size, syntactic_equal,
 )
-from ott.testing import Generator, default_signature, mutations, premise_count
+
+from generators import Generator, default_signature, mutations, premise_count
 
 A = Const("A")
 
@@ -257,7 +258,7 @@ def test_criterion_5_admissible_rules_recheck():
     # may depend on the endpoints
     from itertools import product as iproduct
 
-    from ott.derived import _inst as dinst
+    from ott.subst import inst as dinst
 
     sig2 = Signature().with_type("A").with_const("a", A)
     a_const = Const("a")
@@ -323,7 +324,7 @@ def test_criterion_5b_telescope_eliminators_recheck():
     computation witness is emitted for every telescope of length <= 2."""
     from itertools import product as iproduct
 
-    from ott.derived import _inst as dinst
+    from ott.subst import inst as dinst
 
     sig = default_signature()
     a_const = Const("a")

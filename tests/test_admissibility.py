@@ -12,7 +12,8 @@ import random
 from ott.checker import HasType, check
 from ott.subst import ContextMorphism, apply_morphism, shift
 from ott.terms import syntactic_equal
-from ott.testing import Generator, default_signature
+
+from generators import Generator, default_signature
 
 
 def _weaken_context(ctx, position, entry):
@@ -43,7 +44,7 @@ def test_weakening_preserves_judgements(sig, rng):
 
 def test_weakening_preserves_rejections(sig, rng):
     gen = Generator(sig, rng)
-    from ott.testing import mutations
+    from generators import mutations
 
     hits = 0
     while hits < 100:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import ott.checker
 from ott.checker import (
     _TERM, CtxtWF, HasType, InferFailure, TypeWF, _cons_ctx, _run,
-    _seed_judgement, certify, check, check_ctxt, infer, instantiate,
+    _seed_judgement, certify, check, infer, instantiate,
 )
 from ott.terms import (
     App, BetaConv, Const, Id, IdConv, IdRec, Lambda, NatConvSucc, NatConvZero,
@@ -17,7 +17,8 @@ from ott.terms import (
 from ott import kernel as _k
 from ott.kernel import APP, CLO, CONST, NAT, SUCC, VAR, inst
 from ott.subst import shift, subst
-from ott.testing import (
+
+from generators import (
     Generator, default_signature, fresh_copy, mutations, premise_count,
 )
 
@@ -36,27 +37,27 @@ def _nat(n):
 
 
 def test_empty_context_accepts(sig):
-    assert check_ctxt(sig, ()).ok
+    assert check(sig, CtxtWF(())).ok
 
 
 def test_singleton_context_accepts(sig):
-    assert check_ctxt(sig, (A,)).ok
+    assert check(sig, CtxtWF((A,))).ok
 
 
 def test_context_rejects_bad_entry_with_index(sig):
-    report = check_ctxt(sig, (Id(A, Const("missing"), Const("missing")),))
+    report = check(sig, CtxtWF((Id(A, Const("missing"), Const("missing")),)))
     assert not report.ok
     assert report.locus[0] == ("ctx", 0)
 
 
 def test_context_entry_may_use_earlier_entries(sig):
     ctx = (A, Id(shift(A, 1), Var(0), Var(0)))
-    assert check_ctxt(sig, ctx).ok
+    assert check(sig, CtxtWF(ctx)).ok
 
 
 def test_context_entry_cannot_see_later_entries(sig):
     ctx = (Id(shift(A, 1), Var(0), Var(0)), A)
-    assert not check_ctxt(sig, ctx).ok
+    assert not check(sig, CtxtWF(ctx)).ok
 
 
 def test_context_entries_share_one_cons_list():
@@ -706,7 +707,7 @@ def _leaf_mutants(t):
     """Each node of ``t`` replaced by each leaf of ``all_terms(1)``, and each
     variable by the next index."""
     from ott.oracle import all_terms
-    from ott.testing import replace_at, subterm_paths
+    from generators import replace_at, subterm_paths
 
     leaves = all_terms(1)[1]
     for path, node in subterm_paths(t):

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -139,7 +140,7 @@ postulate a : A
 elab [x : A, y : A, p : Id(A, x, y)] |- symmetry(A, x, y, p)
 elab [] |- tele_pi{[x : A, e : Id(A, x, a)] . Nat}
 """)
-    result = _run(["elab", path])
+    result = _run(["check", path])
     assert result.returncode == 0
     assert "rechecked : Id(A, y, x)" in result.stdout
 
@@ -152,7 +153,7 @@ def test_elab_rejection_prints_its_error_only(tmp_path, capsys):
 postulate A : Type
 elab [x : A, y : A, p : Id(A, x, x)] |- symmetry(A, x, y, p)
 """)
-    assert cli.main(["elab", path]) == 1
+    assert cli.main(["check", path]) == 1
     assert capsys.readouterr().out == (
         "FAIL elab symmetry  -- precondition failed: transport: path relates the endpoints\n"
     )
@@ -333,6 +334,32 @@ def test_bench_json_smoke():
 def test_usage_error_exit_code():
     result = _run(["bench", "--family", "zigzag"])
     assert result.returncode == 3
+
+
+@pytest.mark.parametrize("args", [
+    ["infer", "demo/basics.ott"],
+    ["elab", "demo/equality.ott"],
+    ["bench", "--seed", "0"],
+])
+def test_removed_aliases_and_options_are_usage_errors(args):
+    """``check`` runs every kind of item, and the bench shapes take no seed."""
+    result = _run(args, cwd=ROOT)
+    assert result.returncode == 3
+    assert result.stdout == ""
+
+
+def test_closed_stdout_exits_three_without_a_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe now fails
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "ott.cli", "check", "demo/basics.ott"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, cwd=ROOT,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 3
+    assert result.stderr == ""
 
 
 # golden corpus: scripts whose verdicts were fixed by the enumeration oracle

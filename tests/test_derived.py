@@ -17,7 +17,8 @@ from ott.terms import (
     App, BetaConv, Const, Id, IdConv, IdRec, Lambda, NatTy, Pi, Refl, Signature,
     Succ, Var, Zero, size, syntactic_equal,
 )
-from ott.testing import Generator, fresh_copy
+
+from generators import Generator, fresh_copy
 
 A = Const("A")
 a = Const("a")

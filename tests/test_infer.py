@@ -10,7 +10,8 @@ from ott.terms import (
 )
 from ott.kernel import CLO
 from ott.subst import shift
-from ott.testing import Generator, mutations
+
+from generators import Generator, mutations
 
 A = Const("A")
 a = Const("a")

@@ -13,7 +13,8 @@ from ott.terms import (
     App, Const, Id, IdRec, Lambda, NatRec, NatTy, Pi, Refl, Succ, Var, Zero,
     size, syntactic_equal,
 )
-from ott.testing import Generator
+
+from generators import Generator
 
 A = Const("A")
 ROOT = Path(__file__).resolve().parents[1]

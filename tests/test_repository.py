@@ -1,9 +1,11 @@
 """Repository hygiene: nothing that .gitignore excludes is tracked, no
 function in the package recurses on the Python stack, only the kernel
-enters judgements into its certificate index, and only the checker's rule
-table dispatches on a term rule's tag."""
+enters judgements into its certificate index, only the checker's rule
+table dispatches on a term rule's tag, no module imports a name it does not
+use, and the public surface the README shows exists and runs."""
 
 import ast
+import re
 import shutil
 import subprocess
 from pathlib import Path
@@ -31,8 +33,8 @@ _RECURSION_ALLOWED = {
     # depth is the telescope length, and each level multiplies the output
     ("derived.py", "_beta_witness"),
 }
-# test references, not part of the checker
-_RECURSION_EXEMPT_FILES = {"oracle.py", "testing.py"}
+# a test reference, not part of the checker
+_RECURSION_EXEMPT_FILES = {"oracle.py"}
 
 
 def _self_calls(tree):
@@ -217,3 +219,86 @@ def test_tag_comparison_scan_finds_dispatch():
         "        return leaf()\n"
     )
     assert _tag_comparisons(tree) == [("conclusion", 7), ("conclusion", 9), ("certify", 14)]
+
+
+# No module in the package imports a name it does not use.  ``kernel.py``
+# exists to re-export, a name in a module's ``__all__`` is exported, and an
+# import statement with a line marked ``# noqa: F401`` is kept on purpose.
+_IMPORT_EXEMPT_FILES = {"kernel.py"}
+
+
+def _unused_imports(source):
+    """(name, line) of each name that a module-level or nested import binds
+    and no other code of the module reads."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported = {e.value for e in ast.walk(node.value) if isinstance(e, ast.Constant)}
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in used and name not in exported:
+                found.append((name, node.lineno))
+    return sorted(found, key=lambda item: item[1])
+
+
+def test_no_unused_imports():
+    offenders = []
+    for path in sorted((ROOT / "src" / "ott").glob("*.py")):
+        if path.name in _IMPORT_EXEMPT_FILES:
+            continue
+        for name, line in _unused_imports(path.read_text(encoding="utf-8")):
+            offenders.append(f"{path.name}:{line} {name}")
+    assert offenders == []
+
+
+def test_unused_import_scan_finds_unused_names():
+    source = (
+        "from __future__ import annotations\n"
+        "import os\n"
+        "import os.path\n"
+        "import time\n"
+        "from .kernel import CLO, VAR as V, size\n"
+        "from .checker import check  # noqa: F401\n"
+        "from .terms import (\n    Pi,\n    Var,  # noqa: F401\n)\n"
+        "from .subst import shift\n"
+        "__all__ = ['shift']\n"
+        "def f(t):\n"
+        "    import json\n"
+        "    return os.getcwd(), V, size(t)\n"
+    )
+    assert _unused_imports(source) == [("time", 4), ("CLO", 5), ("json", 14)]
+
+
+def test_every_exported_name_resolves():
+    import importlib
+
+    missing = []
+    for path in sorted((ROOT / "src" / "ott").glob("*.py")):
+        name = "ott" if path.stem == "__init__" else f"ott.{path.stem}"
+        module = importlib.import_module(name)
+        missing += [f"{name}.{n}" for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert missing == []
+
+
+def test_readme_library_example_runs():
+    from ott import Const, Id, Var
+
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", text, re.S)
+    assert len(blocks) == 1
+    scope: dict = {}
+    exec(compile(blocks[0], "README.md", "exec"), scope)
+    assert scope["report"].verdict == "accept"
+    assert scope["result"].stated_type == Id(Const("A"), Var(1), Var(1))

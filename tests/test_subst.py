@@ -5,14 +5,13 @@ from hypothesis import given, settings
 
 from ott import kernel
 from ott.subst import (
-    SubstEnv, apply_env, apply_morphism, compose, equal_under_subst,
-    equal_under_subst_steps, identity, shift, subst, subst_env,
+    ContextMorphism, apply_morphism, compose, identity, inst, shift, subst,
 )
 from ott.terms import (
     Const, Id, Lambda, NatTy, Pi, Refl, Succ, Var, Zero, size, syntactic_equal,
 )
-from ott.testing import Generator, default_signature
 
+from generators import Generator, default_signature
 from test_terms import terms
 
 _BINDERS = kernel.BINDERS
@@ -92,27 +91,39 @@ def test_subst_shift_commutation(t, a):
 
 
 # lazy comparison ------------------------------------------------------------
+#
+# A substitution is the kernel's ``(lift, terms, outer)`` triple: ``inst``
+# applies it eagerly, and ``kernel.eq_lazy`` compares the closure node
+# ``(CLO, t, triple)`` against a target without building ``t``'s instance.
+
+
+def _eager(t, env):
+    lift, terms, outer = env
+    return inst(t, terms, outer, lift)
+
+
+def _lazy(t, env, target):
+    """(equal, steps) of ``t`` under ``env`` against ``target``."""
+    return kernel.eq_lazy((kernel.CLO, t, env), target)
 
 
 @given(terms, terms, terms)
 @settings(max_examples=150)
 def test_equal_under_subst_matches_materialization(t, a, target):
-    env = subst_env(a)
-    assert equal_under_subst(t, env, target) == \
-        syntactic_equal(apply_env(t, env), target)
+    env = (0, (a,), 0)
+    assert _lazy(t, env, target)[0] == syntactic_equal(_eager(t, env), target)
 
 
 @given(terms, st.integers(0, 3), terms)
 def test_equal_under_shift_matches_materialization(t, by, target):
-    env = SubstEnv(0, (), by)
-    assert equal_under_subst(t, env, target) == \
-        syntactic_equal(apply_env(t, env), target)
+    env = (0, (), by)
+    assert _lazy(t, env, target)[0] == syntactic_equal(_eager(t, env), target)
 
 
 def test_equal_under_subst_trivial():
     a = Succ(Zero)
-    assert equal_under_subst(Var(0), subst_env(a), a)
-    eq, steps = equal_under_subst_steps(Var(0), subst_env(Zero), Succ(Zero))
+    assert _lazy(Var(0), (0, (a,), 0), a)[0]
+    eq, steps = _lazy(Var(0), (0, (Zero,), 0), Succ(Zero))
     assert not eq
     assert steps <= 2  # head mismatch is found immediately
 
@@ -120,14 +131,14 @@ def test_equal_under_subst_trivial():
 @given(terms, terms, terms)
 @settings(max_examples=200)
 def test_equal_under_subst_cost_bounded_by_target(t, a, target):
-    _, steps = equal_under_subst_steps(t, subst_env(a), target)
+    _, steps = _lazy(t, (0, (a,), 0), target)
     assert steps <= size(target) + 1
 
 
 @given(terms, terms)
 def test_equal_under_subst_cost_exact_on_success(t, a):
-    target = apply_env(t, subst_env(a))
-    eq, steps = equal_under_subst_steps(t, subst_env(a), target)
+    target = _eager(t, (0, (a,), 0))
+    eq, steps = _lazy(t, (0, (a,), 0), target)
     assert eq
     assert steps == size(target)
 
@@ -149,10 +160,8 @@ def test_identity_is_neutral_trivial():
 
 
 def test_apply_morphism_closed_term_under_empty_target():
-    from ott.subst import empty_morphism
-
     theta = Id(NatTy, Zero, Succ(Zero))
-    bang = empty_morphism((Const("A"),))
+    bang = ContextMorphism((Const("A"),), (), ())
     assert apply_morphism(theta, bang) == theta
 
 
@@ -188,8 +197,8 @@ def test_compose_requires_matching_contexts():
 
 
 def _naive_env(t, env, depth=0):
-    """Reference semantics for a full substitution environment."""
-    lift, terms, outer = env.lift, env.terms, env.outer
+    """Reference semantics for a full ``(lift, terms, outer)`` substitution."""
+    lift, terms, outer = env
     if t[0] == kernel.VAR:
         i = t[1]
         if i < lift + depth:
@@ -208,25 +217,24 @@ def _naive_env(t, env, depth=0):
 @given(terms, st.lists(terms, max_size=3), st.integers(0, 2), st.integers(0, 2))
 @settings(max_examples=300)
 def test_apply_env_matches_reference_semantics(t, subs, lift, outer):
-    env = SubstEnv(lift, tuple(subs), outer)
-    assert apply_env(t, env) == _naive_env(t, env)
+    env = (lift, tuple(subs), outer)
+    assert _eager(t, env) == _naive_env(t, env)
 
 
 @given(terms, st.lists(terms, max_size=3), st.integers(0, 2), st.integers(0, 2),
        terms)
 @settings(max_examples=300)
 def test_equal_under_general_env_matches_materialization(t, subs, lift, outer, target):
-    env = SubstEnv(lift, tuple(subs), outer)
-    assert equal_under_subst(t, env, target) == \
-        syntactic_equal(apply_env(t, env), target)
+    env = (lift, tuple(subs), outer)
+    assert _lazy(t, env, target)[0] == syntactic_equal(_eager(t, env), target)
 
 
 @given(terms, st.lists(terms, min_size=1, max_size=3), st.integers(0, 2))
 @settings(max_examples=200)
 def test_equal_under_general_env_cost_bound(t, subs, lift):
-    env = SubstEnv(lift, tuple(subs), 1)
-    target = apply_env(t, env)
-    eq, steps = equal_under_subst_steps(t, env, target)
+    env = (lift, tuple(subs), 1)
+    target = _eager(t, env)
+    eq, steps = _lazy(t, env, target)
     assert eq
     assert steps == size(target)
 

@@ -28,7 +28,8 @@ from ott.surface import (
     _print_surface, print_term,
 )
 from ott.terms import Const, Var
-from ott.testing import Generator, default_signature, replace_at, subterm_paths
+
+from generators import Generator, default_signature, replace_at, subterm_paths
 
 ROOT = Path(__file__).resolve().parents[1]
 
