@@ -298,10 +298,9 @@ def main(argv=None) -> int:
             except ValueError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 status = USAGE
-        sys.stdout.flush()
+        print(end="", flush=True)  # raises if the reader has gone; no stdout is ignored
     except BrokenPipeError:
-        # the reader has gone: point stdout at devnull, so that the flush at
-        # interpreter exit does not fail again
+        # point stdout at devnull, so that the flush at exit does not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return USAGE
     return status

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -360,6 +361,14 @@ def test_closed_stdout_exits_three_without_a_traceback():
         os.close(write_end)
     assert result.returncode == 3
     assert result.stderr == ""
+
+
+def test_no_stdout_at_start_keeps_the_verdict():
+    result = subprocess.run(
+        f"{shlex.quote(sys.executable)} -m ott.cli check demo/basics.ott >&-",
+        shell=True, capture_output=True, text=True, cwd=ROOT,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
 
 
 # golden corpus: scripts whose verdicts were fixed by the enumeration oracle
