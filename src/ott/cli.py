@@ -1,11 +1,10 @@
 """Command-line front door: run check scripts and the scaling benchmark.
 
 Exit codes: 0 all verdicts accept, 1 at least one verification failure,
-2 syntax or name error, 3 usage or I/O error (a closed standard output
-among them).  Any nesting depth that the
-checker accepts is accepted.  ``--json`` switches every command to a
-line-delimited record stream; ``--steps`` adds the instrumented counters to
-the human-readable output.
+2 syntax or name error, 3 usage or I/O error (a closed standard output among
+them).  Any nesting depth that the checker accepts is accepted.  ``--json``
+switches every command to a line-delimited record stream; ``--steps`` adds
+the instrumented counters to the human-readable output.
 """
 
 from __future__ import annotations
