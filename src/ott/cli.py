@@ -61,7 +61,8 @@ class _ScriptState:
         self.sig = Signature()
         self.defs: dict = {}
         self.failures = 0
-        # every postulated or defined name, which printed binders avoid
+        # every postulated or defined name, which printed binders avoid and
+        # no later postulate or def may take
         self.reserved: set = set()
 
     def context_of(self, bindings):
@@ -75,6 +76,8 @@ class _ScriptState:
 
 def _run_item(item, state: _ScriptState, args) -> None:
     sig = state.sig
+    if isinstance(item, (Postulate, Definition)) and item.name in state.reserved:
+        raise ValueError(f"duplicate declaration of {item.name!r}")
     if isinstance(item, Postulate):
         if item.ty is None:
             state.sig = sig.with_type(item.name)

@@ -15,7 +15,7 @@ identical core terms.
 Printing generates fresh binder names deterministically, avoiding everything
 visible, so ``parse . print`` is the identity on well-scoped core terms.
 Each constructor's notation is written once, in the syntax table
-``_SYNTAX``; the parser, name resolution and both printers are driven by it,
+``_SYNTAX``; the parser, name resolution and the printer are driven by it,
 each on an explicit stack, so no term is too deep to read or write.
 
 A surface term is an exact tuple that starts with its head token
@@ -48,7 +48,7 @@ from .terms import Signature, Term
 __all__ = [
     "ParseError", "Script",
     "Postulate", "Definition", "CheckItem", "InferItem", "ElabItem",
-    "is_pair", "parse", "parse_term", "to_core", "print_term", "print_script",
+    "is_pair", "parse", "parse_term", "to_core", "print_term",
 ]
 
 
@@ -186,7 +186,7 @@ _ELAB_OPS = (
 
 
 # The syntax table: the one place that knows how each term constructor is
-# written.  The parser, name resolution and both printers are driven by it.
+# written.  The parser, name resolution and the printer are driven by it.
 #
 # A notation is a blank-separated sequence of punctuation, binder names (one
 # lower-case letter) and children.  A child is its core slot (a digit)
@@ -195,7 +195,7 @@ _ELAB_OPS = (
 # order of first appearance, as many as ``BINDERS`` gives its slot.  A binder
 # written twice (betaconv's and idrec's second ``x``, natrec's second ``n``)
 # reads a new name in the parser, which scopes over the children after it;
-# the core printer writes the one fresh name it chose for that binder.
+# the printer writes the one fresh name it chose for that binder.
 _SYNTAX = (
     ("Pi", PI, "( x : 1 ) 2x"),
     ("lam", LAM, "( x : 1 -> 2x ) 3x"),
@@ -219,15 +219,15 @@ _SPACED = {":": " : ", "->": " -> ", ",": ", "}
 
 
 class _Row:
-    """One constructor of ``_SYNTAX``, compiled for its three readers.
+    """One constructor of ``_SYNTAX``, compiled for the parser and the printer.
 
     ``segments`` drives the parser: pairs ``(lead, k)``, where ``lead`` holds
     the punctuation kinds to expect and the binder positions (ints) to read
     before the next child, and ``k`` is that child's binder count, or None
-    after the last child.  ``pieces`` drives both printers: triples of
+    after the last child.  ``pieces`` drives the printer: triples of
     literal text and what follows it, which is a child ``(slot, k)`` with
-    its binder count ``k``, a binder ``(-slot, position)`` whose surface name
-    is the one the child at ``slot`` binds, or ``(0, 0)`` at the end.
+    its binder count ``k``, the binder ``(-1, position)``, or ``(0, 0)`` at
+    the end.
     ``word`` is the whole text of a constructor with no children, such as
     ``Nat``, and None otherwise.
     """
@@ -257,10 +257,7 @@ class _Row:
                     letters.append(word)
                 p = letters.index(word)
                 lead.append(p)
-                # the name comes from the next child this binder scopes over
-                slot = next(int(w[0]) for w in words[at + 1:]
-                            if w[0].isdigit() and len(w) > p + 1)
-                pieces.append((text, -slot, p))
+                pieces.append((text, -1, p))
                 text = " " if after.isalpha() else ""
             else:
                 lead.append(word)
@@ -728,117 +725,3 @@ def _print_error(t: Term, names) -> ValueError:
             order = _ERROR_ORDER.get(tag, range(1, len(binders) + 1))
             stack.extend((t[k], depth + binders[k - 1]) for k in reversed(order))
     raise AssertionError("print_term reported an error in a printable term")
-
-
-def print_context(ctx, reserved=()) -> tuple[str, tuple]:
-    """Render a core context as bindings; returns the text and chosen names."""
-    used = set(reserved)
-    names: tuple = ()
-    parts = []
-    for entry in ctx:
-        text = print_term(entry, names, used)
-        x = _fresh(names, used)
-        names = names + (x,)
-        parts.append(f"{x} : {text}")
-    return "[" + ", ".join(parts) + "]", names
-
-
-def print_script(script: Script) -> str:
-    """Render a parsed script back to source (used by round-trip tests)."""
-    out = []
-    for item in script.items:
-        out.append(_print_item(item))
-    return "\n".join(out) + "\n"
-
-
-def _print_surface(s: tuple) -> str:
-    out: list = []
-    append = out.append
-    # the innermost open node and its remaining pieces; the nodes around it
-    # are on the stack.  Child ``slot`` of a node is at index 2 * slot + 3,
-    # after its binders.
-    node = pieces = None
-    stack = [(None, None)]
-    child = s  # the next term to write
-    while True:
-        if child[0] == "name":
-            append(child[1])
-        else:
-            row = _BY_KEYWORD.get(child[1])
-            if row is None:
-                raise ValueError(f"cannot print surface keyword {child[1]}")
-            stack.append((node, pieces))
-            node, pieces = child, iter(row.pieces)
-        while pieces is not None:
-            for text, slot, k in pieces:
-                append(text)
-                if slot > 0:
-                    child = node[2 * slot + 3]
-                    break
-                if slot:
-                    append(node[2 - 2 * slot][k])
-            else:
-                node, pieces = stack.pop()
-                continue
-            break
-        else:
-            return "".join(out)
-
-
-def _print_bindings(bindings) -> str:
-    inner = ", ".join(f"{n} : {_print_surface(t)}" for n, t in bindings)
-    return f"[{inner}]"
-
-
-def _print_item(item) -> str:
-    if isinstance(item, Postulate):
-        if item.ty is None:
-            return f"postulate {item.name} : Type"
-        return f"postulate {item.name} : {_print_surface(item.ty)}"
-    if isinstance(item, Definition):
-        return (
-            f"def {item.name} : {_print_surface(item.ty)} := "
-            f"{_print_surface(item.body)}"
-        )
-    if isinstance(item, CheckItem):
-        ctx = _print_bindings(item.bindings)
-        if item.form == "ctxt":
-            return f"check {ctx} Ctxt"
-        if item.form == "type":
-            return f"check {ctx} |- {_print_surface(item.ty)} Type"
-        return f"check {ctx} |- {_print_surface(item.term)} : {_print_surface(item.ty)}"
-    if isinstance(item, InferItem):
-        return f"infer {_print_bindings(item.bindings)} |- {_print_surface(item.term)}"
-    if isinstance(item, ElabItem):
-        return f"elab {_print_bindings(item.bindings)} |- {_print_elab(item)}"
-    raise ValueError(f"cannot print item {item!r}")
-
-
-def _print_elab(item: ElabItem) -> str:
-    op, args = item.op, item.args
-
-    def terms(*args) -> str:
-        """The terms of arguments, each a pair or a tuple of pairs, in order
-        and separated by commas."""
-        pairs = [pair for arg in args for pair in ((arg,) if is_pair(arg) else arg)]
-        return ", ".join(_print_surface(t) for _, t in pairs)
-
-    if op in ("symmetry", "transitivity"):
-        return f"{op}({terms(*args)})"
-    if op in ("transport", "congr_app"):
-        (_, over), ((binder,), family) = args[:2]
-        return (f"{op}{{{_print_surface(over)}, {binder}.{_print_surface(family)}}}"
-                f"({terms(*args[2:])})")
-    if op in ("tele_idrec", "tele_idconv"):
-        (_, over), tele, (scope, motive), *ends, fun_args, (names, base) = args
-        tele = _print_bindings(zip(scope[3:], (t for _, t in tele)))
-        return (f"{op}{{{_print_surface(over)}; {' '.join(scope[:3])}. {tele} . "
-                f"{_print_surface(motive)}}}({terms(*ends)}; {terms(fun_args)}; "
-                f"{' '.join(names)}.{_print_surface(base)})")
-    tele, (scope, body) = args[:2]
-    tele = _print_bindings(zip(scope, (t for _, t in tele)))
-    head = f"{{{tele} . {_print_surface(body)}}}"
-    if op == "tele_pi":
-        return f"tele_pi{head}"
-    # the head, then the argument list after a semicolon unless it is empty
-    return f"{op}{head}({'; '.join(terms(arg) for arg in args[2:] if arg)})"

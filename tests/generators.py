@@ -1,5 +1,5 @@
 """Randomized generators for property tests: well-typed judgements, typed
-context morphisms, and single-node type mutations.
+context morphisms, single-node type mutations, and contexts as script text.
 
 The generator builds derivations, not raw trees, so everything it returns is
 derivable by construction; tests then compare the checker's verdicts (and the
@@ -18,11 +18,12 @@ import random
 from ott.checker import _TERM, _TYPE, _cons_ctx, _run
 from ott.kernel import APP, CONST, ID, IDREC, LAM, NAT, NATREC, PI, REFL, SUCC, VAR, ZERO
 from ott.subst import ContextMorphism, inst, shift
+from ott.surface import _fresh, print_term
 from ott.terms import Context, Signature, Term
 
 __all__ = [
     "Generator", "default_signature", "fresh_copy", "mutations", "premise_count",
-    "replace_at", "subterm_paths",
+    "print_context", "replace_at", "subterm_paths",
 ]
 
 
@@ -264,3 +265,18 @@ def premise_count(sig: Signature, ctx: Context, subject: Term, target=None) -> i
     if not ok:
         raise ValueError(f"{reason} at {list(locus)}")
     return stack.depths[1] if len(stack.depths) > 1 else 0
+
+
+# contexts as script text ------------------------------------------------------
+
+def print_context(ctx, reserved=()) -> tuple[str, tuple]:
+    """Render a core context as bindings; returns the text and chosen names."""
+    used = set(reserved)
+    names: tuple = ()
+    parts = []
+    for entry in ctx:
+        text = print_term(entry, names, used)
+        x = _fresh(names, used)
+        names = names + (x,)
+        parts.append(f"{x} : {text}")
+    return "[" + ", ".join(parts) + "]", names

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -9,8 +10,10 @@ import pytest
 
 from ott.checker import HasType, check
 from ott.oracle import DerivationSpace
-from ott.surface import _lex, print_context, print_term
+from ott.surface import _lex, print_term
 from ott.terms import Const, NatTy, Signature
+
+from generators import print_context
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -188,12 +191,28 @@ elab [x : A, p : Id(A, x, x)] |- tele_idrec{A; x y u. [e : Id(A, x, y)] . Id(A, 
 """, 2, "r")
 
 
+def _grammar_keywords(production):
+    """The quoted words (not punctuation) of a production in
+    docs/grammar.ebnf."""
+    text = re.sub(r"\(\*.*?\*\)", "", (ROOT / "docs" / "grammar.ebnf").read_text(),
+                  flags=re.DOTALL)
+    tokens = re.findall(r'"[^"]*"|[^\s"]+', text)
+    start = next(i for i in range(len(tokens) - 1)
+                 if tokens[i:i + 2] == [production, "="]) + 2
+    body = tokens[start: tokens.index(";", start)]  # an unquoted ";" ends it
+    return {t[1:-1] for t in body if t[0] == '"' and t[1:-1].isidentifier()}
+
+
 def test_every_elab_op_is_dispatched():
-    """Every elaborator the parser accepts has an entry in the CLI's table."""
+    """Every elaborator the parser accepts has an entry in the CLI's table,
+    and the grammar doc names the same elaborators, and the same term
+    keywords as the syntax table."""
     from ott.cli import _ELABORATORS
-    from ott.surface import _ELAB_OPS
+    from ott.surface import _ELAB_OPS, _SYNTAX
 
     assert sorted(_ELABORATORS) == sorted(_ELAB_OPS)
+    assert _grammar_keywords("elabcall") == set(_ELAB_OPS)
+    assert _grammar_keywords("term") == {row[0] for row in _SYNTAX}
 
 
 def test_ill_typed_telescope_input_fails_its_item_only(tmp_path, capsys):
@@ -416,6 +435,22 @@ def test_golden_corpus_verdicts(golden):
 
 def test_duplicate_postulate_fails_cleanly(tmp_path):
     path = _write(tmp_path, "dup.ott", "postulate A : Type\npostulate A : Type\n")
+    result = _run(["check", path])
+    assert result.returncode == 1
+    assert "duplicate" in result.stderr
+
+
+@pytest.mark.parametrize("text", [
+    # a second def would change what d means halfway through the script
+    "def d : A := a\ndef d : A := b\ncheck [p : Id(A, d, b)] |- p : Id(A, b, b)\n",
+    # a def would shadow the postulated type
+    "def A : A := a\ncheck [] |- a : A\n",
+    # a postulate would be shadowed by the def before it
+    "def d : A := a\npostulate d : A\n",
+], ids=["def-after-def", "def-after-postulate", "postulate-after-def"])
+def test_redeclared_name_fails_cleanly(tmp_path, text):
+    declared = "postulate A : Type\npostulate a : A\npostulate b : A\n"
+    path = _write(tmp_path, "redeclared.ott", declared + text)
     result = _run(["check", path])
     assert result.returncode == 1
     assert "duplicate" in result.stderr

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import random
 import sys
@@ -7,14 +6,14 @@ from pathlib import Path
 import pytest
 
 from ott.surface import (
-    ParseError, is_pair, parse, parse_term, print_script, print_term, to_core,
+    ParseError, is_pair, parse, parse_term, print_term, to_core,
 )
 from ott.terms import (
     App, Const, Id, IdRec, Lambda, NatRec, NatTy, Pi, Refl, Succ, Var, Zero,
     size, syntactic_equal,
 )
 
-from generators import Generator
+from generators import Generator, print_context
 
 A = Const("A")
 ROOT = Path(__file__).resolve().parents[1]
@@ -116,65 +115,37 @@ def test_round_trip_random_core_terms(sig, rng):
             assert to_core(parse_term(text), list(names), sig) == t
 
 
-def test_script_print_parse_round_trip(sig):
-    src = """
-postulate A : Type
-postulate a : A
-def idA : Pi(x : A) A := lam(x : A -> A) x
-check [x : A] |- refl(A, x) : Id(A, x, x)
-check [] |- Id(A, a, a) Type
-check [x : A, y : A] Ctxt
-infer [x : A] |- refl(A, x)
-elab [x : A, y : A, p : Id(A, x, y)] |- symmetry(A, x, y, p)
-elab [x : A, y : A, p : Id(A, x, y)] |- transitivity(A, x, y, y, p, refl(A, y))
-elab [] |- tele_pi{[x : A, e : Id(A, x, a)] . Nat}
-elab [] |- tele_beta{[x : A, n : Nat] . Nat}(succ(n); a, zero)
-elab [x : A] |- tele_idrec{A; x y u. [e : Id(A, x, y)] . Id(A, x, y)}(x, x, refl(A, x); refl(A, x); x e. e)
-elab [x : A, y : A, p : Id(A, x, y)] |- transport{A, z.Id(A, z, z)}(x, y, p, refl(A, x))
-elab [f : Pi(v : A) A, g : Pi(v : A) A, h : Id(Pi(v : A) A, f, g)] |- congr_app{A, v.A}(f, g, h, a)
-elab [] |- tele_lam{[x : A, e : Id(A, x, a)] . Id(A, x, x)}(refl(A, x))
-elab [x : A] |- tele_idconv{A; x y u. [e : Id(A, x, y), n : Nat] . Id(A, x, y)}(x; refl(A, x), zero; x e n. e)
-elab [x : A] |- tele_idconv{A; x y u. [] . Id(A, x, y)}(x; ; x. refl(A, x))
-elab [f : Nat] |- tele_app{[] . Nat}(f)
-elab [f : Pi(x : A) Nat] |- tele_app{[x : A] . Nat}(f; a)
-"""
-    script = parse(src)
-    assert _without_spans(parse(print_script(script))) == _without_spans(script)
-
-
-def _without_spans(x):
-    """A parse result with the line and column of every term and item left
-    out, as nested tuples."""
-    if dataclasses.is_dataclass(x):
-        return (type(x).__name__,) + tuple(
-            _without_spans(getattr(x, f.name)) for f in dataclasses.fields(x)
-            if f.name != "span")
-    if isinstance(x, tuple):
-        if len(x) >= 4 and x[0] in ("name", "kw") and type(x[2]) is int:
-            x = x[:2] + x[4:]  # a term: its head token's text, then its children
-        return tuple(_without_spans(y) for y in x)
-    return x
-
-
 def test_elab_args_carry_their_scopes():
     """Each elab argument is paired with the binders written in the item
-    that scope over it, in the elaborator's call order."""
-
-    def scopes(text):
-        (item,) = parse(text).items
-        return [arg[0] if is_pair(arg) else [b for b, _ in arg] for arg in item.args]
-
-    assert scopes("elab [] |- tele_beta{[x : A, n : Nat] . Nat}(succ(n); a, zero)") == [
-        [(), ("x",)], ("x", "n"), ("x", "n"), [(), ()],
+    that scope over it, in the elaborator's call order.  Every op and the
+    empty telescope and argument list forms are read."""
+    xyu = ("x", "y", "u")
+    cases = [  # the call; each argument's binders; its terms' head words
+        ("tele_beta{[x : A, n : Nat] . Nat}(succ(n); a, zero)",
+         [[(), ("x",)], ("x", "n"), ("x", "n"), [(), ()]], "A Nat Nat succ a zero"),
+        ("tele_app{[x : A] . Nat}(f; a)", [[()], ("x",), (), [()]], "A Nat f a"),
+        ("tele_app{[] . Nat}(f)", [[], (), (), []], "Nat f"),
+        ("transport{A, z.B}(x, y, p, q)", [(), ("z",)] + [()] * 4, "A B x y p q"),
+        ("congr_app{A, v.B}(f, g, h, a)", [(), ("v",)] + [()] * 4, "A B f g h a"),
+        ("symmetry(A, x, y, p)", [()] * 4, "A x y p"),
+        ("transitivity(A, x, y, z, p, refl(A, z))", [()] * 6, "A x y z p refl"),
+        ("tele_pi{[x : A, e : Id(A, x, a)] . Nat}", [[(), ("x",)], ("x", "e")], "A Id Nat"),
+        ("tele_lam{[x : A, e : E] . Id(A, x, x)}(refl(A, x))",
+         [[(), ("x",)], ("x", "e"), ("x", "e")], "A E Id refl"),
+        ("tele_idrec{A; x y u. [e : E, f : F] . P}(l, r, p; s, t; x e f. d)",
+         [(), [xyu, xyu + ("e",)], xyu + ("e", "f"), (), (), (), [(), ()], ("x", "e", "f")],
+         "A E F P l r p s t d"),
+        ("tele_idconv{A; x y u. [e : E, n : Nat] . P}(x; r, zero; x e n. e)",
+         [(), [xyu, xyu + ("e",)], xyu + ("e", "n"), (), [(), ()], ("x", "e", "n")],
+         "A E Nat P x r zero e"),
+        ("tele_idconv{A; x y u. [] . Id(A, x, y)}(x; ; x. refl(A, x))",
+         [(), [], xyu, (), [], ("x",)], "A Id x refl"),
     ]
-    assert scopes("elab [] |- tele_app{[x : A] . Nat}(f; a)") == [[()], ("x",), (), [()]]
-    assert scopes("elab [] |- transport{A, z.B}(x, y, p, q)") == [(), ("z",)] + [()] * 4
-    assert scopes(
-        "elab [] |- tele_idrec{A; x y u. [e : E, f : F] . P}(l, r, p; s, t; x e f. d)"
-    ) == [
-        (), [("x", "y", "u"), ("x", "y", "u", "e")], ("x", "y", "u", "e", "f"),
-        (), (), (), [(), ()], ("x", "e", "f"),
-    ]
+    for call, scopes, heads in cases:
+        (item,) = parse("elab [] |- " + call).items
+        assert [arg[0] if is_pair(arg) else [b for b, _ in arg] for arg in item.args] == scopes
+        pairs = [pair for arg in item.args for pair in ((arg,) if is_pair(arg) else arg)]
+        assert " ".join(t[1] for _, t in pairs) == heads, call
 
 
 def test_definitions_splice_closed_bodies(sig):
@@ -204,34 +175,52 @@ def test_invalid_utf8_is_a_parse_error_at_the_bad_byte():
 
 
 def test_random_scripts_round_trip(sig, rng):
-    """print_script . parse is the identity on randomly assembled scripts."""
-    from ott.surface import print_context
+    """Random judgements printed as script items parse and resolve back to
+    themselves: each item's context entries, term and type."""
+
+    def resolve(s, names):
+        return None if s is None else to_core(s, names, sig)
 
     gen = Generator(sig, rng)
     reserved = ("A", "a")
     for _ in range(40):
         lines = ["postulate A : Type", "postulate a : A"]
+        expected = []
         for _ in range(rng.randrange(1, 6)):
             ctx, term, ty = gen.random_judgement()
             ctx_text, names = print_context(ctx, reserved)
-            kind = rng.randrange(3)
+            kind = rng.randrange(4)
             if kind == 0:
                 lines.append(
                     f"check {ctx_text} |- {print_term(term, names, reserved)}"
                     f" : {print_term(ty, names, reserved)}"
                 )
+                expected.append(("CheckItem", ctx, term, ty))
             elif kind == 1:
                 lines.append(f"check {ctx_text} |- {print_term(ty, names, reserved)} Type")
+                expected.append(("CheckItem", ctx, None, ty))
+            elif kind == 2:
+                lines.append(f"check {ctx_text} Ctxt")
+                expected.append(("CheckItem", ctx, None, None))
             else:
                 lines.append(f"infer {ctx_text} |- {print_term(term, names, reserved)}")
-        first = parse("\n".join(lines))
-        again = parse(print_script(first))
-        assert again == first
+                expected.append(("InferItem", ctx, term, None))
+        items = parse("\n".join(lines)).items
+        assert [(p.name, resolve(p.ty, [])) for p in items[:2]] == [("A", None), ("a", A)]
+        got = []
+        for item in items[2:]:
+            names, ctx = [], []
+            for name, entry in item.bindings:
+                ctx.append(to_core(entry, names, sig))
+                names.append(name)
+            got.append((type(item).__name__, tuple(ctx), resolve(item.term, names),
+                        resolve(getattr(item, "ty", None), names)))
+        assert got == expected
 
 
 def test_deep_nests_need_no_deep_python_stack(sig):
-    """Parsing, name resolution and both printers run on explicit stacks:
-    a 10^5-deep nest goes through each under the default recursion limit.
+    """Parsing, name resolution and printing run on explicit stacks: a
+    10^5-deep nest goes through each under the default recursion limit.
     Deep trees are compared with syntactic_equal, size and strings, never
     with ==, which recurses."""
     n = 10**5
@@ -246,8 +235,6 @@ def test_deep_nests_need_no_deep_python_stack(sig):
         core = to_core(surface, [], sig)
         assert size(core) == n + 1 and syntactic_equal(core, expected)
         assert print_term(core) == text
-        item = f"check [] |- {text} : Nat"
-        assert print_script(parse(item)) == item + "\n"
     finally:
         sys.setrecursionlimit(limit)
 
