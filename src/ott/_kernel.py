@@ -36,6 +36,11 @@ bounded by the target's size, which is what the checker's complexity argument
 needs.  Comparison steps and materialized node counts are returned to the
 caller so the checker can keep a deterministic step counter.
 
+``inst_open`` is ``inst`` at lift 0 for a term whose ``open_spine`` is
+known: it writes only the nodes above a variable that escapes the term and
+shares every closed subterm, so a family written many times is walked for
+its spine once.
+
 A leaf (a constant or a one-slot node such as ``Nat``) costs one step in
 either operation: one head comparison in ``eq_lazy``, one node for ``inst``,
 which returns the leaf itself.  The checker decides leaf comparisons and
@@ -97,10 +102,11 @@ def size(t):
 def inst(t, terms, outer, lift):
     """Eager simultaneous substitution; returns ``(term, node_count)``.
 
-    ``node_count`` is the size of the output, i.e. what a cost model charges
-    for materializing the result; the identity environment shares the input
-    and charges zero.  Raises ValueError if a variable would be renumbered
-    below zero.
+    ``node_count`` is the tree size of the output, i.e. what a cost model
+    charges for materializing the result, also where the output shares
+    nodes (a substituted term, or a leaf, is shared, not copied); the
+    identity environment shares the input and charges zero.  Raises
+    ValueError if a variable would be renumbered below zero.
     """
     m = len(terms)
     if m == 0 and outer == 0:
@@ -148,6 +154,83 @@ def inst(t, terms, outer, lift):
             while k >= 1:
                 work.append((node[k], d + binders[k - 1], 0))
                 k -= 1
+    return out[0], count
+
+
+def open_spine(t):
+    """The open spine of ``t``, its nodes below which a variable escapes
+    ``t``, for ``inst_open``: None when ``t`` is closed, else ``(size(t),
+    tree)``.  An open node's tree is a list ``[k1, tree1, k2, tree2, ...]``
+    of its open children's slots and trees, an escaping variable's is
+    ``()``, and every child not listed is closed: no substitution changes
+    it."""
+    n = 1
+    tag = t[0]
+    if tag == VAR:
+        return n, ()
+    if tag == CONST or len(t) == 1:
+        return None
+    # work items are (node, depth, parent's item, slot in the parent, tree),
+    # the tree empty until a variable below the node is found to escape
+    root = (t, 0, None, 0, [])
+    work = [root]
+    while work:
+        item = work.pop()
+        node, d = item[0], item[1]
+        binders = BINDERS[node[0]]
+        k = len(node) - 1
+        n += k
+        while k >= 1:
+            child = node[k]
+            tag = child[0]
+            if tag == VAR:
+                if child[1] >= d + binders[k - 1]:
+                    # open the path up to the first node that is open already
+                    tree, slot, up = (), k, item
+                    while up is not None:
+                        above = up[4]
+                        was_open = bool(above)
+                        above += (slot, tree)
+                        if was_open:
+                            break
+                        tree, slot, up = above, up[3], up[2]
+            elif tag != CONST and len(child) > 1:
+                work.append((child, d + binders[k - 1], item, k, []))
+            k -= 1
+    return (n, root[4]) if root[4] else None
+
+
+def inst_open(t, spine, terms, outer):
+    """``inst(t, terms, outer, 0)``, ``terms`` not empty, for an open ``t``
+    whose ``open_spine`` is ``spine``: only the open nodes are written, and
+    every closed child is ``t``'s own object.  The count is still the tree
+    size of the output, as ``inst`` counts it: ``size(t)``, with each
+    escaping variable counted as what ``inst`` writes for it."""
+    count, tree = spine
+    out = []
+    work = [(t, tree, 0)]
+    while work:
+        node, tree, d = work.pop()
+        if d is None:
+            # the open children are written: put them in their slots
+            kids = list(node)
+            i = len(tree) - 2
+            while i >= 0:
+                kids[tree[i]] = out.pop()
+                i -= 2
+            out.append(tuple(kids))
+        elif tree:
+            work.append((node, tree, None))
+            binders = BINDERS[node[0]]
+            i = len(tree) - 2
+            while i >= 0:
+                k = tree[i]
+                work.append((node[k], tree[i + 1], d + binders[k - 1]))
+                i -= 2
+        else:
+            v, c = inst(node, terms, outer, d)
+            out.append(v)
+            count += c - 1
     return out[0], count
 
 

@@ -50,11 +50,12 @@ and a component ``s`` of type ``T`` weakened by ``k`` over ``ctx``, it
 writes the instance ``B[s]`` (the other variables weakened by ``k``) and
 certifies ``TypeWF(ctx, instance)``.  That is the admissible substitution
 rule after weakening, so it costs the comparison of ``delta`` with the front
-of ``ctx``, the check of ``s`` and the nodes written, but no walk of ``B``.
-It checks neither ``ctx`` nor ``T``: the certificate promises that the
-instance is a type provided ``ctx`` is well-formed, which is exactly the
-promise a type obligation already runs under.  Plain ``check`` and ``infer``
-issue none, and only this module enters one into the index.
+of ``ctx``, the check of ``s`` and the instance's tree size, but no walk of
+``B``; it writes only the nodes above ``B``'s variables and shares the rest
+of ``B``.  It checks neither ``ctx`` nor ``T``: the certificate promises
+that the instance is a type provided ``ctx`` is well-formed, which is
+exactly the promise a type obligation already runs under.  Plain ``check``
+and ``infer`` issue none, and only this module enters one into the index.
 
 An instance's certificate records its provenance ``(B, s, k, n)``: it is
 ``inst(B, (s,), k, 0)`` for the family object ``B``, whose free variables
@@ -120,7 +121,7 @@ from __future__ import annotations
 
 import time
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional, Tuple, Union
 
@@ -211,6 +212,18 @@ class Certificate:
     judgement: Union[HasType, TypeWF]
     conditional: bool = False
     provenance: Optional[tuple] = None
+    # the family's open spine, which ``instantiate`` builds on its first
+    # instance and keeps here, so that it dies with the certificate
+    _spine: Optional["_Spine"] = field(default=None, init=False, repr=False)
+
+
+class _Spine:
+    """What ``open_spine`` found for a certified family, None for a closed
+    one, held by the family's certificate."""
+    __slots__ = ("value", "__weakref__")
+
+    def __init__(self, value):
+        self.value = value
 
 
 # id(term) -> weak reference to the live Certificate indexed for that term
@@ -664,8 +677,13 @@ def instantiate(cert: Certificate, ctx: Context, s: Term
     with ``certify``, an instance with no more nodes than ``ctx`` has
     entries plus one does not get; on rejection None for both.  The
     report's steps count the comparison of ``delta`` with the front of
-    ``ctx``, the check of ``s`` and the nodes written, so the cost is linear
-    in ``delta``, ``s`` and the instance written, never a walk of ``B``.
+    ``ctx``, the check of ``s`` and the instance's tree size, so the cost is
+    linear in ``delta``, ``s`` and the instance, never a walk of ``B``.
+    Only the instance's open spine is written: the nodes above an
+    occurrence of a variable of ``B``; every closed subterm is ``B``'s own
+    object.  The spine is found on the certificate's first instance and
+    kept by the certificate; that walk is not charged, since ``certify``
+    charged a walk of ``B`` already.  A closed ``B`` is written in full.
     """
     t0 = time.perf_counter_ns()
     j = cert.judgement
@@ -697,7 +715,15 @@ def instantiate(cert: Certificate, ctx: Context, s: Term
     if not ok:
         ns = time.perf_counter_ns() - t0
         return CheckReport("reject", reason, locus, steps, ns), None, None
-    out, nodes = _k.inst(j.ty, (s,), k, 0)
+    spine = cert._spine
+    if spine is None:
+        # two threads may both get here, and build equal spines
+        spine = _Spine(_k.open_spine(j.ty))
+        object.__setattr__(cert, "_spine", spine)
+    if spine.value is None:
+        out, nodes = _k.inst(j.ty, (s,), k, 0)
+    else:
+        out, nodes = _k.inst_open(j.ty, spine.value, (s,), k)
     steps += nodes
     issued = None
     if nodes > len(ctx) + 1:

@@ -44,8 +44,10 @@ argument as index 0.  Telescope entries are listed outermost first and each
 entry may mention all earlier ones.
 
 Everything here materializes eagerly.  Emitted terms are not minimized or
-hash-consed: transport alone multiplies the family size by a small constant,
-and the telescope constructions grow multiplicatively with telescope length.
+hash-consed, but an instance from ``instantiate`` shares its family's closed
+subterms: only the nodes above the family's variables are new objects.  As
+trees, transport alone multiplies the family size by a small constant, and
+the telescope constructions grow multiplicatively with telescope length.
 That growth is inherent to storing conversions inside proof terms and is the
 price this calculus pays for never normalizing.
 """

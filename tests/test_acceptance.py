@@ -20,8 +20,6 @@ too).  Criteria and tolerances are pinned here, not configurable:
 import random
 import time
 
-import pytest
-
 from ott.bench import BenchConfig, FAMILIES, run_bench
 from ott.checker import HasType, check, infer
 from ott.derived import (

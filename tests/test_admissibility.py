@@ -7,13 +7,11 @@ context morphism, including morphisms extended pointwise under a tail of
 extra entries.
 """
 
-import random
-
 from ott.checker import HasType, check
 from ott.subst import ContextMorphism, apply_morphism, shift
 from ott.terms import syntactic_equal
 
-from generators import Generator, default_signature
+from generators import Generator
 
 
 def _weaken_context(ctx, position, entry):

@@ -1,5 +1,6 @@
 import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 
 import ott.checker
 from ott.checker import (
-    _TERM, CtxtWF, HasType, InferFailure, TypeWF, _cons_ctx, _run,
-    _seed_judgement, certify, check, infer, instantiate,
+    _TERM, CtxtWF, HasType, InferFailure, TypeWF, _certificates, _cons_ctx,
+    _live, _run, _seed_judgement, certify, check, infer, instantiate,
 )
 from ott.terms import (
     App, BetaConv, Const, Id, IdConv, IdRec, Lambda, NatConvSucc, NatConvZero,
@@ -1110,6 +1111,73 @@ def test_certificates_discharge_only_their_own_kind(sig):
         r = check(sig, j)
         assert (r.verdict, r.reason, r.locus) == _by_rules(sig, j), j
     assert _inferred(sig, (A,), pi) == _inferred(sig, (A,), fresh_copy(pi))
+
+
+def _chain_family(links):
+    """x : A |- Id(A, chain(x), chain(x)), where chain applies the identity
+    on ``A`` ``links`` times: only the applications and the root hold the
+    variable, and every ``A`` and every function is closed."""
+    f = Lambda(A, A, Var(0))
+    t = Var(0)
+    for _ in range(links):
+        t = App(A, A, f, t)
+    return Id(A, t, t)
+
+
+def test_instantiate_charges_the_tree_size_of_an_instance_that_shares_nodes(sig):
+    delta = (Id(A, a, a),)
+    family = _chain_family(3)
+    _, fam = certify(sig, TypeWF(delta + (A,), family))
+    ctx = (Id(A, a, a), NatTy, A)  # delta's entry as another object
+    report, out, cert = instantiate(fam, ctx, Var(0))
+    assert report.ok and cert is not None
+    assert out == inst(family, (Var(0),), 2, 0)[0]
+    # only the spine is written: the function in each link is the family's
+    app = out[2]
+    assert app is not family[2] and app[3] is family[2][3]
+    # the steps are the prefix comparison, the component's check against
+    # its weakened type, and the instance's tree size, shared nodes counted
+    # once per occurrence
+    prefix = 1 + _k.eq_lazy(delta[0], ctx[0])[1]
+    target, written = inst(A, (), 2, 0)
+    ok, _, _, component = _run(sig, [(_TERM, _cons_ctx(ctx), Var(0), target,
+                                      ("component", None))])
+    assert ok
+    assert report.steps == prefix + written + component + size(out)
+
+
+def test_an_instance_is_never_the_family_object(sig):
+    """An open family's root holds its variable, so it is written; a closed
+    family is written in full, as ``inst`` writes it.  So an instance is a
+    new object, and the certificate indexed for it is its own, while the
+    family's certificate stays indexed for the family."""
+    closed = Pi(A, Id(A, Var(0), Var(0)))
+    for family in (_chain_family(2), closed):
+        _, fam = certify(sig, TypeWF((A, A), family))
+        report, out, cert = instantiate(fam, (A, A), a)
+        assert report.ok and out == inst(family, (a,), 1, 0)[0]
+        assert out is not family and cert is not None
+        assert _live(_certificates, sig, out, TypeWF) is cert
+        assert _live(_certificates, sig, family, TypeWF) is fam
+    assert out == closed and out[2] is not closed[2]
+
+
+def test_a_family_builds_its_spine_once_and_drops_it_with_its_certificate(
+        sig, monkeypatch):
+    built = []
+    real = _k.open_spine
+    monkeypatch.setattr(_k, "open_spine", lambda t: built.append(t) or real(t))
+    family = _chain_family(2)
+    _, fam = certify(sig, TypeWF((A, A), family))
+    assert fam._spine is None
+    # a refused component writes nothing, so it builds no spine
+    assert not instantiate(fam, (A,), Zero)[0].ok and fam._spine is None
+    held = [instantiate(fam, (A,), a), instantiate(fam, (A, NatTy), Var(1))]
+    assert all(report.ok for report, _, _ in held) and built == [family]
+    spine = weakref.ref(fam._spine)
+    del fam
+    gc.collect()
+    assert spine() is None
 
 
 def test_dead_certificates_discharge_nothing(sig):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ott.checker import HasType, check
+from ott.checker import HasType
 from ott.oracle import DerivationSpace
 from ott.surface import _lex, print_term
 from ott.terms import Const, NatTy, Signature

@@ -15,7 +15,7 @@ from ott.derived import (
 from ott.subst import shift, subst
 from ott.terms import (
     App, BetaConv, Const, Id, IdConv, IdRec, Lambda, NatTy, Pi, Refl, Signature,
-    Succ, Var, Zero, size, syntactic_equal,
+    Var, Zero, size, syntactic_equal,
 )
 
 from generators import Generator, fresh_copy

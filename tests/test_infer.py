@@ -5,8 +5,8 @@ import pytest
 from ott.checker import HasType, InferFailure, check, infer
 from ott.oracle import DerivationSpace
 from ott.terms import (
-    App, BetaConv, Const, Id, IdConv, IdRec, Lambda, NatConvSucc, NatConvZero,
-    NatRec, NatTy, Pi, Refl, Succ, Var, Zero, syntactic_equal,
+    App, BetaConv, Const, Id, IdConv, IdRec, Lambda, NatConvSucc, NatTy, Refl,
+    Succ, Var, Zero, syntactic_equal,
 )
 from ott.kernel import CLO
 from ott.subst import shift

@@ -1,5 +1,4 @@
 import gc
-import random
 import sys
 from pathlib import Path
 
@@ -9,8 +8,7 @@ from ott.surface import (
     ParseError, is_pair, parse, parse_term, print_term, to_core,
 )
 from ott.terms import (
-    App, Const, Id, IdRec, Lambda, NatRec, NatTy, Pi, Refl, Succ, Var, Zero,
-    size, syntactic_equal,
+    Const, Id, Lambda, NatTy, Refl, Succ, Var, Zero, size, syntactic_equal,
 )
 
 from generators import Generator, print_context

@@ -1,8 +1,9 @@
 """Repository hygiene: nothing that .gitignore excludes is tracked, no
 function in the package recurses on the Python stack, only the kernel
 enters judgements into its certificate index, only the checker's rule
-table dispatches on a term rule's tag, no module imports a name it does not
-use, and the public surface the README shows exists and runs."""
+table dispatches on a term rule's tag, no module of the package or the tests
+imports a name it does not use, and the public surface the README shows
+exists and runs."""
 
 import ast
 import re
@@ -221,8 +222,8 @@ def test_tag_comparison_scan_finds_dispatch():
     assert _tag_comparisons(tree) == [("conclusion", 7), ("conclusion", 9), ("certify", 14)]
 
 
-# No module in the package imports a name it does not use.  ``kernel.py``
-# exists to re-export, a name in a module's ``__all__`` is exported, and an
+# No module in the package or the tests imports a name it does not use.
+# ``kernel.py`` exists to re-export, a name in a module's ``__all__`` is exported, and an
 # import statement with a line marked ``# noqa: F401`` is kept on purpose.
 _IMPORT_EXEMPT_FILES = {"kernel.py"}
 
@@ -255,11 +256,12 @@ def _unused_imports(source):
 
 def test_no_unused_imports():
     offenders = []
-    for path in sorted((ROOT / "src" / "ott").glob("*.py")):
+    paths = sorted((ROOT / "src" / "ott").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    for path in paths:
         if path.name in _IMPORT_EXEMPT_FILES:
             continue
         for name, line in _unused_imports(path.read_text(encoding="utf-8")):
-            offenders.append(f"{path.name}:{line} {name}")
+            offenders.append(f"{path.relative_to(ROOT)}:{line} {name}")
     assert offenders == []
 
 

@@ -1,14 +1,14 @@
 import random
 
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from ott import kernel
 from ott.subst import (
     ContextMorphism, apply_morphism, compose, identity, inst, shift, subst,
 )
 from ott.terms import (
-    Const, Id, Lambda, NatTy, Pi, Refl, Succ, Var, Zero, size, syntactic_equal,
+    Const, Id, Lambda, NatTy, Pi, Succ, Var, Zero, size, syntactic_equal,
 )
 
 from generators import Generator, default_signature
@@ -247,6 +247,59 @@ def test_inst_count_is_output_size(t, subs, lift, outer):
         assert out is t and count == 0  # identity: nothing materializes
     else:
         assert count == size(out)
+
+
+# the open spine ---------------------------------------------------------------
+#
+# A family over a non-empty context binds its variable at index 0 and may
+# mention the outer entries above it.  ``kernel.inst_open`` writes its
+# instance along the spine that ``kernel.open_spine`` finds and keeps every
+# closed child as the family's own object.
+
+
+def _children(family, tree, out):
+    """(family's child, output's child, binder depth, listed) for each child
+    of each node on the spine ``tree``; ``listed`` says whether the spine
+    lists the child as open."""
+    found = []
+    work = [(family, tree, out, 0)]
+    while work:
+        b, tr, o, d = work.pop()
+        if not tr:  # an escaping variable
+            continue
+        listed = dict(zip(tr[0::2], tr[1::2]))
+        binders = _BINDERS[b[0]]
+        for k in range(1, len(b)):
+            depth = d + binders[k - 1]
+            found.append((b[k], o[k], depth, k in listed))
+            if k in listed:
+                work.append((b[k], listed[k], o[k], depth))
+    return found
+
+
+# a family whose every variable is bound inside it
+closed_families = terms.map(lambda t: Pi(NatTy, Pi(NatTy, Pi(NatTy, t))))
+
+
+@given(st.one_of(terms, closed_families), terms, st.integers(0, 3))
+# the component under a binder, and the outer variables renumbered
+@example(Pi(NatTy, Id(Var(2), Var(1), Pi(Var(0), Var(3)))), Lambda(NatTy, NatTy, Var(1)), 2)
+@example(Pi(NatTy, Var(0)), Var(0), 0)  # a closed family
+@settings(max_examples=300)
+def test_inst_open_writes_the_instance_inst_writes(family, s, k):
+    want, count = kernel.inst(family, (s,), k, 0)
+    spine = kernel.open_spine(family)
+    # a closed family is one that no substitution changes
+    assert (spine is None) == (shift(family, 1) == family)
+    if spine is None:
+        return
+    assert spine[0] == size(family)
+    out, n = kernel.inst_open(family, spine, (s,), k)
+    assert out == want and n == count == size(out)
+    # the spine lists exactly the open children, and each closed one is kept
+    for child, written, depth, listed in _children(family, spine[1], out):
+        assert listed == (shift(child, 1, depth) != child)
+        assert listed or written is child
 
 
 def test_apply_morphism_rejects_out_of_scope_terms():
