@@ -39,6 +39,15 @@ module: equality of types is syntactic equality, full stop.
 obligation, per comparison step, per variable-lookup hop and per materialized
 node.  The benchmark gates on it instead of wall time.
 
+Loci.  An obligation carries only its slot, its index among its parent's
+premises or, for a stage's seed, the stage's name, so the run that decides a
+verdict allocates no path.  ``_run`` returns the failing slot and leaves its
+stack as it was at the failure.  A failing seed is its own locus; below a
+stage's root, ``_locus`` runs that one stage again on a stack that keeps the
+path of each obligation it hands out.  Verdicts are deterministic, so the
+rerun fails at the same obligation.  Only a rejection pays for it, and its
+steps are not charged.
+
 Certificates.  ``certify`` is ``check`` that, when it accepts a ``HasType``
 judgement whose term is not a leaf, or a ``TypeWF`` judgement whose type has
 more nodes than its context has entries plus one, also returns a
@@ -162,6 +171,12 @@ Judgement = Union[CtxtWF, TypeWF, HasType]
 
 @dataclass(frozen=True)
 class CheckReport:
+    """A verdict, the reason and locus of a rejection, the steps charged and
+    the wall time.  The locus is the path of slots from the failing stage's
+    name down to the obligation that failed.  The run that decides the
+    verdict keeps no paths, so a rejection below a stage's root runs that
+    one stage again, on a stack that keeps them, to find its locus; that
+    rerun is charged no steps, though ``nanoseconds`` includes it."""
     verdict: str  # "accept" or "reject"
     reason: Optional[str]
     locus: Optional[tuple]
@@ -258,10 +273,14 @@ _NAT = (NAT,)
 # input holds this object, so a closure in the input is never taken for it.
 _UNWRITTEN = object()
 
-# Task tuples: (kind, ctx cons-list, subject, target-or-None, path cons-list).
+# Task tuples: (kind, ctx cons-list, subject, target-or-None, slot).
 # The context is a linked list (entry, parent) with the innermost entry at the
 # head, so extending it is O(1); looking up index i walks i links and the
-# walk is charged to the step counter.
+# walk is charged to the step counter.  The slot is a premise's index in its
+# parent, or a stage's name for a stage's seed: "term", "type", ("ctx", i)
+# or "component".  A task holds no path: ``_run`` returns the failing slot,
+# and ``_locus`` finds the rest by running the failing stage again on a
+# ``_Paths`` stack, which keeps the path of what it hands out.
 
 
 def _cons_ctx(ctx: Context):
@@ -271,13 +290,48 @@ def _cons_ctx(ctx: Context):
     return c
 
 
-def _path(p) -> tuple:
-    out = []
-    while p is not None:
-        out.append(p[0])
-        p = p[1]
-    out.reverse()
-    return tuple(out)
+class _Paths(list):
+    """An obligation stack that keeps the path of the obligation it last
+    handed out.  ``depths`` runs beside the stack and holds each entry's
+    number of ancestors; ``path`` holds the slots from the seed down to the
+    last obligation popped.  Only ``pop`` is overridden: the entries pushed
+    since the last pop are the premises of the obligation it handed out, so
+    their depth is the length of ``path``, and the top one is handed out
+    next, below that obligation; ``depths`` gets the others."""
+
+    def __init__(self, seed):
+        super().__init__((seed,))
+        self.depths = [0]
+        self.path: list = []
+
+    def pop(self, _pop=list.pop):
+        depths, path = self.depths, self.path
+        pushed = len(self) - len(depths)
+        if not pushed:
+            del path[depths.pop():]
+        elif pushed > 1:
+            depths.extend((len(path),) * (pushed - 1))
+        task = _pop(self)
+        path.append(task[4])
+        return task
+
+
+def _locus(sig: Signature, seeds: list, stack: list, slot) -> tuple:
+    """The locus of the obligation that failed with ``slot`` when ``_run``
+    rejected on a stack seeded with ``seeds`` and left as ``stack``.  A
+    failed seed is its own locus.  Otherwise the seeds still at the bottom
+    of ``stack`` (the entries whose slot is not an ``int``) are those below
+    the failing stage's, and that one stage is run again, on a stack that
+    keeps paths.  Verdicts are deterministic, so it fails at the same
+    obligation."""
+    if slot.__class__ is not int:
+        return (slot,)
+    m = 0
+    while m < len(stack) and stack[m][4].__class__ is not int:
+        m += 1
+    paths = _Paths(seeds[m])
+    _run(sig, paths)
+    return tuple(paths.path)
 
 
 def _apply(clo):
@@ -323,9 +377,11 @@ def _matches(j, ctx, target):
 def _run(sig: Signature, stack: list):
     """Process obligations depth-first; first failure wins.
 
-    Returns (ok, reason, locus-path, steps), except that a term obligation
-    with no target returns (True, None, the type its rule concludes, steps)
-    once its head rule has run.
+    Returns (ok, reason, slot, steps), where slot is the failing
+    obligation's, or None on acceptance, except that a term obligation with
+    no target returns (True, None, the type its rule concludes, steps) once
+    its head rule has run.  A rejection leaves ``stack`` as it was at the
+    failure, which ``_locus`` reads.
     """
     consts = sig.constants
     atomics = sig.atomic_types
@@ -334,7 +390,7 @@ def _run(sig: Signature, stack: list):
     unwritten = False
     steps = 0
     while stack:
-        kind, ctx, t, target, path = stack.pop()
+        kind, ctx, t, target, slot = stack.pop()
         steps += 1
         tag = t[0]
         if kind == _TYPE:
@@ -349,14 +405,14 @@ def _run(sig: Signature, stack: list):
                         if eq:
                             continue
                 if tag == PI:
-                    stack.append((_TYPE, (t[1], ctx), t[2], None, (1, path)))
-                    stack.append((_TYPE, ctx, t[1], None, (0, path)))
+                    stack.append((_TYPE, (t[1], ctx), t[2], None, 1))
+                    stack.append((_TYPE, ctx, t[1], None, 0))
                 else:
-                    stack.append((_TERM, ctx, t[3], t[1], (2, path)))
-                    stack.append((_TERM, ctx, t[2], t[1], (1, path)))
-                    stack.append((_TYPE, ctx, t[1], None, (0, path)))
+                    stack.append((_TERM, ctx, t[3], t[1], 2))
+                    stack.append((_TERM, ctx, t[2], t[1], 1))
+                    stack.append((_TYPE, ctx, t[1], None, 0))
             elif tag != NAT and not (tag == CONST and t[1] in atomics):
-                return False, "not a type", _path(path), steps
+                return False, "not a type", slot, steps
             continue
 
         # a certified subject is discharged by comparison; a variable or a
@@ -384,25 +440,25 @@ def _run(sig: Signature, stack: list):
                 hops += 1
             steps += hops
             if entry is None or i < 0:
-                return False, "unbound variable", _path(path), steps
+                return False, "unbound variable", slot, steps
             expected, env = entry[0], (0, (), i + 1)
             why = "variable type mismatch"
         elif tag == CONST:
             expected = consts.get(t[1])
             if expected is None:
-                return False, "not a term constant", _path(path), steps
+                return False, "not a term constant", slot, steps
             why = "constant type mismatch"
         elif tag == LAM:
             a, b, body = t[1], t[2], t[3]
-            stack.append((_TERM, (a, ctx), body, b, (2, path)))
+            stack.append((_TERM, (a, ctx), body, b, 2))
             expected = (PI, a, b)
             why = "lambda against non-matching type"
         elif tag == APP:
             a, b, fun, arg = t[1], t[2], t[3], t[4]
-            stack.append((_TERM, ctx, arg, a, (3, path)))
-            stack.append((_TERM, ctx, fun, (PI, a, b), (2, path)))
-            stack.append((_TYPE, (a, ctx), b, None, (1, path)))
-            stack.append((_TYPE, ctx, a, None, (0, path)))
+            stack.append((_TERM, ctx, arg, a, 3))
+            stack.append((_TERM, ctx, fun, (PI, a, b), 2))
+            stack.append((_TYPE, (a, ctx), b, None, 1))
+            stack.append((_TYPE, ctx, a, None, 0))
             expected, env = b, (0, (arg,), 0)
             why = "application result mismatch"
         elif tag == BETA:
@@ -417,7 +473,7 @@ def _run(sig: Signature, stack: list):
             why = "betaconv type mismatch"
         elif tag == REFL:
             a, point = t[1], t[2]
-            stack.append((_TERM, ctx, point, a, (1, path)))
+            stack.append((_TERM, ctx, point, a, 1))
             expected = (ID, a, point, point)
             why = "refl type mismatch"
         elif tag == IDREC:
@@ -466,7 +522,7 @@ def _run(sig: Signature, stack: list):
             )
             why = "natconv_succ type mismatch"
         else:
-            return False, "no term-level rule for this constructor", _path(path), steps
+            return False, "no term-level rule for this constructor", slot, steps
 
         # The one comparison site.  An obligation with no target (``infer``
         # seeds one) ends the run here with the type the rule concludes, its
@@ -504,14 +560,14 @@ def _run(sig: Signature, stack: list):
         elif etag == CONST or len(expected) == 1 and etag != VAR and etag != CLO:
             steps += 1
             if etag != target[0] or etag == CONST and expected[1] != target[1]:
-                return False, why, _path(path), steps
+                return False, why, slot, steps
         else:
             if env is not None:
                 expected = (CLO, expected, env)
             eq, c = _k.eq_lazy(expected, target, certs)
             steps += c
             if not eq:
-                return False, why, _path(path), steps
+                return False, why, slot, steps
 
         if tag == IDREC:
             # a closed leaf is its own instance, charged 1 per ``inst`` it
@@ -538,12 +594,12 @@ def _run(sig: Signature, stack: list):
                     minst, c3 = _k.inst(p, refl, 1, 0)
                     steps += c3
             ctx3 = ((ID, a2, (VAR, 1), (VAR, 0)), (a1, (a, ctx)))
-            stack.append((_TERM, (a, ctx), base, minst, (5, path)))
-            stack.append((_TERM, ctx, pth, (ID, a, lhs, rhs), (4, path)))
-            stack.append((_TERM, ctx, rhs, a, (3, path)))
-            stack.append((_TERM, ctx, lhs, a, (2, path)))
-            stack.append((_TYPE, ctx3, p, None, (1, path)))
-            stack.append((_TYPE, ctx, a, None, (0, path)))
+            stack.append((_TERM, (a, ctx), base, minst, 5))
+            stack.append((_TERM, ctx, pth, (ID, a, lhs, rhs), 4))
+            stack.append((_TERM, ctx, rhs, a, 3))
+            stack.append((_TERM, ctx, lhs, a, 2))
+            stack.append((_TYPE, ctx3, p, None, 1))
+            stack.append((_TYPE, ctx, a, None, 0))
         elif tag == NATREC:
             ptag = p[0]
             if ptag == CONST or len(p) == 1 and ptag != VAR and ptag != CLO:
@@ -553,12 +609,12 @@ def _run(sig: Signature, stack: list):
                 pz, c1 = _k.inst(p, ((ZERO,),), 0, 0)
                 ps, c2 = _k.inst(p, ((SUCC, (VAR, 1)),), 2, 0)
                 steps += c1 + c2
-            stack.append((_TERM, ctx, scrut, _NAT, (3, path)))
-            stack.append((_TERM, (p, (_NAT, ctx)), s, ps, (2, path)))
-            stack.append((_TERM, ctx, z, pz, (1, path)))
-            stack.append((_TYPE, (_NAT, ctx), p, None, (0, path)))
+            stack.append((_TERM, ctx, scrut, _NAT, 3))
+            stack.append((_TERM, (p, (_NAT, ctx)), s, ps, 2))
+            stack.append((_TERM, ctx, z, pz, 1))
+            stack.append((_TYPE, (_NAT, ctx), p, None, 0))
         elif tag == SUCC:
-            stack.append((_TERM, ctx, t[1], _NAT, (0, path)))
+            stack.append((_TERM, ctx, t[1], _NAT, 0))
     return True, None, None, steps
 
 
@@ -575,12 +631,12 @@ def _seed_judgement(j: Judgement) -> list:
     full = prefixes[-1]
     stack = []
     if isinstance(j, HasType):
-        stack.append((_TERM, full, j.term, j.ty, ("term", None)))
-        stack.append((_TYPE, full, j.ty, None, ("type", None)))
+        stack.append((_TERM, full, j.term, j.ty, "term"))
+        stack.append((_TYPE, full, j.ty, None, "type"))
     elif isinstance(j, TypeWF):
-        stack.append((_TYPE, full, j.ty, None, ("type", None)))
+        stack.append((_TYPE, full, j.ty, None, "type"))
     for i in range(len(ctx) - 1, -1, -1):
-        stack.append((_TYPE, prefixes[i], ctx[i], None, (("ctx", i), None)))
+        stack.append((_TYPE, prefixes[i], ctx[i], None, ("ctx", i)))
     return stack
 
 
@@ -597,12 +653,13 @@ def check(sig: Signature, j: Judgement) -> CheckReport:
             if eq:
                 ns = time.perf_counter_ns() - t0
                 return CheckReport("accept", None, None, cmp_steps + 1, ns)
-    ok, reason, locus, steps = _run(sig, _seed_judgement(j))
+    stack = _seed_judgement(j)
+    ok, reason, slot, steps = _run(sig, stack)
     steps += cmp_steps
-    ns = time.perf_counter_ns() - t0
     if ok:
-        return CheckReport("accept", None, None, steps, ns)
-    return CheckReport("reject", reason, locus, steps, ns)
+        return CheckReport("accept", None, None, steps, time.perf_counter_ns() - t0)
+    locus = _locus(sig, _seed_judgement(j), stack, slot)
+    return CheckReport("reject", reason, locus, steps, time.perf_counter_ns() - t0)
 
 
 def _issue(sig: Signature, j, subject: Term, conditional=False,
@@ -709,9 +766,12 @@ def instantiate(cert: Certificate, ctx: Context, s: Term
         # s against T weakened by k, as one term obligation under the type
         # stage's promise that ctx is well-formed and the target a type
         target, c = _k.inst(entries[n], (), k, 0)
-        ok, reason, locus, c2 = _run(
-            cert.sig, [(_TERM, _cons_ctx(ctx), s, target, ("component", None))])
+        seed = (_TERM, _cons_ctx(ctx), s, target, "component")
+        stack = [seed]
+        ok, reason, slot, c2 = _run(cert.sig, stack)
         steps += c + c2
+        if not ok:
+            locus = _locus(cert.sig, [seed], stack, slot)
     if not ok:
         ns = time.perf_counter_ns() - t0
         return CheckReport("reject", reason, locus, steps, ns), None, None
@@ -746,13 +806,14 @@ def infer(sig: Signature, ctx: Context, a: Term) -> Term:
     well-formed), or raise InferFailure.  What it returns is a type that
     ``check(sig, HasType(ctx, a, ty))`` accepts."""
     c = _cons_ctx(ctx)
-    ok, reason, out, _ = _run(sig, [(_TERM, c, a, None, ("term", None))])
-    if ok:
-        ty = out
-        ok, reason, out, _ = _run(sig, [
-            (_TERM, c, a, ty, ("term", None)),
-            (_TYPE, c, ty, None, ("type", None)),
-        ])
+    seed = (_TERM, c, a, None, "term")
+    stack = [seed]
+    ok, reason, ty, _ = _run(sig, stack)
     if not ok:
-        raise InferFailure(reason, out)
+        raise InferFailure(reason, _locus(sig, [seed], stack, ty))
+    term, stated = (_TERM, c, a, ty, "term"), (_TYPE, c, ty, None, "type")
+    stack = [term, stated]
+    ok, reason, slot, _ = _run(sig, stack)
+    if not ok:
+        raise InferFailure(reason, _locus(sig, [term, stated], stack, slot))
     return ty

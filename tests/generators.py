@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 
-from ott.checker import _TERM, _TYPE, _cons_ctx, _run
+from ott.checker import _TERM, _TYPE, _cons_ctx, _locus, _run
 from ott.kernel import APP, CONST, ID, IDREC, LAM, NAT, NATREC, PI, REFL, SUCC, VAR, ZERO
 from ott.subst import ContextMorphism, inst, shift
 from ott.surface import _fresh, print_term
@@ -259,11 +259,12 @@ def premise_count(sig: Signature, ctx: Context, subject: Term, target=None) -> i
     otherwise.  On a stack that holds only this obligation, that is the
     depth at the second pop, or 0 if there is none.  Raises ValueError if
     the obligation or a premise is rejected."""
-    kind = _TYPE if target is None else _TERM
-    stack = _PopDepths([(kind, _cons_ctx(ctx), subject, target, None)])
-    ok, reason, locus, _ = _run(sig, stack)
+    kind, stage = (_TYPE, "type") if target is None else (_TERM, "term")
+    seed = (kind, _cons_ctx(ctx), subject, target, stage)
+    stack = _PopDepths([seed])
+    ok, reason, slot, _ = _run(sig, stack)
     if not ok:
-        raise ValueError(f"{reason} at {list(locus)}")
+        raise ValueError(f"{reason} at {list(_locus(sig, [seed], stack, slot))}")
     return stack.depths[1] if len(stack.depths) > 1 else 0
 
 

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 import ott.checker
 from ott.checker import (
-    _TERM, CtxtWF, HasType, InferFailure, TypeWF, _certificates, _cons_ctx,
-    _live, _run, _seed_judgement, certify, check, infer, instantiate,
+    _TERM, _TYPE, CtxtWF, HasType, InferFailure, TypeWF, _certificates,
+    _cons_ctx, _live, _locus, _run, _seed_judgement, certify, check, infer,
+    instantiate,
 )
 from ott.terms import (
     App, BetaConv, Const, Id, IdConv, IdRec, Lambda, NatConvSucc, NatConvZero,
@@ -74,8 +75,8 @@ def test_context_entries_share_one_cons_list():
     tails.append(None)
     assert len(tails) == n + 1
     for i in range(n):
-        kind, prefix, entry, _, path = stack[len(stack) - 1 - i]
-        assert path == (("ctx", i), None) and entry is ctx[i]
+        kind, prefix, entry, _, slot = stack[len(stack) - 1 - i]
+        assert slot == ("ctx", i) and entry is ctx[i]
         assert prefix is tails[n - i]
         assert prefix == _cons_ctx(ctx[:i])
 
@@ -221,7 +222,7 @@ def test_failure_locus_points_into_the_term(sig):
     assert not report.ok
     assert report.locus[0] == "type"  # the stated type is already bad
     # the term stage alone, under the promise that the type is fine
-    ok, reason, _, _ = _run(sig, [(_TERM, _cons_ctx(()), term, Id(A, Zero, Zero), None)])
+    ok, reason, _, _ = _run(sig, [(_TERM, _cons_ctx(()), term, Id(A, Zero, Zero), "term")])
     assert not ok
 
 
@@ -504,16 +505,28 @@ def test_step_fingerprint_is_pinned_with_live_certificates(sig):
 # differential: the checker loop against the one it replaced ---------------------
 #
 # ``reference_run`` is ``_run`` as it was when every comparison and every
-# substitution was a kernel call (its test-only trace hook left out).  The
-# current loop decides leaf comparisons and substitutions inline; it must
-# return the same (ok, reason, locus, steps), or raise the same exception
-# type, on every input, malformed ones included.  The one intended
-# difference is a negative variable index, which the reference accepts.
+# substitution was a kernel call (its test-only trace hook left out), and
+# every obligation carried its path as a cons list.  The current loop decides
+# leaf comparisons and substitutions inline and returns the failing slot,
+# which ``_locus`` turns into a path; together they must give the same
+# (ok, reason, locus, steps), or raise the same exception type, on every
+# input, malformed ones included.  The one intended difference is a negative
+# variable index, which the reference accepts.
 
 
-def reference_run(sig, stack):
+def _path(p) -> tuple:
+    out = []
+    while p is not None:
+        out.append(p[0])
+        p = p[1]
+    out.reverse()
+    return tuple(out)
+
+
+def reference_run(sig, seeds):
+    """The reference loop on a stack of seeds in ``_run``'s layout."""
     from ott import kernel as _k
-    from ott.checker import _TERM, _TYPE, _path
+    from ott.checker import _TERM, _TYPE
     from ott.kernel import (
         APP, BETA, CLO, CONST, ID, IDCONV, IDREC, LAM, NAT, NATCONVSUCC,
         NATCONVZERO, NATREC, PI, REFL, SUCC, VAR, ZERO,
@@ -521,6 +534,7 @@ def reference_run(sig, stack):
 
     consts = sig.constants
     atomics = sig.atomic_types
+    stack = [(kind, ctx, t, target, (slot, None)) for kind, ctx, t, target, slot in seeds]
     steps = 0
     while stack:
         kind, ctx, t, target, path = stack.pop()
@@ -676,13 +690,20 @@ def reference_run(sig, stack):
     return True, None, None, steps
 
 
-def _both(sig, make_stack):
-    """The outcome of ``_run`` and of ``reference_run`` on fresh copies of
-    one obligation stack: the 4-tuple, or the exception type raised."""
-    from ott.checker import _run
+def _run_with_locus(sig, seeds):
+    """``_run`` on ``seeds``, with the failing slot turned into a locus by
+    ``_locus`` as the public entry points do."""
+    stack = list(seeds)
+    ok, reason, slot, steps = _run(sig, stack)
+    return ok, reason, slot if ok else _locus(sig, seeds, stack, slot), steps
 
+
+def _both(sig, make_stack):
+    """The outcome of ``_run`` with ``_locus`` and of ``reference_run`` on
+    fresh copies of one obligation stack: the 4-tuple, or the exception type
+    raised."""
     out = []
-    for run in (_run, reference_run):
+    for run in (_run_with_locus, reference_run):
         try:
             out.append(run(sig, make_stack()))
         except Exception as exc:  # malformed input: compare the failure
@@ -691,9 +712,7 @@ def _both(sig, make_stack):
 
 
 def _term_stack(ctx, term, ty):
-    from ott.checker import _TERM
-
-    return lambda: [(_TERM, _cons_ctx(ctx), term, ty, ("term", None))]
+    return lambda: [(_TERM, _cons_ctx(ctx), term, ty, "term")]
 
 
 def _agree(sig, ctx, term, ty):
@@ -794,6 +813,127 @@ def test_negative_index_is_the_one_intended_difference(sig):
     new, old = _both(sig, _term_stack((A,), Var(-1), A))
     assert old == (True, None, None, 2)
     assert new == (False, "unbound variable", ("term",), 1)
+
+
+# loci below a stage's root ---------------------------------------------------------
+#
+# A rejection below a stage's root gets its locus from a second run of that
+# stage alone.  Each of these fails at depth two or more, and the public entry
+# point must give the reference's (reason, locus) and the first run's steps.
+
+
+def _reference(sig, seeds):
+    ok, reason, locus, steps = reference_run(sig, seeds)
+    assert not ok
+    return reason, locus, steps
+
+
+def test_locus_in_a_later_context_entry(sig):
+    j = CtxtWF((A, NatTy, Pi(A, Id(A, Var(0), Zero))))
+    r = check(sig, j)
+    assert (r.reason, r.locus, r.steps) == _reference(sig, _seed_judgement(j))
+    assert r.locus == (("ctx", 2), 1, 2)
+
+
+def test_locus_inside_a_pi_codomain_in_the_type_stage(sig):
+    j = HasType((A,), a, Pi(A, Pi(A, Id(A, Var(1), Zero))))
+    r = check(sig, j)
+    assert (r.reason, r.locus, r.steps) == _reference(sig, _seed_judgement(j))
+    assert r.locus == ("type", 1, 1, 2)
+
+
+def test_locus_under_a_binder_in_the_term_stage(sig):
+    j = HasType((A, NatTy), Lambda(A, NatTy, Succ(Succ(Var(0)))), Pi(A, NatTy))
+    r = check(sig, j)
+    assert (r.reason, r.locus, r.steps) == _reference(sig, _seed_judgement(j))
+    assert r.locus == ("term", 2, 0, 0)
+
+
+def test_locus_in_an_idrec_base_under_an_unwritten_motive(sig):
+    # x : A, y : A, e : Id(A, x, y) |- Pi(A, Id(A, x, y)) type, certified,
+    # so the base's target stays a closure until it is compared
+    ctx3 = (A, A, Id(A, Var(1), Var(0)))
+    motive = Pi(A, Id(A, Var(3), Var(2)))
+    _, held = certify(sig, TypeWF(ctx3, motive))
+    assert _live(_certificates, sig, motive, TypeWF) is held
+    base = Lambda(A, Id(A, Var(1), Var(1)), Refl(A, Zero))
+    j = HasType((), IdRec(A, motive, a, a, Refl(A, a), base), Pi(A, Id(A, a, a)))
+    r = check(sig, j)
+    assert (r.reason, r.locus) == _reference(sig, _seed_judgement(j))[:2]
+    assert r.locus == ("term", 5, 2)
+    good = IdRec(A, motive, a, a, Refl(A, a), Lambda(A, Id(A, Var(1), Var(1)), Refl(A, Var(1))))
+    assert check(sig, HasType((), good, Pi(A, Id(A, a, a)))).ok
+    del held
+
+
+def test_locus_in_the_second_run_of_infer(sig):
+    ctx = (A,)
+    term = Lambda(A, NatTy, Succ(Succ(Var(0))))
+    c = _cons_ctx(ctx)
+    ok, _, ty, _ = _run(sig, [(_TERM, c, term, None, "term")])
+    assert ok and ty == Pi(A, NatTy)
+    want = _reference(sig, [(_TERM, c, term, ty, "term"),
+                            (_TYPE, c, ty, None, "type")])
+    with pytest.raises(InferFailure) as err:
+        infer(sig, ctx, term)
+    assert (err.value.reason, err.value.locus) == want[:2]
+    assert err.value.locus == ("term", 2, 0, 0)
+
+
+def test_locus_in_the_component_of_instantiate(sig):
+    _, fam = certify(sig, TypeWF((NatTy,), Id(NatTy, Var(0), Var(0))))
+    assert fam is not None
+    ctx, s = (A,), Succ(Succ(Var(0)))
+    report, out, cert = instantiate(fam, ctx, s)
+    assert out is None and cert is None
+    want = _reference(sig, [(_TERM, _cons_ctx(ctx), s, NatTy, "component")])
+    assert (report.reason, report.locus) == want[:2]
+    assert report.locus == ("component", 0, 0)
+
+
+def test_a_deep_rejection_gets_its_whole_locus(sig):
+    n = 10 ** 5
+    sig = sig.with_const("c", A)
+    t = c
+    for _ in range(n):
+        t = Succ(t)
+    r = check(sig, HasType((), t, NatTy))
+    assert r.reason == "constant type mismatch"
+    assert len(r.locus) == n + 1
+    assert r.locus == ("term",) + (0,) * n
+
+
+def test_a_locus_costs_one_rerun_of_the_failing_stage_only(sig, monkeypatch):
+    """An accepted judgement and a rejection at a stage's root run once; a
+    deeper rejection runs again, seeded with only the failing stage's seed,
+    and the report's steps are the first run's."""
+    calls = []
+    real = ott.checker._run
+
+    def recorded(sig, stack):
+        seeds = list(stack)
+        out = real(sig, stack)
+        calls.append((stack, seeds, out))
+        return out
+
+    monkeypatch.setattr(ott.checker, "_run", recorded)
+    ctx = (A, NatTy)
+    for j in (HasType(ctx, Lambda(A, NatTy, Succ(Var(1))), Pi(A, NatTy)),
+              CtxtWF(ctx), TypeWF(ctx, Pi(A, NatTy))):
+        calls.clear()
+        assert check(sig, j).ok
+        assert len(calls) == 1
+    calls.clear()
+    r = check(sig, HasType(ctx, a, NatTy))
+    assert r.locus == ("term",) and len(calls) == 1
+    assert r.steps == calls[0][2][3]
+    calls.clear()
+    r = check(sig, HasType(ctx, Lambda(A, NatTy, Succ(Var(0))), Pi(A, NatTy)))
+    assert r.locus == ("term", 2, 0) and len(calls) == 2
+    (_, first, out), (stack, seeds, _) = calls
+    assert isinstance(stack, ott.checker._Paths)
+    assert len(seeds) == 1 and seeds[0][4] == "term" and seeds[0][2] is first[0][2]
+    assert r.steps == out[3]
 
 
 # certificates ----------------------------------------------------------------------
@@ -1140,8 +1280,7 @@ def test_instantiate_charges_the_tree_size_of_an_instance_that_shares_nodes(sig)
     # once per occurrence
     prefix = 1 + _k.eq_lazy(delta[0], ctx[0])[1]
     target, written = inst(A, (), 2, 0)
-    ok, _, _, component = _run(sig, [(_TERM, _cons_ctx(ctx), Var(0), target,
-                                      ("component", None))])
+    ok, _, _, component = _run(sig, [(_TERM, _cons_ctx(ctx), Var(0), target, "component")])
     assert ok
     assert report.steps == prefix + written + component + size(out)
 
@@ -1369,9 +1508,11 @@ def test_unwritten_motive_meets_a_substituted_type_written(sig):
     assert held is not None
     entry = Id(A, Var(0), Var(0))
     motive = (CLO, fresh_copy(entry), (0, (), 0), _UNWRITTEN)
-    obligation = (_TERM, _cons_ctx((A, entry)), Var(0), motive, ("term", None))
-    ok, reason, locus, _ = _run(sig, [obligation])
-    assert (ok, reason, locus) == (False, "variable type mismatch", ("term",))
+    obligation = (_TERM, _cons_ctx((A, entry)), Var(0), motive, "term")
+    stack = [obligation]
+    ok, reason, slot, _ = _run(sig, stack)
+    assert (ok, reason, slot) == (False, "variable type mismatch", "term")
+    assert _locus(sig, [obligation], stack, slot) == ("term",)
     del held
 
 
