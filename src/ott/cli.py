@@ -22,7 +22,7 @@ from .derived import (
 )
 from .surface import (
     CheckItem, Definition, ElabItem, InferItem, ParseError, Postulate,
-    is_pair, parse, print_term, to_core,
+    is_pair, located_item, parse, print_term, to_core,
 )
 from .terms import Signature
 
@@ -224,12 +224,18 @@ def run_script(path: str, args) -> int:
         return PARSE_ERROR
     state = _ScriptState()
     try:
-        for item in script.items:
+        for at, item in enumerate(script.items):
             _run_item(item, state, args)
-    except ParseError as exc:
-        # name-resolution errors surface during item processing
-        print(f"{path}:{exc}", file=sys.stderr)
-        return PARSE_ERROR
+    except ParseError:
+        # an unbound name, raised by to_core before the item checked or
+        # emitted anything; the parsed item holds no positions, so resolve
+        # it again as read on positioned tokens, to the same error
+        try:
+            _run_item(located_item(text, at), state, args)
+        except ParseError as exc:
+            print(f"{path}:{exc}", file=sys.stderr)
+            return PARSE_ERROR
+        raise AssertionError("an unbound name resolved when read again") from None
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return FAIL

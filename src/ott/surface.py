@@ -18,15 +18,24 @@ Each constructor's notation is written once, in the syntax table
 ``_SYNTAX``; the parser, name resolution and the printer are driven by it,
 each on an explicit stack, so no term is too deep to read or write.
 
-A surface term is an exact tuple that starts with its head token
-``(kind, text, line, col)``.  A name is its token alone, such as
-``("name", "x", 1, 5)``.  A constructor is its keyword's token followed by
-its children in core slot order, each written as the tuple of binder names
-that scope over it and then the child itself: ``lam(x : A -> A) x`` at the
-start of a line is ``("kw", "lam", 1, 1, (), A, ("x",), A, ("x",), x)``,
-where each ``A`` and ``x`` is that name's token.  A parsed tree holds
-nothing but tuples, strings and ints, so the cyclic garbage collector can
-untrack it instead of rescanning it while a script is checked.
+A token is its lexeme, a plain string, and the lexer keeps no positions.
+A surface term holds no positions either.  A name is its lexeme, such as
+``"x"``.  A constructor is an exact tuple of its keyword followed by its
+children in core slot order, each written as the tuple of binder names
+that scope over it and then the child itself: ``lam(x : A -> A) x`` is
+``("lam", (), "A", ("x",), "A", ("x",), "x")``, and ``Nat`` is
+``("Nat",)``.  A parsed tree holds nothing but tuples and strings, so the
+cyclic garbage collector can untrack it instead of rescanning it while a
+script is checked.
+
+Positions are found only when an error is reported.  The parser raises a
+syntax error at a token's index, and ``parse`` then runs the positional
+scan ``_scan`` from that token to place it: a token's line and column
+follow from its offset in the text.  ``_lex`` raises a lexical error at the
+first bad lexeme, placed the same way, so the parser never sees a text with
+one.  ``to_core`` on a parsed tree reports an unbound name with line and
+col 0; ``located_item`` reads one item again on tokens that carry their
+line and column, and ``to_core`` on its terms places the name.
 
 Script definitions are transparent abbreviations: they are checked once and
 spliced into later terms during name resolution, before the checker ever
@@ -36,7 +45,8 @@ runs, so the kernel only sees core rules and no new equalities appear.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import islice
 from typing import Optional, Union
 
 from .kernel import (
@@ -48,13 +58,16 @@ from .terms import Signature, Term
 __all__ = [
     "ParseError", "Script",
     "Postulate", "Definition", "CheckItem", "InferItem", "ElabItem",
-    "is_pair", "parse", "parse_term", "to_core", "print_term",
+    "is_pair", "located_item", "parse", "parse_term", "to_core", "print_term",
 ]
 
 
 class ParseError(Exception):
+    """A syntax, lexical or name error at ``line`` and ``col``, which are 0
+    where the error is not placed (see ``to_core``)."""
+
     def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"{line}:{col}: {message}")
+        super().__init__(f"{line}:{col}: {message}" if line else message)
         self.message = message
         self.line = line
         self.col = col
@@ -66,59 +79,89 @@ KEYWORDS = {
     "postulate", "def", "check", "infer", "elab", "Type", "Ctxt",
 }
 
-# Token kinds: punctuation is its own kind, keywords are "kw", every other
-# word is "name".  A token is the tuple (kind, text, line, col).
+# A token is its lexeme, a plain string.  Its kind is ``_KIND.get(lexeme,
+# "name")``: punctuation is its own kind, a keyword is "kw", the empty string
+# that ends every token list is "eof", and every other word is a name.  The
+# keys of ``_KIND`` are the canonical objects that ``_lex`` maps each
+# keyword and each punctuation mark to.
 _KIND = {p: p for p in ("|-", "->", ":=", "(", ")", "{", "}", "[", "]", ",", ";", ":", ".")}
 _KIND.update((word, "kw") for word in KEYWORDS)
+_KIND[""] = "eof"
+_CANONICAL = {word: word for word in _KIND}
 
-# One alternative per lexeme, after any blanks on the same line.  A name
-# starts with a character for which str.isalpha holds, or "_", and goes on
-# with \w (str.isalnum or "_") or "'".  \w minus \d also admits non-letters
-# such as "½" and "²", so a word starting outside ASCII takes group 4 and is
-# tested with str.isalpha.  "\Z" ends the text after trailing blanks in one
-# match instead of one failed attempt per blank.
-_TOKEN = re.compile(
-    r"[ \t\r]*(?:"
-    r"(\|-|->|:=|[(){}\[\],;:.]|[A-Za-z_][\w']*)"  # 1: punctuation or ASCII word
-    r"|(\n[ \t\r\n]*)"  # 2: line breaks
-    r"|(--[^\n]*)"  # 3: comment
-    r"|([^\W\d][\w']*)"  # 4: word starting outside ASCII
-    r"|(.)"  # 5: anything else is an error
-    r"|\Z)",
+# One lexeme after any blanks and comments: punctuation, an ASCII word, a
+# word starting outside ASCII, any other character (an error), or the end
+# of the text, which reads as "".  A name starts with a character for which
+# str.isalpha holds, or "_", and goes on with \w (str.isalnum or "_") or
+# "'".  \w minus \d also admits non-letters such as "½" and "²", so
+# ``_is_name`` tests the first character of a word that is not a keyword.
+_LEXEME = re.compile(
+    r"(?:[ \t\r\n]+|--[^\n]*)*"
+    r"(\|-|->|:=|[(){}\[\],;:.]|[A-Za-z_][\w']*|[^\W\d][\w']*|.|\Z)",
     re.DOTALL,
 )
 
 
 def _lex(text: str) -> list:
-    tokens = []
-    append = tokens.append
-    kinds = _KIND
-    line, line_start = 1, 0
-    eof = len(text)
-    for m in _TOKEN.finditer(text):
-        group = m.lastindex
-        if group == 1:
-            word = m.group(1)
-            append((kinds.get(word, "name"), word, line, m.start(1) - line_start + 1))
-        elif group == 2:
-            breaks = m.group(2)
-            line += breaks.count("\n")
-            line_start = m.start(2) + breaks.rindex("\n") + 1
-        elif group == 3:
+    """The lexemes of ``text`` followed by "", with no positions: one
+    ``findall``, every keyword and punctuation mark mapped to its canonical
+    object and every name to one object per distinct name.  A lexical error
+    is raised at the first bad lexeme, which ``_scan`` places."""
+    words = _LEXEME.findall(text)
+    if len(words) > 1 and words[-2] == "":
+        words.pop()  # trailing blanks end in "" and leave one more empty match
+    distinct = set(words)
+    bad = [word for word in distinct.difference(_KIND) if not _is_name(word)]
+    if bad:
+        next(_scan(text, min(map(words.index, bad))))  # raises at that lexeme
+    canonical = dict(zip(distinct, distinct))
+    canonical.update(_CANONICAL)
+    return list(map(canonical.__getitem__, words))
+
+
+def _is_name(word: str) -> bool:
+    """Whether a word that is not a keyword starts a name, not an error."""
+    return word[0].isalpha() or word[0] == "_"
+
+
+class _Token(str):
+    """A lexeme with its line and column, made only to place an unbound
+    name (see ``located_item``)."""
+
+    def __new__(cls, text: str, line: int, col: int):
+        tok = str.__new__(cls, text)
+        tok.line, tok.col = line, col
+        return tok
+
+
+def _scan(text: str, at: int = 0):
+    """The positional scan: each token of ``_lex`` from token ``at`` on as
+    ``(lexeme, line, col)``, the end of the text "" last, or a ParseError at
+    the first lexical error from there.  Run only when an error is reported,
+    to place it.  The tokens before ``at`` are skipped over ``_LEXEME``
+    matches, which ``islice`` consumes without running Python code for each,
+    and are not checked."""
+    matches = _LEXEME.finditer(text)
+    end = next(islice(matches, at - 1, None)).end() if at else 0
+    line = text.count("\n", 0, end) + 1
+    last = text.rfind("\n", 0, end)  # the newline that starts the line, or -1
+    for m in matches:
+        where = m.start(1)
+        breaks = text.count("\n", end, where)
+        if breaks:
+            line += breaks
+            last = text.rfind("\n", end, where)
+        word = m.group(1)
+        if not word:
             # a comment does not advance the column, which shows only when
-            # it runs to the end of the text: eof sits where it started
-            if m.end() == len(text):
-                eof = m.start(3)
-        elif group == 4 and m.group(4)[0].isalpha():
-            word = m.group(4)
-            append((kinds.get(word, "name"), word, line, m.start(4) - line_start + 1))
-        elif group is not None:
-            start = m.start(group)
-            raise ParseError(
-                f"unexpected character {text[start]!r}", line, start - line_start + 1
-            )
-    append(("eof", "", line, eof - line_start + 1))
-    return tokens
+            # it ends the text: the end sits at its "--"
+            comment = text.find("--", max(end, last + 1), where)
+            yield "", line, (where if comment < 0 else comment) - last
+            return
+        if word not in _KIND and not _is_name(word):
+            raise ParseError(f"unexpected character {word[0]!r}", line, where - last)
+        yield word, line, where - last
+        end = m.end()
 
 
 # Script items.  Their terms are surface terms, laid out as the module
@@ -128,7 +171,6 @@ def _lex(text: str) -> list:
 class Postulate:
     name: str
     ty: Optional[tuple]  # None declares an atomic type
-    span: tuple = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
@@ -136,7 +178,6 @@ class Definition:
     name: str
     ty: tuple
     body: tuple
-    span: tuple = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
@@ -145,14 +186,12 @@ class CheckItem:
     form: str  # "term", "type", or "ctxt"
     term: Optional[tuple] = None
     ty: Optional[tuple] = None
-    span: tuple = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
 class InferItem:
     bindings: tuple
     term: tuple
-    span: tuple = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
@@ -165,12 +204,12 @@ class ElabItem:
     # telescope (each entry scoped by the entries before it) or an argument
     # list; ``is_pair`` tells the two apart
     args: tuple = ()
-    span: tuple = field(default=(0, 0), compare=False)
 
 
 def is_pair(arg: tuple) -> bool:
     """Whether an ``ElabItem`` argument is one ``(binders, term)`` pair, not
-    a tuple of them: only a pair ends in a term, which starts with a string."""
+    a tuple of them: only a pair ends in a term, whose first item is a
+    string (its keyword, or the first character of a name)."""
     return bool(arg) and type(arg[-1][0]) is str
 
 
@@ -228,13 +267,14 @@ class _Row:
     literal text and what follows it, which is a child ``(slot, k)`` with
     its binder count ``k``, the binder ``(-1, position)``, or ``(0, 0)`` at
     the end.
-    ``word`` is the whole text of a constructor with no children, such as
-    ``Nat``, and None otherwise.
+    ``leaf`` is the whole surface term of a constructor with no children,
+    such as ``("Nat",)``, and None otherwise.
     """
 
-    __slots__ = ("tag", "segments", "pieces", "binders", "word")
+    __slots__ = ("keyword", "tag", "segments", "pieces", "binders", "leaf")
 
     def __init__(self, keyword: str, tag: int, notation: str):
+        self.keyword = keyword
         self.tag = tag
         scoping = (0,) + BINDERS[tag]
         words = notation.split()
@@ -271,86 +311,98 @@ class _Row:
         self.segments = tuple(segments)
         self.pieces = tuple(pieces)
         self.binders = len(letters)
-        self.word = keyword if not words else None
+        self.leaf = (keyword,) if not words else None
 
 
 _BY_KEYWORD = {entry[0]: _Row(*entry) for entry in _SYNTAX}
 _BY_TAG = {row.tag: row for row in _BY_KEYWORD.values()}
 
 
+class _Unplaced(Exception):
+    """A syntax error at token ``at``: the parser reads no positions, so
+    ``_read`` finds the token's line and column once the error is raised."""
+
+    def __init__(self, message: str, at: int):
+        super().__init__(message)
+        self.message = message
+        self.at = at
+
+
 class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _lex(text)
+    """The parser, on a token list that ends in "": ``_lex``'s lexemes, or
+    one item's ``_Token`` objects when it is read again to place an unbound
+    name.  It compares lexemes, so it reads both alike."""
+
+    def __init__(self, tokens: list):
+        self.tokens = tokens
         self.pos = 0
 
-    def peek(self) -> tuple:
+    def peek(self) -> str:
         return self.tokens[self.pos]
 
-    def next(self) -> tuple:
+    def next(self) -> str:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def fail(self, message: str):
-        _, _, line, col = self.peek()
-        raise ParseError(message, line, col)
+    def fail(self, message: str, at: Optional[int] = None):
+        raise _Unplaced(message, self.pos if at is None else at)
 
-    def expect(self, kind: str) -> tuple:
+    def expect(self, kind: str) -> str:
         tok = self.tokens[self.pos]
-        if tok[0] != kind:
-            self.fail(f"expected {kind!r}, found {tok[1]!r}")
+        if _KIND.get(tok, "name") != kind:
+            self.fail(f"expected {kind!r}, found {tok!r}")
         self.pos += 1
         return tok
 
     def name(self) -> str:
-        return self.expect("name")[1]
-
-    def at_kw(self, word: str) -> bool:
-        tok = self.peek()
-        return tok[0] == "kw" and tok[1] == word
+        return self.expect("name")
 
     # terms ---------------------------------------------------------------
 
-    def term(self) -> tuple:
+    def term(self):
         """One term, read on an explicit stack of open constructors.
+
+        A name is its lexeme.  A constructor is a tuple of its keyword and
+        then its children in core slot order, each as the tuple of binder
+        names over it and the child: ``lam(x : A -> A) x`` reads as
+        ``("lam", (), "A", ("x",), "A", ("x",), "x")``.  A constructor with
+        no children is its row's ``leaf``, such as ``("Nat",)``.
 
         A frame is ``[row, segment index, binder names, the term so far
         as a list, binders of the next child]``; an open parenthesis is None.
         """
         tokens = self.tokens
+        rows = _BY_KEYWORD
+        kinds = _KIND
         pos = self.pos
         frames: list = []
         while True:
             tok = tokens[pos]
-            kind = tok[0]
-            if kind == "name":
+            row = rows.get(tok)
+            if row is not None:
+                pos += 1
+                done = row.leaf
+                if done is None:
+                    names = [None] * row.binders if row.binders else ()
+                    frames.append([row, 0, names, [row.keyword], None])
+            elif tok not in kinds:
                 pos += 1
                 done = tok
-            elif kind == "(":
+            elif tok == "(":
                 pos += 1
                 frames.append(None)
                 continue
             else:
-                row = _BY_KEYWORD.get(tok[1]) if kind == "kw" else None
-                if row is None:
-                    self.pos = pos
-                    self.fail(f"expected a term, found {tok[1]!r}")
-                pos += 1
-                if row.word is not None:
-                    done = tok
-                else:
-                    names = [None] * row.binders if row.binders else ()
-                    frames.append([row, 0, names, list(tok), None])
-                    done = None
+                self.fail(f"expected a term, found {tok!r}", pos)
             # hand the finished term to the innermost open constructor, and
             # close every constructor it completes
             while frames:
                 frame = frames[-1]
                 if frame is None:
                     tok = tokens[pos]
-                    if tok[0] != ")":
-                        self.pos = pos
-                        self.fail(f"expected ')', found {tok[1]!r}")
+                    if tok != ")":
+                        self.fail(f"expected ')', found {tok!r}", pos)
                     pos += 1
                     frames.pop()
                     continue
@@ -362,14 +414,12 @@ class _Parser:
                 for step in lead:
                     tok = tokens[pos]
                     if type(step) is str:
-                        if tok[0] != step:
-                            self.pos = pos
-                            self.fail(f"expected {step!r}, found {tok[1]!r}")
-                    elif tok[0] != "name":
-                        self.pos = pos
-                        self.fail(f"expected 'name', found {tok[1]!r}")
+                        if tok != step:
+                            self.fail(f"expected {step!r}, found {tok!r}", pos)
+                    elif tok in kinds:
+                        self.fail(f"expected 'name', found {tok!r}", pos)
                     else:
-                        names[step] = tok[1]
+                        names[step] = tok
                     pos += 1
                 if k is not None:
                     frame[1] = at + 1
@@ -381,6 +431,12 @@ class _Parser:
                 self.pos = pos
                 return done
 
+    def whole_term(self):
+        """A term that is the whole text."""
+        out = self.term()
+        self.expect("eof")
+        return out
+
     # scripts --------------------------------------------------------------
 
     def bindings(self):
@@ -388,18 +444,16 @@ class _Parser:
         self.expect("[")
         out = []
         seen = set()
-        if self.peek()[0] != "]":
+        if self.peek() != "]":
             while True:
-                _, _, line, col = self.peek()
+                at = self.pos
                 name = self.name()
                 if name in seen:
-                    raise ParseError(
-                        f"duplicate binder {name!r} in context", line, col
-                    )
+                    self.fail(f"duplicate binder {name!r} in context", at)
                 seen.add(name)
                 self.expect(":")
                 out.append((name, self.term()))
-                if self.peek()[0] != ",":
+                if self.peek() != ",":
                     break
                 self.next()
         self.expect("]")
@@ -415,51 +469,45 @@ class _Parser:
         return tuple(out)
 
     def item(self):
-        _, text, line, col = self.peek()
-        span = (line, col)
-        if self.at_kw("postulate"):
-            self.next()
+        word = self.next()
+        if word == "postulate":
             name = self.name()
             self.expect(":")
-            if self.at_kw("Type"):
+            if self.peek() == "Type":
                 self.next()
-                return Postulate(name, None, span)
-            return Postulate(name, self.term(), span)
-        if self.at_kw("def"):
-            self.next()
+                return Postulate(name, None)
+            return Postulate(name, self.term())
+        if word == "def":
             name = self.name()
             self.expect(":")
             ty = self.term()
             self.expect(":=")
-            return Definition(name, ty, self.term(), span)
-        if self.at_kw("check"):
-            self.next()
+            return Definition(name, ty, self.term())
+        if word == "check":
             binds = self.bindings()
-            if self.at_kw("Ctxt"):
+            if self.peek() == "Ctxt":
                 self.next()
-                return CheckItem(binds, "ctxt", span=span)
+                return CheckItem(binds, "ctxt")
             self.expect("|-")
             term = self.term()
-            if self.at_kw("Type"):
+            if self.peek() == "Type":
                 self.next()
-                return CheckItem(binds, "type", ty=term, span=span)
+                return CheckItem(binds, "type", ty=term)
             self.expect(":")
-            return CheckItem(binds, "term", term=term, ty=self.term(), span=span)
-        if self.at_kw("infer"):
-            self.next()
+            return CheckItem(binds, "term", term=term, ty=self.term())
+        if word == "infer":
             binds = self.bindings()
             self.expect("|-")
-            return InferItem(binds, self.term(), span)
-        if self.at_kw("elab"):
-            self.next()
+            return InferItem(binds, self.term())
+        if word == "elab":
             binds = self.bindings()
             self.expect("|-")
-            op_tok = self.peek()
-            if op_tok[0] != "name" or op_tok[1] not in _ELAB_OPS:
+            op = self.peek()
+            if op not in _ELAB_OPS:
                 self.fail(f"expected an elaborator name (one of {', '.join(_ELAB_OPS)})")
             self.next()
-            return ElabItem(binds, op_tok[1], self._elab_args(op_tok[1]), span)
-        self.fail(f"expected an item, found {text!r}")
+            return ElabItem(binds, op, self._elab_args(op))
+        self.fail(f"expected an item, found {word!r}", self.pos - 1)
 
     def _elab_args(self, op: str) -> tuple:
         """The arguments of ``op`` after ``ctx``, in call order, each term
@@ -508,10 +556,10 @@ class _Parser:
         else:
             args += self._terms(3 if op == "tele_idrec" else 1)
             self.expect(";")
-            args += (self._terms() if self.peek()[0] != ";" else (),)
+            args += (self._terms() if self.peek() != ";" else (),)
             self.expect(";")
             names = [self.name()]
-            while self.peek()[0] == "name":
+            while self.peek() not in _KIND:  # a name
                 names.append(self.name())
             self.expect(".")
             args += ((tuple(names), self.term()),)
@@ -522,14 +570,14 @@ class _Parser:
         """Comma-separated terms as ``((), term)`` pairs: exactly ``count``
         of them, or as many as there are when ``count`` is 0."""
         out = [((), self.term())]
-        while len(out) != count and (count or self.peek()[0] == ","):
+        while len(out) != count and (count or self.peek() == ","):
             self.expect(",")
             out.append(((), self.term()))
         return tuple(out)
 
     def script(self) -> Script:
         items = []
-        while self.peek()[0] != "eof":
+        while self.peek() != "":
             items.append(self.item())
         return Script(tuple(items))
 
@@ -549,16 +597,39 @@ def _decode(text: Union[str, bytes]) -> str:
         ) from None
 
 
+def _read(text: Union[str, bytes], rule):
+    """``rule`` of the parser on the lexemes of ``text``.  A syntax error is
+    placed after it is raised: the positional scan gives its token's line
+    and column."""
+    text = _decode(text)
+    try:
+        return rule(_Parser(_lex(text)))
+    except _Unplaced as exc:
+        _, line, col = next(_scan(text, exc.at))
+        raise ParseError(exc.message, line, col) from None
+
+
 def parse(text: Union[str, bytes]) -> Script:
     """Parse a script; raises ParseError with the position of the first error."""
-    return _Parser(_decode(text)).script()
+    return _read(text, _Parser.script)
 
 
 def parse_term(text: Union[str, bytes]) -> tuple:
-    p = _Parser(_decode(text))
-    out = p.term()
-    p.expect("eof")
-    return out
+    return _read(text, _Parser.whole_term)
+
+
+def located_item(text: Union[str, bytes], index: int):
+    """Item ``index`` of a script that ``parse`` accepts, read again on
+    tokens that carry their line and column, so that ``to_core`` on its
+    terms reports an unbound name where it is written."""
+    text = _decode(text)
+    parser = _Parser(_lex(text))
+    for _ in range(index):
+        parser.item()
+    start = parser.pos
+    parser.item()
+    tokens = [_Token(*tok) for tok in islice(_scan(text, start), parser.pos - start)]
+    return _Parser(tokens + [""]).item()
 
 
 # name resolution ----------------------------------------------------------
@@ -570,7 +641,8 @@ def to_core(s: tuple, scope, sig: Signature, defs=None) -> Term:
     """Resolve names to de Bruijn indices; binders shadow definitions, which
     shadow signature constants.  Definitions splice in their (closed) bodies.
     Children are resolved left to right, so an error names the first unbound
-    name in the text."""
+    name in the text.  A name carries no position, so the ParseError has
+    line and col 0, unless the term was read by ``located_item``."""
     defs = defs or {}
     names = None  # the scope as a cons list, innermost name first
     for name in scope:
@@ -586,11 +658,11 @@ def to_core(s: tuple, scope, sig: Signature, defs=None) -> Term:
             inner = names
             for binder in binders:
                 inner = (binder, inner)
-            if child[0] != "name":
+            if type(child) is tuple:
                 stack.append((done, todo, at, names))
-                done, todo, at, names = [_TAG_OF[child[1]]], child, 4, inner
+                done, todo, at, names = [_TAG_OF[child[0]]], child, 1, inner
                 continue
-            word = child[1]
+            word = child
             index = 0
             while inner is not None and inner[0] != word:
                 inner = inner[1]
@@ -602,7 +674,9 @@ def to_core(s: tuple, scope, sig: Signature, defs=None) -> Term:
             elif word in sig:
                 done.append((CONST, word))
             else:
-                raise ParseError(f"unbound name {word!r}", child[2], child[3])
+                raise ParseError(
+                    f"unbound name {word!r}", getattr(word, "line", 0), getattr(word, "col", 0)
+                )
         elif stack:
             term = tuple(done)
             done, todo, at, names = stack.pop()
@@ -660,8 +734,8 @@ def print_term(t: Term, scope=(), reserved=()) -> str:
             row = _BY_TAG.get(tag)
             if row is None:
                 raise _print_error(t, names)
-            if row.word is not None:
-                append(row.word)
+            if row.leaf is not None:
+                append(row.leaf[0])
             else:
                 stack.append((node, pieces, scopes, fresh))
                 node, pieces = child, iter(row.pieces)

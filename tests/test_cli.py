@@ -245,7 +245,7 @@ def test_telescope_item_mutants_never_crash(tmp_path, capsys):
     path = tmp_path / "mutant.ott"
     codes = set()
     for item in items:
-        words = [tok[1] for tok in _lex(item)[:-1]]
+        words = _lex(item)[:-1]
         for at in range(len(words)):
             for word in ((), ("a",), ("x",), ("zero",)):
                 mutant = " ".join(words[:at] + list(word) + words[at + 1:])
@@ -255,14 +255,74 @@ def test_telescope_item_mutants_never_crash(tmp_path, capsys):
     assert codes == {0, 1, 2}
 
 
-def _benchmark_script():
-    """The benchmark's seed-1 script at 100 items."""
+def _benchmark_script(items=100):
+    """The benchmark's seed-1 script, at 100 items unless told otherwise."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     try:
         import workloads
     finally:
         sys.path.pop(0)
-    return workloads.script_text(1, items=100)[0]
+    return workloads.script_text(1, items=items)[0]
+
+
+@pytest.mark.parametrize("last, error", [
+    ("check [w : A] |- refl(A, w) : Id(A, w w)", "10404:39: expected ',', found 'w'"),
+    ("check [w : A] |- refl(A, w) : Id(A, w, w) ?", "10404:43: unexpected character '?'"),
+    ("check [w : A] |- refl(A, w) : Id(A, w, v)", "10404:40: unbound name 'v'"),
+], ids=["syntax", "stray", "unbound"])
+def test_error_on_the_last_line_of_the_benchmark_script(tmp_path, capsys, last, error):
+    """The 10,000-item benchmark script with an error on its last line is
+    reported at the line and column that a lexer keeping every token's
+    position reported: a syntax error, a stray character, and an unbound
+    name, which is found only after every item before it ran."""
+    from ott import cli
+
+    lines = _benchmark_script(items=10_000).splitlines()
+    assert len(lines) == 10404
+    path = _write(tmp_path, "last.ott", "\n".join(lines[:-1] + [last]) + "\n")
+    assert cli.main(["--json", "check", path]) == 2
+    assert capsys.readouterr().err == f"{path}:{error}\n"
+
+
+@pytest.mark.parametrize("text, error", [
+    ("postulate A : Type\r\npostulate a : A\r\ncheck [] |- refl(A a) : Id(A, a, a)\r\n",
+     "3:20: expected ',', found 'a'"),
+    ("postulate A : Type\r\npostulate a : A\r\ncheck [] |- refl(A, a) : Id(A, a, a) ½\r\n",
+     "3:38: unexpected character '½'"),
+    ("postulate A : Type\r\npostulate a : A\r\ncheck [] |- refl(A, a) : Id(A, a, b)\r\n",
+     "3:35: unbound name 'b'"),
+    ("postulate A : Type\n\tpostulate a :\tA\n\tcheck []\t|- refl(A,\ta) : Id(A, a a)\n",
+     "3:35: expected ',', found 'a'"),
+    ("postulate A : Type\n\tpostulate a :\tA\n\tcheck []\t|- refl(A,\ta) : Id(A, a, a)\t'\n",
+     "3:39: unexpected character \"'\""),
+    ("postulate A : Type\n\tpostulate a :\tA\n\tcheck []\t|- refl(A,\tb) : Id(A, a, a)\n",
+     "3:22: unbound name 'b'"),
+], ids=["crlf-syntax", "crlf-stray", "crlf-unbound", "tab-syntax", "tab-stray", "tab-unbound"])
+def test_errors_in_crlf_and_tab_indented_lines(tmp_path, capsys, text, error):
+    """A carriage return and a tab each take one column."""
+    from ott import cli
+
+    path = tmp_path / "ws.ott"
+    path.write_bytes(text.encode())
+    assert cli.main(["--json", "check", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"{path}:{error}\n")
+
+
+def test_scripts_without_errors_never_run_the_positional_scan(tmp_path, capsys, monkeypatch):
+    """Positions are found only when an error is reported: the demos and
+    the 100-item benchmark script parse, resolve and run without it."""
+    from ott import cli, surface
+
+    def scan(*args):
+        raise AssertionError("the positional scan ran")
+
+    monkeypatch.setattr(surface, "_scan", scan)
+    paths = [str(ROOT / "demo" / "basics.ott"), str(ROOT / "demo" / "equality.ott"),
+             _write(tmp_path, "script.ott", _benchmark_script())]
+    for path in paths:
+        surface.parse(Path(path).read_bytes())
+        assert cli.main(["--json", "check", path]) in (0, 1)
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("name, code", [("basics", 0), ("equality", 0), ("script-1-100", 1)])

@@ -143,7 +143,7 @@ def test_elab_args_carry_their_scopes():
         (item,) = parse("elab [] |- " + call).items
         assert [arg[0] if is_pair(arg) else [b for b, _ in arg] for arg in item.args] == scopes
         pairs = [pair for arg in item.args for pair in ((arg,) if is_pair(arg) else arg)]
-        assert " ".join(t[1] for _, t in pairs) == heads, call
+        assert " ".join(t if type(t) is str else t[0] for _, t in pairs) == heads, call
 
 
 def test_definitions_splice_closed_bodies(sig):
@@ -249,19 +249,22 @@ def _terms(script):
     while todo:
         t, depth = todo.pop()
         yield t, depth
-        # a constructor's children follow its head token and their binders
-        todo.extend((child, depth + 1) for child in t[5::2])
+        # a name is a string; a constructor's children follow its keyword
+        # and their binders
+        if type(t) is tuple:
+            todo.extend((child, depth + 1) for child in t[2::2])
 
 
 def test_parsed_terms_are_plain_tuples_the_collector_untracks():
-    """Every term node is an exact tuple of strings, ints and such tuples,
-    so the cyclic garbage collector can untrack a parsed script instead of
-    rescanning it.  A full collection untracks each tuple whose contents
-    are untracked by then, so a fresh tree can take one collection per
-    level of its deepest term."""
+    """Every term node is an exact string (a name) or an exact tuple of
+    strings and such tuples, so the cyclic garbage collector can untrack a
+    parsed script instead of rescanning it.  A full collection untracks
+    each tuple whose contents are untracked by then, so a fresh tree can
+    take one collection per level of its deepest term."""
     for path in sorted((ROOT / "demo").glob("*.ott")):
         nodes = list(_terms(parse(path.read_bytes())))
-        assert nodes and all(type(t) is tuple for t, _ in nodes)
+        assert nodes and all(type(t) in (tuple, str) for t, _ in nodes)
+        assert any(type(t) is tuple for t, _ in nodes)
         for _ in range(max(depth for _, depth in nodes) + 1):
             gc.collect()
         assert [t for t, _ in nodes if gc.is_tracked(t)] == []

@@ -3,9 +3,11 @@
 ``ReferenceParser.term`` and ``reference_print_term`` are the parser's term
 rule and the printer as they were written before the syntax table: one
 hand-written branch per constructor, recursing on the Python stack.  The
-parser must build the same tuples, the positions of every node included, or
-raise the same ParseError at the same place; the printer must write the same
-text, or raise the same ValueError.  The one intended difference is a
+reference reads the positional scan's tokens and places each error at the
+token it fails on; the parser reads bare lexemes and places an error only
+once it is raised.  The parser must build the same tuples, or raise the
+same ParseError at the same line and column; the printer must write the
+same text, or raise the same ValueError.  The one intended difference is a
 negative de Bruijn index, which the reference printer writes as a name from
 the wrong end of the scope.
 """
@@ -23,7 +25,7 @@ from ott.kernel import (
     NATCONVZERO, NATREC, PI, REFL, SUCC, VAR, ZERO,
 )
 from ott.surface import (
-    KEYWORDS, ParseError, _decode, _fresh, _lex, _Parser, print_term,
+    _KIND, KEYWORDS, ParseError, _decode, _fresh, _Parser, _scan, _Token, parse, print_term,
 )
 from ott.terms import Const, Var
 
@@ -32,16 +34,20 @@ from generators import Generator, default_signature, replace_at, subterm_paths
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _node(keyword, span, *children):
-    """The constructor written as ``keyword`` at ``span``, from its
-    ``(binders, child)`` pairs in slot order."""
-    return ("kw", keyword) + span + tuple(x for pair in children for x in pair)
+def _node(keyword, *children):
+    """The constructor written as ``keyword``, from its ``(binders, child)``
+    pairs in slot order."""
+    return (keyword,) + tuple(x for pair in children for x in pair)
 
 
 class ReferenceParser(_Parser):
+    def fail(self, message, at=None):
+        tok = self.tokens[self.pos if at is None else at]
+        raise ParseError(message, tok.line, tok.col)
+
     def term(self) -> tuple:
-        kind, word, line, col = self.peek()
-        span = (line, col)
+        word = self.peek()
+        kind = _KIND.get(word, "name")
         if kind == "(":
             self.next()
             inner = self.term()
@@ -49,21 +55,21 @@ class ReferenceParser(_Parser):
             return inner
         if kind == "name":
             self.next()
-            return ("name", word) + span
+            return word
         if kind != "kw":
             self.fail(f"expected a term, found {word!r}")
         if word == "Nat":
             self.next()
-            return _node("Nat", span)
+            return _node("Nat")
         if word == "zero":
             self.next()
-            return _node("zero", span)
+            return _node("zero")
         if word == "succ":
             self.next()
             self.expect("(")
             arg = self.term()
             self.expect(")")
-            return _node("succ", span, ((), arg))
+            return _node("succ", ((), arg))
         if word == "Pi":
             self.next()
             self.expect("(")
@@ -72,7 +78,7 @@ class ReferenceParser(_Parser):
             dom = self.term()
             self.expect(")")
             cod = self.term()
-            return _node("Pi", span, ((), dom), ((binder,), cod))
+            return _node("Pi", ((), dom), ((binder,), cod))
         if word == "lam":
             self.next()
             self.expect("(")
@@ -83,7 +89,7 @@ class ReferenceParser(_Parser):
             cod = self.term()
             self.expect(")")
             body = self.term()
-            return _node("lam", span, ((), dom), ((binder,), cod), ((binder,), body))
+            return _node("lam", ((), dom), ((binder,), cod), ((binder,), body))
         if word == "app":
             self.next()
             dom, binder, cod = self._family1()
@@ -92,7 +98,7 @@ class ReferenceParser(_Parser):
             self.expect(",")
             arg = self.term()
             self.expect(")")
-            return _node("app", span, ((), dom), ((binder,), cod), ((), fun), ((), arg))
+            return _node("app", ((), dom), ((binder,), cod), ((), fun), ((), arg))
         if word == "betaconv":
             self.next()
             dom, binder, cod = self._family1()
@@ -104,7 +110,7 @@ class ReferenceParser(_Parser):
             body = self.term()
             self.expect(")")
             return _node(
-                "betaconv", span, ((), dom), ((binder,), cod), ((), arg), ((b2,), body)
+                "betaconv", ((), dom), ((binder,), cod), ((), arg), ((b2,), body)
             )
         if word == "Id":
             self.next()
@@ -115,7 +121,7 @@ class ReferenceParser(_Parser):
             self.expect(",")
             rhs = self.term()
             self.expect(")")
-            return _node("Id", span, ((), over), ((), lhs), ((), rhs))
+            return _node("Id", ((), over), ((), lhs), ((), rhs))
         if word == "refl":
             self.next()
             self.expect("(")
@@ -123,7 +129,7 @@ class ReferenceParser(_Parser):
             self.expect(",")
             point = self.term()
             self.expect(")")
-            return _node("refl", span, ((), over), ((), point))
+            return _node("refl", ((), over), ((), point))
         if word == "idrec":
             self.next()
             over, (x, y, u), motive = self._family3()
@@ -139,7 +145,7 @@ class ReferenceParser(_Parser):
             base = self.term()
             self.expect(")")
             return _node(
-                "idrec", span, ((), over), ((x, y, u), motive), ((), lhs), ((), rhs),
+                "idrec", ((), over), ((x, y, u), motive), ((), lhs), ((), rhs),
                 ((), pth), ((bx,), base),
             )
         if word == "idconv":
@@ -153,7 +159,7 @@ class ReferenceParser(_Parser):
             base = self.term()
             self.expect(")")
             return _node(
-                "idconv", span, ((), over), ((x, y, u), motive), ((), point), ((bx,), base)
+                "idconv", ((), over), ((x, y, u), motive), ((), point), ((bx,), base)
             )
         if word in ("natrec", "natconv_zero", "natconv_succ"):
             self.next()
@@ -174,7 +180,7 @@ class ReferenceParser(_Parser):
                 self.expect(",")
                 children.append(((), self.term()))
             self.expect(")")
-            return _node(word, span, *children)
+            return _node(word, *children)
         self.fail(f"expected a term, found {word!r}")
 
     def _family1(self):
@@ -309,9 +315,7 @@ def _walk(tree):
 
 
 def _fields(tree):
-    """Everything a parse produced as a flat list, with the line and column
-    of every term and item: items leave their spans out of ==, and ==
-    recurses."""
+    """Everything a parse produced as a flat list, since == recurses."""
     out = []
     for x in _walk(tree):
         if dataclasses.is_dataclass(x):
@@ -323,21 +327,26 @@ def _fields(tree):
     return out
 
 
-def _parse_outcome(parser, text):
+def _reference_parse(text):
+    return ReferenceParser([_Token(*tok) for tok in _scan(_decode(text))]).script()
+
+
+def _parse_outcome(parse, text):
     try:
-        return _fields(parser(_decode(text)).script())
+        return _fields(parse(text))
     except ParseError as exc:
         return ("error", exc.message, exc.line, exc.col)
 
 
 def _assert_parses_alike(text):
-    new = _parse_outcome(_Parser, text)
-    assert new == _parse_outcome(ReferenceParser, text), text
+    new = _parse_outcome(parse, text)
+    assert new == _parse_outcome(_reference_parse, text), text
     return new[0] != "error"
 
 
 def _sources():
-    """The shipped demos and a small benchmark script, one token list each."""
+    """The shipped demos and a small benchmark script, one list of
+    ``(kind, text, line, col)`` tokens each."""
     texts = [path.read_text(encoding="utf-8") for path in sorted((ROOT / "demo").glob("*.ott"))]
     sys.path.insert(0, str(ROOT / "perfbench"))
     try:
@@ -345,7 +354,8 @@ def _sources():
     finally:
         sys.path.pop(0)
     texts.append(workloads.script_text(1, items=100)[0])
-    return [[tok for tok in _lex(text) if tok[0] != "eof"] for text in texts]
+    return [[(_KIND.get(word, "name"), word, line, col) for word, line, col in list(_scan(text))[:-1]]
+            for text in texts]
 
 
 _SOURCES = _sources()
