@@ -204,6 +204,10 @@ class InferFailure(Exception):
         self.locus = locus
 
 
+# ``Certificate._spine`` before ``instantiate`` has built it
+_UNBUILT = object()
+
+
 @dataclass(frozen=True, eq=False)
 class Certificate:
     """A ``HasType`` or ``TypeWF`` judgement the kernel accepted under
@@ -227,18 +231,10 @@ class Certificate:
     judgement: Union[HasType, TypeWF]
     conditional: bool = False
     provenance: Optional[tuple] = None
-    # the family's open spine, which ``instantiate`` builds on its first
-    # instance and keeps here, so that it dies with the certificate
-    _spine: Optional["_Spine"] = field(default=None, init=False, repr=False)
-
-
-class _Spine:
-    """What ``open_spine`` found for a certified family, None for a closed
-    one, held by the family's certificate."""
-    __slots__ = ("value", "__weakref__")
-
-    def __init__(self, value):
-        self.value = value
+    # the family's open spine (None for a closed family), which
+    # ``instantiate`` builds on its first instance and keeps here, so that
+    # it dies with the certificate
+    _spine: object = field(default=_UNBUILT, init=False, repr=False)
 
 
 # id(term) -> weak reference to the live Certificate indexed for that term
@@ -776,14 +772,14 @@ def instantiate(cert: Certificate, ctx: Context, s: Term
         ns = time.perf_counter_ns() - t0
         return CheckReport("reject", reason, locus, steps, ns), None, None
     spine = cert._spine
-    if spine is None:
+    if spine is _UNBUILT:
         # two threads may both get here, and build equal spines
-        spine = _Spine(_k.open_spine(j.ty))
+        spine = _k.open_spine(j.ty)
         object.__setattr__(cert, "_spine", spine)
-    if spine.value is None:
+    if spine is None:
         out, nodes = _k.inst(j.ty, (s,), k, 0)
     else:
-        out, nodes = _k.inst_open(j.ty, spine.value, (s,), k)
+        out, nodes = _k.inst_open(j.ty, spine, (s,), k)
     steps += nodes
     issued = None
     if nodes > len(ctx) + 1:

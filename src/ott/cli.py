@@ -231,7 +231,7 @@ def run_script(path: str, args) -> int:
         # emitted anything; the parsed item holds no positions, so resolve
         # it again as read on positioned tokens, to the same error
         try:
-            _run_item(located_item(text, at), state, args)
+            _run_item(located_item(text, script, at), state, args)
         except ParseError as exc:
             print(f"{path}:{exc}", file=sys.stderr)
             return PARSE_ERROR

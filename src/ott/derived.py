@@ -8,15 +8,16 @@ accepted by the kernel at its stated type, and a RecheckFailure here always
 means a construction bug, never user error.
 
 Every sealed result and every precondition is checked with
-``ott.checker.certify``, and the emitter holds the certificate it returns: a
+``ott.checker.certify`` through the one helper ``_certified``, and the
+emitter holds the certificate it returns: a
 result's for as long as the result lives (``ElabResult.certificate``), a
 precondition's until the emitter's own result is sealed (a telescope
 product's for as long as the product lives).  While a certificate is held,
 the kernel discharges an obligation on its term or type object at the
 certified context (and type) by comparison, both when the object comes back
 as a precondition and when it sits inside a larger emitted term: the
-reversed path inside transitivity's transport, the induction hypothesis
-inside betaconv's congruence, the point inside transport's application.
+reversed path inside transitivity's transport, the witness so far inside
+betaconv's congruence, the point inside transport's application.
 
 Transport writes six instances of its family into the term it emits.  It
 asks the kernel for each with ``ott.checker.instantiate``, from the family's
@@ -42,6 +43,10 @@ over three binders sees the innermost binder (the path) as index 0, its right
 endpoint as 1 and its left endpoint as 2; a one-binder family sees its
 argument as index 0.  Telescope entries are listed outermost first and each
 entry may mention all earlier ones.
+
+An application spine is walked once, by ``_spine_steps``.  The telescope
+computation witness is built up the telescope in a loop, so a longer
+telescope goes no deeper on the Python stack.
 
 Everything here materializes eagerly.  Emitted terms are not minimized or
 hash-consed, but an instance from ``instantiate`` shares its family's closed
@@ -88,27 +93,24 @@ class ElabResult:
     certificate: Optional[Certificate] = field(compare=False, repr=False)
 
 
-def _require(sig, ctx, term, ty, what):
-    """Check a precondition; returns its certificate, which the emitter
-    holds until its own result is sealed."""
-    report, cert = certify(sig, HasType(ctx, term, ty))
-    if not report.ok:
-        raise ElabError(f"precondition failed: {what}")
-    return cert
-
-
-def _require_type(sig, ctx, ty, what, entry_what=None):
-    """Check a type precondition; returns its certificate, held like a
-    term precondition's.  A failure at context entry ``i`` is reported as
+def _certified(sig, j, what=None, entry_what=None):
+    """Certify ``j``; returns its certificate, which the caller holds (in a
+    local list until its own result is sealed, when ``j`` is a
+    precondition).  With ``what``, ``j`` is a precondition and a failure is
+    an ElabError; a failure at context entry ``i`` of a type is reported as
     ``entry_what(i)`` when that is given, so one judgement can stand for the
-    checks of the entries it extends the context by."""
-    report, cert = certify(sig, TypeWF(ctx, ty))
-    if not report.ok:
-        locus = report.locus[0]
-        if entry_what is not None and locus != "type":
-            what = entry_what(locus[1])
-        raise ElabError(f"precondition failed: {what}")
-    return cert
+    checks of the entries it extends the context by.  Without ``what``,
+    ``j`` was emitted and a failure is a construction bug."""
+    report, cert = certify(sig, j)
+    if report.ok:
+        return cert
+    if what is None:
+        kind = "term" if isinstance(j, HasType) else "type"
+        raise RecheckFailure(
+            f"emitted {kind} failed recheck: {report.reason} at {report.locus}")
+    if entry_what is not None and report.locus[0] != "type":
+        what = entry_what(report.locus[0][1])
+    raise ElabError(f"precondition failed: {what}")
 
 
 def _instance(family, cert, ctx, extra, s, held):
@@ -128,24 +130,10 @@ def _instance(family, cert, ctx, extra, s, held):
     return out
 
 
-def _certified_type(sig, ctx, ty):
-    """The certificate of an emitted type; as with a term, a failure is a
-    construction bug."""
-    report, cert = certify(sig, TypeWF(ctx, ty))
-    if not report.ok:
-        raise RecheckFailure(f"emitted type failed recheck: {report.reason} at {report.locus}")
-    return cert
-
-
-def _sealed(sig, ctx, term, ty, held=()) -> ElabResult:
-    """Recheck an emitted term; ``held`` keeps the certificates of the
-    emitter's preconditions alive until then."""
-    report, cert = certify(sig, HasType(ctx, term, ty))
-    if not report.ok:
-        raise RecheckFailure(
-            f"emitted term failed recheck: {report.reason} at {report.locus}"
-        )
-    return ElabResult(term, ty, ctx, cert)
+def _sealed(sig, ctx, term, ty) -> ElabResult:
+    """Recheck an emitted term.  The caller's local list of precondition
+    certificates keeps them alive until this returns."""
+    return ElabResult(term, ty, ctx, _certified(sig, HasType(ctx, term, ty)))
 
 
 def transport(sig: Signature, ctx: Context, family_over: Term, family: Term,
@@ -159,14 +147,14 @@ def transport(sig: Signature, ctx: Context, family_over: Term, family: Term,
     ``point``.
     """
     # the family's context stage checks the base
-    fam = _require_type(sig, ctx + (family_over,), family, "transport: family is a type",
-                        lambda i: "transport: base is a type")
-    held = [fam, _require(sig, ctx, path, (ID, family_over, src, dst),
-                          "transport: path relates the endpoints")]
+    fam = _certified(sig, TypeWF(ctx + (family_over,), family),
+                     "transport: family is a type", lambda i: "transport: base is a type")
+    held = [fam, _certified(sig, HasType(ctx, path, (ID, family_over, src, dst)),
+                            "transport: path relates the endpoints")]
     fam_src = _instance(family, fam, ctx, (), src, held)
     fam_dst = _instance(family, fam, ctx, (), dst, held)
-    held.append(_require(sig, ctx, point, fam_src,
-                         "transport: point inhabits the source fiber"))
+    held.append(_certified(sig, HasType(ctx, point, fam_src),
+                           "transport: point inhabits the source fiber"))
 
     # Motive over (x, y, u): functions from family[x] to family[y].  At the
     # domain the binders in scope are x,y,u so x is index 2; the codomain
@@ -178,7 +166,7 @@ def transport(sig: Signature, ctx: Context, family_over: Term, family: Term,
         # with the motive's certificate the recheck leaves the motive at
         # reflexivity unwritten; both instances in it are certified, so the
         # check compares contexts
-        held.append(_certified_type(sig, ctx + binders, motive))
+        held.append(_certified(sig, TypeWF(ctx + binders, motive)))
     # Base: under x the identity function on family[x].  The domain is the
     # family itself: x is its own index 0.
     base = (LAM, family, _instance(family, fam, ctx, (family_over, family), (VAR, 1), held),
@@ -188,7 +176,7 @@ def transport(sig: Signature, ctx: Context, family_over: Term, family: Term,
     # from family[src] to family[dst]; apply it to the point.
     codomain = _instance(family, fam, ctx, (fam_src,), shift(dst, 1), held)
     term = (APP, fam_src, codomain, carrier, point)
-    return _sealed(sig, ctx, term, fam_dst, held)
+    return _sealed(sig, ctx, term, fam_dst)
 
 
 def symmetry(sig: Signature, ctx: Context, over: Term, lhs: Term, rhs: Term,
@@ -215,8 +203,7 @@ def congruence_app(sig: Signature, ctx: Context, domain: Term, codomain: Term,
     ``path : Id(Pi(domain, codomain), fun_a, fun_b)`` emit an equality between
     the two applications at ``arg``."""
     fun_ty = (PI, domain, codomain)
-    steps = ((domain, codomain),)
-    result_ty = inst(codomain, (arg,))
+    steps, result_ty = _spine_steps(fun_ty, (arg,))
     return _spine_congruence(sig, ctx, fun_ty, fun_a, fun_b, path, steps, (arg,),
                              result_ty)
 
@@ -234,16 +221,15 @@ def _spine_app(steps, head, args, by):
     return cur
 
 
-def _spine_steps(entries, body, args):
-    """Annotation steps and the result type for applying a function over the
-    telescope ``entries`` with result ``body`` to ``args``."""
-    cur_ty = _pi_fold(entries, body)
+def _spine_steps(fun_ty, args):
+    """Annotation steps ((dom, cod) per argument) and the result type for
+    applying a function of the product type ``fun_ty`` to ``args``."""
     steps = []
     for arg in args:
-        _, dom, cod = cur_ty
+        _, dom, cod = fun_ty
         steps.append((dom, cod))
-        cur_ty = inst(cod, (arg,))
-    return tuple(steps), cur_ty
+        fun_ty = inst(cod, (arg,))
+    return tuple(steps), fun_ty
 
 
 def _spine_congruence(sig, ctx, fun_ty, fun_a, fun_b, path, steps, args, result_ty):
@@ -259,21 +245,6 @@ def _spine_congruence(sig, ctx, fun_ty, fun_a, fun_b, path, steps, args, result_
     )
     base = (REFL, result_ty, lhs)
     return transport(sig, ctx, fun_ty, family, fun_a, fun_b, path, base)
-
-
-def _pi_fold(entries, body: Term) -> Term:
-    """The nested product over a telescope: right fold of Pi."""
-    ty = body
-    for entry in reversed(entries):
-        ty = (PI, entry, ty)
-    return ty
-
-
-def _lam_fold(entries, suffixes, body: Term) -> Term:
-    term = body
-    for j in range(len(entries) - 1, -1, -1):
-        term = (LAM, entries[j], suffixes[j + 1], term)
-    return term
 
 
 class TelescopePi:
@@ -294,8 +265,8 @@ class TelescopePi:
         # an ill-formed ``ctx`` counts against the first entry, or with none
         # against the body
         first = len(ctx)
-        self._held = _require_type(
-            sig, ctx + self.delta, body, "telescope body is a type",
+        self._held = _certified(
+            sig, TypeWF(ctx + self.delta, body), "telescope body is a type",
             (lambda i: f"telescope entry {max(i - first, 0)} is a type")
             if self.delta else None)
         # suffix[j] = product over entries j.. (suffix[0] is the full type)
@@ -307,55 +278,55 @@ class TelescopePi:
     def _check_body(self, body_term):
         """Check a term of the body type over the whole telescope; returns
         its certificate."""
-        return _require(self.sig, self.ctx + self.delta, body_term, self.body,
-                        "body term inhabits the telescope body")
+        return _certified(self.sig, HasType(self.ctx + self.delta, body_term, self.body),
+                          "body term inhabits the telescope body")
 
     def lam(self, body_term: Term) -> ElabResult:
         """Abstract a term over the whole telescope."""
-        held = self._check_body(body_term)
-        term = _lam_fold(self.delta, self.suffixes, body_term)
-        return _sealed(self.sig, self.ctx, term, self.pi_type, held)
+        held = self._check_body(body_term)  # noqa: F841 - alive until sealed
+        term = body_term
+        for j in range(len(self.delta) - 1, -1, -1):
+            term = (LAM, self.delta[j], self.suffixes[j + 1], term)
+        return _sealed(self.sig, self.ctx, term, self.pi_type)
 
     def _check_args(self, args):
+        """Check each argument against its entry; returns the annotation
+        steps of the application spine, its result type and the arguments'
+        certificates."""
         if len(args) != len(self.delta):
             raise ElabError("argument sequence length differs from telescope length")
-        scope_ty = self.pi_type
-        held = []
+        steps, held, ty = [], [], self.pi_type
         for i, arg in enumerate(args):
-            dom = scope_ty[1]
-            held.append(_require(self.sig, self.ctx, arg, dom,
-                                 f"argument {i} inhabits its telescope entry"))
-            scope_ty = inst(scope_ty[2], (arg,))
-        return scope_ty, held
+            # each argument is checked before the spine substitutes it
+            held.append(_certified(self.sig, HasType(self.ctx, arg, ty[1]),
+                                   f"argument {i} inhabits its telescope entry"))
+            step, ty = _spine_steps(ty, (arg,))
+            steps += step
+        return steps, ty, held
 
     def app(self, fun: Term, args) -> ElabResult:
         """Apply a function of the telescope product type to an argument
         sequence (a context morphism into the telescope)."""
         args = tuple(args)
-        result_ty, held = self._check_args(args)
-        held.append(_require(self.sig, self.ctx, fun, self.pi_type,
-                             "function has the telescope product type"))
-        steps, _ = _spine_steps(self.delta, self.body, args)
-        term = _spine_app(steps, fun, args, 0)
-        return _sealed(self.sig, self.ctx, term, result_ty, held)
+        steps, result_ty, held = self._check_args(args)
+        held.append(_certified(self.sig, HasType(self.ctx, fun, self.pi_type),
+                               "function has the telescope product type"))
+        return _sealed(self.sig, self.ctx, _spine_app(steps, fun, args, 0), result_ty)
 
     def betaconv(self, body_term: Term, args) -> ElabResult:
         """The computation witness: the telescope application of the
         telescope abstraction of ``body_term`` at ``args`` equals the
         instantiated body.
 
-        Assembled by induction on the telescope, innermost entry last: the
-        head of the spine is rewritten by the induction hypothesis
-        (congruence in the function position), then the one-variable
-        computation witness finishes, and the two are chained by
-        transitivity.  With no entries the two sides coincide and
-        reflexivity is the witness; with one entry the primitive witness is
-        emitted directly.
+        Built up the telescope in a loop: the primitive witness for the
+        first entry, then for each later one congruence in the function
+        position along the witness so far, chained by transitivity with the
+        one-variable witness.  With no entries reflexivity is the witness.
         """
         args = tuple(args)
         # the arguments' and the body's certificates are held until the
         # witness is sealed
-        _, held = self._check_args(args)
+        _, _, held = self._check_args(args)
         held.append(self._check_body(body_term))
         return _beta_witness(self.sig, self.ctx, self.delta, self.body,
                              body_term, args)
@@ -366,41 +337,41 @@ def telescope_pi(sig: Signature, ctx: Context, delta: Telescope, body: Term) -> 
 
 
 def _beta_witness(sig, ctx, entries, body_ty, body, args) -> ElabResult:
-    """Recursive witness construction; returns the sealed witness, whose
-    stated type is the Id type between the spine and the instantiated body."""
+    """The sealed witness, stated as the Id type between the spine and the
+    instantiated body.  Under its first ``m`` entries the later ones are
+    abstracted into the body, so the witness for ``m = 1`` is primitive."""
     if not entries:
         return _sealed(sig, ctx, (REFL, body_ty, body), (ID, body_ty, body, body))
-    if len(entries) == 1:
-        dom, arg = entries[0], args[0]
-        term = (BETA, dom, body_ty, arg, body)
-        stated = (
-            ID, inst(body_ty, (arg,)),
-            (APP, dom, body_ty, (LAM, dom, body_ty, body), arg),
-            inst(body, (arg,)),
-        )
-        return _sealed(sig, ctx, term, stated)
-    front, last = entries[:-1], entries[-1]
-    front_args, last_arg = args[:-1], args[-1]
-    inner_ty = (PI, last, body_ty)
-    inner_lam = (LAM, last, body_ty, body)
-    # ``ih`` stays alive while its term is the congruence's path, so its
-    # certificate discharges that precondition
-    ih = _beta_witness(sig, ctx, front, inner_ty, inner_lam, front_args)
-    _, pi_inst, spine_head, lam_inst = ih.stated_type
-    _, dom_i, cod_i = pi_inst
-    step = ((dom_i, cod_i),)
-    result_ty = inst(cod_i, (last_arg,))
-    # rewrite the head of the final application along the induction hypothesis
-    cong = _spine_congruence(sig, ctx, pi_inst, spine_head, lam_inst, ih.term,
-                             step, (last_arg,), result_ty)
-    # one-variable computation witness at the substituted data
-    rev = tuple(reversed(front_args))
-    body_inst = inst(body, rev, 0, 1)
-    bc = (BETA, dom_i, cod_i, last_arg, body_inst)
-    lhs = _spine_app(step, spine_head, (last_arg,), 0)
-    mid = _spine_app(step, lam_inst, (last_arg,), 0)
-    rhs = inst(body_inst, (last_arg,))
-    return transitivity(sig, ctx, result_ty, lhs, mid, rhs, cong.term, bc)
+    # bodies[-m] is the body under the first m entries; ty that body's type
+    # under the first one
+    bodies, ty = [body], body_ty
+    for entry in reversed(entries[1:]):
+        bodies.append((LAM, entry, ty, bodies[-1]))
+        ty = (PI, entry, ty)
+    dom, arg, first = entries[0], args[0], bodies.pop()
+    witness = _sealed(sig, ctx, (BETA, dom, ty, arg, first), (
+        ID, inst(ty, (arg,)),
+        (APP, dom, ty, (LAM, dom, ty, first), arg),
+        inst(first, (arg,)),
+    ))
+    for m in range(1, len(entries)):
+        # the witness so far stays alive while its term is the congruence's
+        # path, so its certificate discharges that precondition
+        _, pi_inst, spine_head, lam_inst = witness.stated_type
+        last_arg = args[m]
+        step, result_ty = _spine_steps(pi_inst, (last_arg,))
+        # rewrite the head of the final application along the witness so far
+        cong = _spine_congruence(sig, ctx, pi_inst, spine_head, lam_inst, witness.term,
+                                 step, (last_arg,), result_ty)
+        # one-variable computation witness at the substituted data
+        body_inst = inst(bodies.pop(), tuple(reversed(args[:m])), 0, 1)
+        ((dom_i, cod_i),) = step
+        bc = (BETA, dom_i, cod_i, last_arg, body_inst)
+        lhs = _spine_app(step, spine_head, (last_arg,), 0)
+        mid = _spine_app(step, lam_inst, (last_arg,), 0)
+        rhs = inst(body_inst, (last_arg,))
+        witness = transitivity(sig, ctx, result_ty, lhs, mid, rhs, cong.term, bc)
+    return witness
 
 
 def _ctx3(ctx: Context, over: Term) -> Context:
@@ -408,9 +379,14 @@ def _ctx3(ctx: Context, over: Term) -> Context:
     return ctx + (over, shift(over, 1), (ID, shift(over, 2), (VAR, 1), (VAR, 0)))
 
 
-def _subst_tele(delta, triple, outer):
-    """Instantiate the three elimination binders under each telescope entry."""
-    return tuple(inst(entry, triple, outer, j) for j, entry in enumerate(delta))
+def _product_at(sig, ctx, delta, motive, triple, outer=0):
+    """The telescope product of ``motive`` over ``delta``, both over (ctx,
+    x, y, x = y), at ``triple`` for the three binders (the path first): the
+    product over ``ctx`` extended by the ``outer`` entries that ``triple``
+    lives under."""
+    return telescope_pi(
+        sig, ctx, tuple(inst(entry, triple, outer, j) for j, entry in enumerate(delta)),
+        inst(motive, triple, outer, len(delta)))
 
 
 def _product_motive(sig, ctx, over, delta, motive, base):
@@ -419,12 +395,9 @@ def _product_motive(sig, ctx, over, delta, motive, base):
     base case ``s``, which abstracts ``base`` over the telescope at
     reflexivity."""
     product = telescope_pi(sig, _ctx3(ctx, over), delta, motive)
-    a1 = shift(over, 1)
-    refl_triple = ((REFL, a1, (VAR, 0)), (VAR, 0), (VAR, 0))
-    delta_refl = _subst_tele(delta, refl_triple, 1)
-    motive_refl = inst(motive, refl_triple, 1, len(delta))
-    product_refl = telescope_pi(sig, ctx + (over,), delta_refl, motive_refl)
-    return product.pi_type, product_refl.lam(base).term
+    refl_triple = ((REFL, shift(over, 1), (VAR, 0)), (VAR, 0), (VAR, 0))
+    s = _product_at(sig, ctx + (over,), delta, motive, refl_triple, 1).lam(base).term
+    return product.pi_type, s
 
 
 def telescope_idrec(sig: Signature, ctx: Context, over: Term, delta: Telescope,
@@ -444,15 +417,10 @@ def telescope_idrec(sig: Signature, ctx: Context, over: Term, delta: Telescope,
     args = tuple(args)
     if len(args) != len(delta):
         raise ElabError("argument sequence length differs from telescope length")
-    k = len(delta)
     big_motive, s = _product_motive(sig, ctx, over, delta, motive, base)
     carrier = (IDREC, over, big_motive, lhs, rhs, path, s)
     # apply the carrier through the telescope instantiated at the endpoints
-    end_triple = (path, rhs, lhs)
-    delta_end = _subst_tele(delta, end_triple, 0)
-    motive_end = inst(motive, end_triple, 0, k)
-    product_end = telescope_pi(sig, ctx, delta_end, motive_end)
-    return product_end.app(carrier, args)
+    return _product_at(sig, ctx, delta, motive, (path, rhs, lhs)).app(carrier, args)
 
 
 def telescope_idconv(sig: Signature, ctx: Context, over: Term, delta: Telescope,
@@ -471,7 +439,8 @@ def telescope_idconv(sig: Signature, ctx: Context, over: Term, delta: Telescope,
         raise ElabError("argument sequence length differs from telescope length")
     k = len(delta)
     # held until the witness is sealed
-    held = _require(sig, ctx, point, over, "point inhabits the base type")
+    held = _certified(sig, HasType(ctx, point, over),  # noqa: F841
+                      "point inhabits the base type")
     rfl = (REFL, over, point)
     big_motive, s = _product_motive(sig, ctx, over, delta, motive, base)
 
@@ -482,12 +451,10 @@ def telescope_idconv(sig: Signature, ctx: Context, over: Term, delta: Telescope,
             (IDREC, over, big_motive, point, point, rfl, s),
             inst(s, (point,)),
         )
-        return _sealed(sig, ctx, term, stated, held)
+        return _sealed(sig, ctx, term, stated)
 
     point_triple = (rfl, point, point)
-    delta_pt = _subst_tele(delta, point_triple, 0)
-    motive_pt = inst(motive, point_triple, 0, k)
-    product_pt = telescope_pi(sig, ctx, delta_pt, motive_pt)
+    product_pt = _product_at(sig, ctx, delta, motive, point_triple)
     base_at_point = inst(base, (point,), 0, k)
     # the telescope computation witness for the product, which finishes the
     # chain below; it also checks each argument against its entry
@@ -499,16 +466,11 @@ def telescope_idconv(sig: Signature, ctx: Context, over: Term, delta: Telescope,
 
     # the primitive computation witness rewrites the spine head
     idc = (IDCONV, over, big_motive, point, s)
-    steps, result_ty = _spine_steps(delta_pt, motive_pt, args)
+    steps, result_ty = _spine_steps(product_pt.pi_type, args)
     cong = _spine_congruence(sig, ctx, big_motive_pt, carrier, s_at_point, idc,
                              steps, args, result_ty)
     lhs = _spine_app(steps, carrier, args, 0)
-    rhs = _inst_args(base_at_point, args)
+    rhs = inst(base_at_point, tuple(reversed(args)))
     return transitivity(sig, ctx, result_ty, lhs,
                         _spine_app(steps, s_at_point, args, 0), rhs,
                         cong.term, tail.term)
-
-
-def _inst_args(body: Term, args) -> Term:
-    """Instantiate a term binding ``len(args)`` telescope variables."""
-    return inst(body, tuple(reversed(args)))

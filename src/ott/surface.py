@@ -34,8 +34,9 @@ scan ``_scan`` from that token to place it: a token's line and column
 follow from its offset in the text.  ``_lex`` raises a lexical error at the
 first bad lexeme, placed the same way, so the parser never sees a text with
 one.  ``to_core`` on a parsed tree reports an unbound name with line and
-col 0; ``located_item`` reads one item again on tokens that carry their
-line and column, and ``to_core`` on its terms places the name.
+col 0; ``located_item`` reads that one item again, from the first token
+that ``parse`` recorded for it in ``Script.starts``, on tokens that carry
+their line and column, and ``to_core`` on its terms places the name.
 
 Script definitions are transparent abbreviations: they are checked once and
 spliced into later terms during name resolution, before the checker ever
@@ -216,6 +217,8 @@ def is_pair(arg: tuple) -> bool:
 @dataclass(frozen=True)
 class Script:
     items: tuple
+    # each item's first token index, where ``located_item`` reads it again
+    starts: tuple
 
 
 _ELAB_OPS = (
@@ -576,10 +579,11 @@ class _Parser:
         return tuple(out)
 
     def script(self) -> Script:
-        items = []
+        items, starts = [], []
         while self.peek() != "":
+            starts.append(self.pos)
             items.append(self.item())
-        return Script(tuple(items))
+        return Script(tuple(items), tuple(starts))
 
 
 def _decode(text: Union[str, bytes]) -> str:
@@ -618,17 +622,16 @@ def parse_term(text: Union[str, bytes]) -> tuple:
     return _read(text, _Parser.whole_term)
 
 
-def located_item(text: Union[str, bytes], index: int):
-    """Item ``index`` of a script that ``parse`` accepts, read again on
-    tokens that carry their line and column, so that ``to_core`` on its
-    terms reports an unbound name where it is written."""
-    text = _decode(text)
-    parser = _Parser(_lex(text))
-    for _ in range(index):
-        parser.item()
-    start = parser.pos
-    parser.item()
-    tokens = [_Token(*tok) for tok in islice(_scan(text, start), parser.pos - start)]
+def located_item(text: Union[str, bytes], script: Script, index: int):
+    """Item ``index`` of ``script``, which ``parse`` read from ``text``,
+    read again on tokens that carry their line and column, so that
+    ``to_core`` on its terms reports an unbound name where it is written.
+    The positional scan starts at the item's first token and stops at the
+    next item's, so only this item is read again."""
+    starts = script.starts
+    start = starts[index]
+    count = starts[index + 1] - start if index + 1 < len(starts) else None
+    tokens = [_Token(*tok) for tok in islice(_scan(_decode(text), start), count)]
     return _Parser(tokens + [""]).item()
 
 

@@ -1303,17 +1303,25 @@ def test_an_instance_is_never_the_family_object(sig):
 
 def test_a_family_builds_its_spine_once_and_drops_it_with_its_certificate(
         sig, monkeypatch):
+    class Tree(list):
+        """A spine's tree that a weak reference can follow."""
+
     built = []
     real = _k.open_spine
-    monkeypatch.setattr(_k, "open_spine", lambda t: built.append(t) or real(t))
+
+    def open_spine(t):
+        built.append(t)
+        n, tree = real(t)
+        return n, Tree(tree)
+
+    monkeypatch.setattr(_k, "open_spine", open_spine)
     family = _chain_family(2)
     _, fam = certify(sig, TypeWF((A, A), family))
-    assert fam._spine is None
     # a refused component writes nothing, so it builds no spine
-    assert not instantiate(fam, (A,), Zero)[0].ok and fam._spine is None
+    assert not instantiate(fam, (A,), Zero)[0].ok and built == []
     held = [instantiate(fam, (A,), a), instantiate(fam, (A, NatTy), Var(1))]
     assert all(report.ok for report, _, _ in held) and built == [family]
-    spine = weakref.ref(fam._spine)
+    spine = weakref.ref(fam._spine[1])
     del fam
     gc.collect()
     assert spine() is None

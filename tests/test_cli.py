@@ -284,6 +284,27 @@ def test_error_on_the_last_line_of_the_benchmark_script(tmp_path, capsys, last, 
     assert capsys.readouterr().err == f"{path}:{error}\n"
 
 
+def test_unbound_name_is_placed_by_reading_its_own_item_only(tmp_path, capsys, monkeypatch):
+    """An unbound name in the last item of the 10,000-item benchmark script
+    is placed by reading that one item again: the positional scan starts at
+    the item's first token, and the parser reads one item more than the
+    script has."""
+    from ott import cli, surface
+
+    lines = _benchmark_script(items=10_000).splitlines()
+    text = "\n".join(lines[:-1] + ["check [w : A] |- refl(A, w) : Id(A, w, v)"]) + "\n"
+    path = _write(tmp_path, "last.ott", text)
+    script = surface.parse(text)
+    items, scans = [], []
+    item, scan = surface._Parser.item, surface._scan
+    monkeypatch.setattr(surface._Parser, "item", lambda self: items.append(self.pos) or item(self))
+    monkeypatch.setattr(surface, "_scan", lambda text, at=0: scans.append(at) or scan(text, at))
+    assert cli.main(["--json", "check", path]) == 2
+    assert capsys.readouterr().err == f"{path}:10404:40: unbound name 'v'\n"
+    assert scans == [script.starts[-1]]
+    assert len(items) == len(script.items) + 1 and items[-1] == 0
+
+
 @pytest.mark.parametrize("text, error", [
     ("postulate A : Type\r\npostulate a : A\r\ncheck [] |- refl(A a) : Id(A, a, a)\r\n",
      "3:20: expected ',', found 'a'"),

@@ -596,3 +596,89 @@ def test_index_shared_by_threads_never_skips_a_false_precondition(sig):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
+
+
+# the emitters' kernel work -------------------------------------------------
+
+
+def _chain(v, length):
+    """``length`` applications of the identity and a constant function on
+    ``A``, alternating, to ``v``."""
+    funs = (Lambda(A, A, Var(0)), Lambda(A, A, Const("c")))
+    for i in range(length):
+        v = App(A, A, funs[i % 2], v)
+    return v
+
+
+def _transport_certified(sig):
+    ctx, x, y, p = _path_context()
+    family = Id(A, _chain(Var(0), 8), _chain(Var(0), 8))
+    return [transport(sig, ctx, A, family, x, y, p, Refl(A, _chain(x, 8)))]
+
+
+def _transitivity_chain(sig):
+    ctx = (A, A, A, A,
+           Id(A, Var(3), Var(2)), Id(A, Var(3), Var(2)), Id(A, Var(3), Var(2)))
+    pq = transitivity(sig, ctx, A, Var(6), Var(5), Var(4), Var(2), Var(1))
+    return [pq, transitivity(sig, ctx, A, Var(6), Var(4), Var(3), pq.term, Var(0))]
+
+
+def _betaconv(length):
+    def build(sig):
+        product = telescope_pi(sig, (), (A,) * length, A)
+        return [product.betaconv(Var(length - 1), tuple(Const("a") for _ in range(length)))]
+    return build
+
+
+# the items of demo/equality.ott, as core terms
+def _demo_tele_app(sig):
+    delta = (A, Id(A, Var(0), a))
+    body = Id(A, Var(1), Var(1))
+    fun = Lambda(A, Pi(Id(A, Var(0), a), Id(A, Var(1), Var(1))),
+                 Lambda(Id(A, Var(0), a), Id(A, Var(1), Var(1)), Refl(A, Var(1))))
+    return [telescope_pi(sig, (), delta, body).app(fun, (a, Refl(A, a)))]
+
+
+def _demo_tele_idrec(sig):
+    ctx, x, y, p = _path_context()
+    return [telescope_idrec(sig, ctx, A, (Id(A, Var(2), Var(1)),), Id(A, Var(3), Var(2)),
+                            x, y, p, (p,), Var(0))]
+
+
+def _demo_tele_idconv(sig):
+    one = telescope_idconv(sig, (A,), A, (Id(A, Var(2), Var(1)),), Id(A, Var(3), Var(2)),
+                           Var(0), (Refl(A, Var(0)),), Var(0))
+    two = telescope_idconv(sig, (A,), A, (Id(A, Var(2), Var(1)), NatTy),
+                           Id(A, Var(4), Var(3)), Var(0), (Refl(A, Var(0)), Zero), Var(1))
+    return [one, two]
+
+
+@pytest.mark.parametrize("build, steps, sizes", [
+    (_transport_certified, 1281, [764]),
+    (_transitivity_chain, 1325, [69, 137]),
+    (_betaconv(1), 37, [5]),
+    (_betaconv(2), 1522, [529]),
+    (_betaconv(3), 4594, [1690]),
+    (_betaconv(4), 9788, [3714]),
+    (_demo_tele_app, 133, [47]),
+    (_demo_tele_idrec, 344, [34]),
+    (_demo_tele_idconv, 12727, [1113, 2692]),
+], ids=["transport", "transitivity", "betaconv-1", "betaconv-2", "betaconv-3",
+        "betaconv-4", "tele_app", "tele_idrec", "tele_idconv"])
+def test_emitters_kernel_work_is_pinned(monkeypatch, build, steps, sizes):
+    """The summed steps of every ``certify`` and ``instantiate`` report an
+    emitter asks for, and the sizes of the terms it emits: the behavioural
+    fingerprint of the constructions, which a refactor keeps or moves
+    deliberately."""
+    sig = Signature().with_type("A").with_const("a", A).with_const("c", A)
+    charged = [0]
+    for name in ("certify", "instantiate"):
+        def counted(*call, inner=getattr(ott.derived, name)):
+            out = inner(*call)
+            charged[0] += out[0].steps
+            return out
+
+        monkeypatch.setattr(ott.derived, name, counted)
+    results = build(sig)
+    assert charged[0] == steps
+    assert [size(r.term) for r in results] == sizes

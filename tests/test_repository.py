@@ -31,8 +31,6 @@ def test_no_tracked_file_is_ignored():
 _RECURSION_ALLOWED = {
     # the self-call shifts with an empty environment, which cannot recurse
     ("_kernel.py", "inst"),
-    # depth is the telescope length, and each level multiplies the output
-    ("derived.py", "_beta_witness"),
 }
 # a test reference, not part of the checker
 _RECURSION_EXEMPT_FILES = {"oracle.py"}
@@ -68,15 +66,18 @@ def _self_calls(tree):
 
 def test_no_recursion_on_the_python_stack():
     """Deep input must not meet the interpreter's recursion limit: no
-    function in the package calls itself, apart from the allowed ones."""
-    offenders = []
+    function in the package calls itself, apart from the allowed ones, and
+    each allowed one still does, so the list cannot go stale."""
+    offenders, recursive = [], set()
     for path in sorted((ROOT / "src" / "ott").glob("*.py")):
         if path.name in _RECURSION_EXEMPT_FILES:
             continue
         for name, line in _self_calls(ast.parse(path.read_text(encoding="utf-8"))):
+            recursive.add((path.name, name))
             if (path.name, name) not in _RECURSION_ALLOWED:
                 offenders.append(f"{path.name}:{line} {name}")
     assert offenders == []
+    assert _RECURSION_ALLOWED <= recursive
 
 
 def test_recursion_scan_finds_self_calls():
