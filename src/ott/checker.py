@@ -107,6 +107,25 @@ a mismatch those steps are charged and the rule is applied as before.
 ``check`` makes the same test on a whole ``HasType`` judgement before
 seeding any stage.
 
+A certificate from ``certify`` is also indexed by its context, while that
+has entries.  ``check`` seeds the context stage only for the entries after
+the longest prefix of the judgement's context that is, entry object by
+entry object, the context of a live one under the same ``Signature``
+object, and charges one step per entry of that prefix, each compared by
+identity.  Entry ``i`` is well-formed exactly when the entries before it
+are and it is a type over them, so a certified prefix would pass its stage
+again, and a failure after it keeps its reason and its ``("ctx", i)``
+locus.  A certificate from ``instantiate`` promises nothing about its
+context and is not indexed by it.  A prefix is looked up by its last
+entry object and its length, each length once, longest first; a
+certificate found there is compared entry by entry with the prefix,
+charged one step per entry whether or not it matches.  An entry's stage
+costs at least one step, so a discharged prefix never costs more than its
+stage.  A certificate is refused there only when its context shares the
+prefix's last entry object at the same position but not an earlier one;
+with at most one refusal per length, refusals cost at most ``len(ctx) *
+(len(ctx) + 1) / 2`` steps, within the quadratic bound.
+
 A verdict is a pure function of the obligation, and a certificate's
 judgement passed the stages an obligation of its kind is promised, so a
 discharged obligation is one the rule would have accepted: verdicts, reasons
@@ -122,8 +141,8 @@ the comparison's target it stands against, so both terms are linear in the
 input.  No pair inside a component comparison, or inside the walk that
 follows a failed one, is tested again, so the tested pairs of one
 comparison are disjoint subterms of its target and the comparison stays
-linear in its target.  With no live certificate ``_run`` makes no lookup at
-all, and ``eq_lazy`` gets no index.
+linear in its target.  With no live certificate ``check`` and ``_run`` make
+no lookup at all, and ``eq_lazy`` gets no index.
 """
 
 from __future__ import annotations
@@ -132,6 +151,7 @@ import time
 import weakref
 from dataclasses import dataclass, field
 from functools import partial
+from operator import is_
 from typing import Optional, Tuple, Union
 
 from . import kernel as _k
@@ -216,7 +236,9 @@ class Certificate:
     instance)`` provided ``ctx`` is well-formed.  While it lives, an
     obligation of the same kind (a term obligation for ``HasType``, a type
     obligation for ``TypeWF``) on the same subject object that matches it is
-    discharged by comparison.
+    discharged by comparison, and, unless it is ``conditional``, ``check``
+    skips the context stage of its context's entries in a judgement whose
+    context starts with those entry objects.
 
     ``provenance`` is None for a term.  For a type it is ``(B, s, k, n)``
     when the type is ``inst(B, (s,), k, 0)`` for the family object ``B``
@@ -245,10 +267,48 @@ class Certificate:
 # lookup trusts nothing but a live certificate that it compares.
 _certificates: dict = {}
 
+# (id(last entry), number of entries) -> weak references to the live
+# certificates from ``certify`` over a context of that many entries whose
+# last entry is that object, newest last; a list goes when its last
+# certificate dies.  ``check`` looks a judgement's context up here, prefix
+# by prefix.  It is shared as ``_certificates`` is, and a lookup compares
+# the entries of the certificate it finds, so a lost entry costs steps and
+# never a verdict.
+_contexts: dict = {}
+
 
 def _forget(key, ref):
     if _certificates.get(key) is ref:
         _certificates.pop(key, None)
+
+
+def _forget_context(key, ref):
+    refs = _contexts.get(key)
+    if refs is not None and ref in refs:
+        refs.remove(ref)
+        if not refs:
+            _contexts.pop(key, None)
+
+
+def _certified_prefix(sig: Signature, ctx: Context):
+    """(m, steps): the length of the longest prefix of ``ctx`` that is,
+    entry object by entry object, the context of a live certificate from
+    ``certify`` under ``sig``, and the steps charged for finding it.  Each
+    length is looked up once, longest first, so there are at most
+    ``len(ctx)`` lookups; the newest certificate under ``sig`` found at a
+    length is compared with that prefix by identity, charged one step per
+    entry."""
+    steps = 0
+    for m in range(len(ctx), 0, -1):
+        refs = _contexts.get((id(ctx[m - 1]), m))
+        for ref in reversed(refs or ()):
+            cert = ref()
+            if cert is not None and cert.sig is sig:
+                steps += m
+                if all(map(is_, cert.judgement.ctx, ctx)):
+                    return m, steps
+                break
+    return 0, steps
 
 
 def _live(certs, sig, t, kind):
@@ -614,10 +674,10 @@ def _run(sig: Signature, stack: list):
     return True, None, None, steps
 
 
-def _seed_judgement(j: Judgement) -> list:
-    """Build the initial obligation stack: context entries first, then the
-    type stage, then the term stage (later stages are not reached if an
-    earlier one fails)."""
+def _seed_judgement(j: Judgement, start: int = 0) -> list:
+    """Build the initial obligation stack: context entries from ``start``
+    on first, then the type stage, then the term stage (later stages are not
+    reached if an earlier one fails)."""
     ctx = j.ctx
     # prefixes[i] is the cons list of ctx[:i]; each one extends the one
     # before, so the entries share one list instead of a copy each
@@ -631,7 +691,7 @@ def _seed_judgement(j: Judgement) -> list:
         stack.append((_TYPE, full, j.ty, None, "type"))
     elif isinstance(j, TypeWF):
         stack.append((_TYPE, full, j.ty, None, "type"))
-    for i in range(len(ctx) - 1, -1, -1):
+    for i in range(len(ctx) - 1, start - 1, -1):
         stack.append((_TYPE, prefixes[i], ctx[i], None, ("ctx", i)))
     return stack
 
@@ -639,7 +699,9 @@ def _seed_judgement(j: Judgement) -> list:
 def check(sig: Signature, j: Judgement) -> CheckReport:
     """Decide a judgement from scratch; the safe, promise-free entry point.
     A ``HasType`` judgement that a live certificate matches is accepted by
-    comparison, without its stages."""
+    comparison, without its stages.  The context stage checks only the
+    entries after the longest prefix of the context that is the context of
+    a live certificate from ``certify``."""
     t0 = time.perf_counter_ns()
     cmp_steps = 0
     if _certificates and isinstance(j, HasType):
@@ -649,12 +711,16 @@ def check(sig: Signature, j: Judgement) -> CheckReport:
             if eq:
                 ns = time.perf_counter_ns() - t0
                 return CheckReport("accept", None, None, cmp_steps + 1, ns)
-    stack = _seed_judgement(j)
+    start = 0
+    if _contexts and j.ctx:
+        start, c = _certified_prefix(sig, j.ctx)
+        cmp_steps += c
+    stack = _seed_judgement(j, start)
     ok, reason, slot, steps = _run(sig, stack)
     steps += cmp_steps
     if ok:
         return CheckReport("accept", None, None, steps, time.perf_counter_ns() - t0)
-    locus = _locus(sig, _seed_judgement(j), stack, slot)
+    locus = _locus(sig, _seed_judgement(j, start), stack, slot)
     return CheckReport("reject", reason, locus, steps, time.perf_counter_ns() - t0)
 
 
@@ -662,12 +728,18 @@ def _issue(sig: Signature, j, subject: Term, conditional=False,
            provenance=None) -> Certificate:
     """A certificate for ``j``, indexed by ``subject`` for as long as the
     caller holds it unless a live one for the same object is indexed
-    already; either way it stays sound to hold."""
+    already; either way it stays sound to hold.  One that is not
+    ``conditional`` is also indexed by its context, if that has entries,
+    for as long as the caller holds it."""
     cert = Certificate(sig, j, conditional, provenance)
     key = id(subject)
     ref = _certificates.get(key)
     if ref is None or ref() is None:
         _certificates[key] = weakref.ref(cert, partial(_forget, key))
+    if not conditional and j.ctx:
+        key = (id(j.ctx[-1]), len(j.ctx))
+        ref = weakref.ref(cert, partial(_forget_context, key))
+        _contexts.setdefault(key, []).append(ref)
     return cert
 
 

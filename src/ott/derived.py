@@ -17,7 +17,11 @@ the kernel discharges an obligation on its term or type object at the
 certified context (and type) by comparison, both when the object comes back
 as a precondition and when it sits inside a larger emitted term: the
 reversed path inside transitivity's transport, the witness so far inside
-betaconv's congruence, the point inside transport's application.
+betaconv's congruence, the point inside transport's application.  A held
+certificate also vouches for its context: a later precondition or recheck
+over the same entry objects, or over those followed by more, checks only
+the entries after them, so a chain of transitivity links over one long
+context checks that context once.
 
 Transport writes six instances of its family into the term it emits.  It
 asks the kernel for each with ``ott.checker.instantiate``, from the family's

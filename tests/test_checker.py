@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 import ott.checker
 from ott.checker import (
     _TERM, _TYPE, CtxtWF, HasType, InferFailure, TypeWF, _certificates,
-    _cons_ctx, _live, _locus, _run, _seed_judgement, certify, check, infer,
-    instantiate,
+    _certified_prefix, _cons_ctx, _live, _locus, _run, _seed_judgement,
+    certify, check, infer, instantiate,
 )
 from ott.terms import (
     App, BetaConv, Const, Id, IdConv, IdRec, Lambda, NatConvSucc, NatConvZero,
@@ -983,11 +983,31 @@ def _certify_obligations(sig, j, rng, share):
     return held
 
 
+def _over(ctx):
+    """A judgement over ``ctx`` whose term is not a leaf, so ``certify``
+    certifies it wherever ``ctx`` is well-formed."""
+    return HasType(ctx, Refl(NatTy, Zero), Id(NatTy, Zero, Zero))
+
+
+def _certify_prefixes(sig, ctx, rng, share):
+    """Certify a judgement over about ``share`` of the prefixes of ``ctx``
+    (the same entry objects in a new tuple); returns the certificates."""
+    held = []
+    for m in range(1, len(ctx) + 1):
+        if rng.random() < share:
+            _, cert = certify(sig, _over(ctx[:m]))
+            if cert is not None:
+                held.append(cert)
+    return held
+
+
 def _copy(j):
     """An equal judgement that shares no object with ``j``, so no
     certificate applies to it."""
     if isinstance(j, HasType):
         return HasType(fresh_copy(j.ctx), fresh_copy(j.term), fresh_copy(j.ty))
+    if isinstance(j, CtxtWF):
+        return CtxtWF(fresh_copy(j.ctx))
     return TypeWF(fresh_copy(j.ctx), fresh_copy(j.ty))
 
 
@@ -1113,8 +1133,9 @@ def _size(j):
 @given(st.randoms(use_true_random=False), st.floats(0.0, 1.0))
 def test_certificates_never_change_a_verdict(rng, share):
     """Certificates for random accepted term and type sub-judgements of a
-    generated judgement, and for instances that ``instantiate`` makes of a
-    generated family.  The judgement, its single-node mutants of term,
+    generated judgement, for judgements over prefixes of the cases'
+    contexts, and for instances that ``instantiate`` makes of a generated
+    family.  The judgement, its single-node mutants of term,
     type and context entries, and its term and type over contexts with one
     entry replaced, added or dropped, all of which share the untouched
     subterms, judgements on an instance, and judgements that compare two
@@ -1155,6 +1176,11 @@ def test_certificates_never_change_a_verdict(rng, share):
     # and some other cases' own accepted sub-judgements
     for j in rng.sample(cases, min(3, len(cases))):
         held += _certify_obligations(sig, j, rng, share)
+    # certificates whose contexts are prefixes, entry object for entry
+    # object, of the cases' contexts: of the original's, which the cases
+    # with a replaced entry share up to that entry, and of the others'
+    for j in [original] + rng.sample(cases, min(3, len(cases))):
+        held += _certify_prefixes(sig, j.ctx, rng, share)
     for j, expected in zip(cases, want):
         r = check(sig, j)
         assert (r.verdict, r.reason, r.locus) == expected, j
@@ -1536,13 +1562,150 @@ def test_certified_judgement_is_discharged_by_comparison(sig):
     equal = check(sig, HasType(fresh_copy(ctx), term, fresh_copy(ty)))
     assert equal.ok
     assert equal.steps == 1 + sum(size(e) for e in ctx) + size(ty)
-    full = check(sig, HasType(ctx, fresh_copy(term), ty)).steps
+    full = check(sig, _copy(HasType(ctx, term, ty))).steps
     assert full > again.steps
     # a mismatch pays for its comparisons and then for the rules
     other = HasType((A, A), term, Id(A, Var(1), Var(1)))
     assert check(sig, other).steps > check(sig, HasType((A, A), fresh_copy(term), other.ty)).steps
     del cert
     assert check(sig, HasType(ctx, term, ty)).steps == full
+
+
+def _context_stage(sig, ctx):
+    """The steps of checking the entries of ``ctx`` by the rules."""
+    return check(sig, CtxtWF(fresh_copy(ctx))).steps
+
+
+# (A, z : A, e : Id(A, z, a)), whose last two entries cost more than the
+# one step each of comparing them by identity
+_CTX = (A, A, Id(A, Var(0), a))
+
+
+def test_certified_context_is_discharged_by_identity(sig):
+    """A judgement over a certified context, or one that extends it, checks
+    only the entries after it; the prefix costs one step per entry."""
+    ctx = _CTX
+    full = check(sig, _copy(_over(ctx))).steps
+    held = certify(sig, _over(ctx))[1]
+    assert held is not None
+    stage = _context_stage(sig, ctx)
+    assert stage > len(ctx)
+    # another term, or none, over the same entry objects in a new tuple
+    same = ctx[:1] + ctx[1:]
+    assert same is not ctx
+    for j in (_over(same), CtxtWF(same), TypeWF(same, Pi(A, A))):
+        by_rules = check(sig, _copy(j))
+        r = check(sig, j)
+        assert (r.verdict, r.reason, r.locus) == (by_rules.verdict, None, None)
+        assert r.steps == by_rules.steps - stage + len(ctx)
+    longer = ctx + (Id(A, Var(1), Var(2)),)
+    r = check(sig, _over(longer))
+    assert r.ok
+    assert r.steps == check(sig, _copy(_over(longer))).steps - stage + len(ctx)
+    assert _certified_prefix(sig, longer) == (len(ctx), len(ctx))
+    del held
+    gc.collect()
+    assert check(sig, _over(ctx)).steps == full
+
+
+def test_conditional_certificate_discharges_no_context(sig):
+    """An ``instantiate`` certificate promises nothing about its context:
+    over an ill-formed one, checks still reject at the same entry."""
+    delta, over, family = _family()
+    _, fam = certify(sig, TypeWF(delta + (over,), family))
+    ctx = delta + (Id(A, Var(0), Zero),)  # zero is no term of A
+    report, out, cert = instantiate(fam, ctx, Var(1))
+    assert report.ok and cert is not None and cert.conditional
+    assert _certified_prefix(sig, ctx) == (0, 0)
+    for j in (CtxtWF(ctx), TypeWF(ctx, out), _over(ctx), _over(ctx + (A,))):
+        r = check(sig, j)
+        assert (r.verdict, r.reason, r.locus) == _by_rules(sig, j) == (
+            "reject", "zero against non-Nat type", (("ctx", 1), 2))
+    del fam, cert
+
+
+def test_certificate_under_another_signature_discharges_no_context(sig):
+    other = Signature().with_type("A").with_const("a", A)
+    _, held = certify(other, _over(_CTX))
+    assert held is not None
+    assert _certified_prefix(other, _CTX) == (3, 3)
+    assert _certified_prefix(sig, _CTX) == (0, 0)
+    j = _over(_CTX)
+    assert check(sig, j).steps == check(sig, _copy(j)).steps
+    # with one under each, a newer one under the other signature does not
+    # hide one under this signature
+    _, mine = certify(sig, j)
+    _, newer = certify(other, _over(_CTX))
+    assert _certified_prefix(sig, _CTX) == (3, 3)
+    assert _certified_prefix(other, _CTX) == (3, 3)
+    del held, mine, newer
+
+
+def test_equal_entries_that_are_other_objects_are_walked(sig):
+    """Entries are compared by identity: an equal entry that is another
+    object ends the certified prefix there, and the rest are checked by
+    the rules."""
+    _, held = certify(sig, _over(_CTX))
+    assert held is not None
+    copied = fresh_copy(_CTX)
+    assert _certified_prefix(sig, copied) == (0, 0)
+    assert check(sig, _over(copied)).steps == check(sig, _copy(_over(_CTX))).steps
+    _, short = certify(sig, _over(_CTX[:1]))
+    assert short is not None
+    mixed = _CTX[:1] + fresh_copy(_CTX[1:])
+    assert _certified_prefix(sig, mixed) == (1, 1)
+    r = check(sig, _over(mixed))
+    assert r.ok and r.steps == check(sig, _copy(_over(mixed))).steps
+    del held, short
+
+
+@pytest.mark.parametrize("bad, locus", [
+    ((Id(A, Var(1), Zero),), (("ctx", 3), 2)),
+    ((A, Var(0)), (("ctx", 4),)),
+], ids=["entry-premise", "entry-root"])
+def test_failure_after_a_certified_prefix_keeps_its_reason_and_locus(sig, bad, locus):
+    _, held = certify(sig, _over(_CTX))
+    assert held is not None
+    ctx = _CTX + bad
+    for j in (CtxtWF(ctx), _over(ctx), TypeWF(ctx, Pi(A, A))):
+        r = check(sig, j)
+        assert r.locus == locus
+        assert (r.verdict, r.reason, r.locus) == _by_rules(sig, j)
+        assert r.steps < check(sig, _copy(j)).steps
+    # and past a certified context, the type and term stages fail as before
+    for j in (TypeWF(_CTX, Zero), HasType(_CTX, Zero, A)):
+        r = check(sig, j)
+        assert (r.verdict, r.reason, r.locus) == _by_rules(sig, j)
+    del held
+
+
+@pytest.mark.parametrize("dropped", [0, 1])
+def test_either_of_two_certificates_over_one_context_keeps_the_discharge(sig, dropped):
+    held = [certify(sig, _over(_CTX))[1], certify(sig, _over(_CTX))[1]]
+    assert None not in held
+    j = CtxtWF(_CTX)
+    assert check(sig, j).steps == len(_CTX)
+    del held[dropped]
+    gc.collect()
+    assert check(sig, j).steps == len(_CTX)
+    del held[0]
+    gc.collect()
+    assert check(sig, j).steps == _context_stage(sig, _CTX)
+
+
+def test_kernel_indexes_are_empty_once_every_certificate_is_collected(sig):
+    """Every entry of both indexes goes with the last certificate that
+    keeps it."""
+    delta, over, family = _family()
+    held = [certify(sig, TypeWF(delta + (over,), family))[1],
+            certify(sig, _over(_CTX))[1], certify(sig, _over(_CTX))[1]]
+    held.append(instantiate(held[0], delta, a)[2])
+    assert None not in held
+    assert ott.checker._certificates and ott.checker._contexts
+    del held
+    gc.collect()
+    assert ott.checker._certificates == {}
+    assert ott.checker._contexts == {}
 
 
 def test_plain_check_and_infer_issue_no_certificate(sig):

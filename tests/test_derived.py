@@ -7,7 +7,7 @@ import pytest
 
 import ott.checker
 import ott.derived
-from ott.checker import HasType, TypeWF, check
+from ott.checker import CtxtWF, HasType, TypeWF, check
 from ott.derived import (
     ElabError, congruence_app, symmetry, telescope_idconv, telescope_idrec,
     telescope_pi, transitivity, transport,
@@ -412,9 +412,11 @@ def _full_steps(sig, j):
 
 def _checked_in_full(sig, seen, term):
     """The one judgement on ``term`` reached the kernel and paid at least
-    what its rules cost; returns its report."""
+    what its type and term stages cost by the rules (a live certificate over
+    its context may spare it the context stage); returns its report."""
     [(j, report)] = _checks_on(seen, term)
-    assert report.steps >= _full_steps(sig, j)
+    stage = check(sig, CtxtWF(fresh_copy(j.ctx))).steps
+    assert report.steps >= _full_steps(sig, j) - stage
     return report
 
 
@@ -527,6 +529,45 @@ def test_transitivity_over_a_sealed_path_sends_no_judgement_twice(sig, monkeypat
     repeated = _repeated(seen)
     assert any(j.term is pq.term for j, _ in repeated)
     assert _discharged(repeated)
+
+
+def _chain_context(k):
+    """[x0 : A, ..., xk : A, p1 : Id(A, x0, x1), ..., pk : Id(A, x(k-1),
+    xk)]: the context, and the variables x(j) and p(i)."""
+    entries = [A] * (k + 1)
+    for i in range(1, k + 1):
+        depth = len(entries)
+        entries.append(Id(A, Var(depth - i), Var(depth - 1 - i)))
+    n = len(entries)
+    return tuple(entries), (lambda j: Var(n - 1 - j)), (lambda i: Var(n - 1 - k - i))
+
+
+def test_transitivity_chain_checks_its_context_once(sig, monkeypatch):
+    """Links of a transitivity chain over one context run the context stage
+    on its entries no more often than the first link does: once a held
+    result certifies the context, every later judgement over it, or over an
+    extension of it, compares those entries by identity and checks only
+    the entries after them."""
+    k = 8
+    ctx, x, p = _chain_context(k)
+    n = len(ctx)
+    seeded = []  # the entry index of each context-stage obligation seeded
+    real = ott.checker._seed_judgement
+
+    def seed(j, start=0):
+        stack = real(j, start)
+        seeded.extend(slot[1] for *_, slot in stack if slot.__class__ is tuple)
+        return stack
+
+    monkeypatch.setattr(ott.checker, "_seed_judgement", seed)
+    held, path, counts = [], p(1), []
+    for i in range(1, k):
+        held.append(transitivity(sig, ctx, A, x(0), x(i), x(i + 1), path, p(i + 1)))
+        path = held[-1].term
+        counts.append(sum(1 for e in seeded if e < n))
+    assert syntactic_equal(held[-1].stated_type, Id(A, x(0), x(k)))
+    assert counts == [counts[0]] * len(counts)
+    assert counts[0] <= 3 * n
 
 
 def test_telescope_idconv_sends_no_judgement_twice(sig, monkeypatch):
@@ -654,15 +695,15 @@ def _demo_tele_idconv(sig):
 
 
 @pytest.mark.parametrize("build, steps, sizes", [
-    (_transport_certified, 1281, [764]),
-    (_transitivity_chain, 1325, [69, 137]),
+    (_transport_certified, 1269, [764]),
+    (_transitivity_chain, 1025, [69, 137]),
     (_betaconv(1), 37, [5]),
-    (_betaconv(2), 1522, [529]),
-    (_betaconv(3), 4594, [1690]),
-    (_betaconv(4), 9788, [3714]),
+    (_betaconv(2), 1520, [529]),
+    (_betaconv(3), 4584, [1690]),
+    (_betaconv(4), 9764, [3714]),
     (_demo_tele_app, 133, [47]),
-    (_demo_tele_idrec, 344, [34]),
-    (_demo_tele_idconv, 12727, [1113, 2692]),
+    (_demo_tele_idrec, 338, [34]),
+    (_demo_tele_idconv, 12651, [1113, 2692]),
 ], ids=["transport", "transitivity", "betaconv-1", "betaconv-2", "betaconv-3",
         "betaconv-4", "tele_app", "tele_idrec", "tele_idconv"])
 def test_emitters_kernel_work_is_pinned(monkeypatch, build, steps, sizes):
