@@ -126,6 +126,14 @@ prefix's last entry object at the same position but not an earlier one;
 with at most one refusal per length, refusals cost at most ``len(ctx) *
 (len(ctx) + 1) / 2`` steps, within the quadratic bound.
 
+A ``HasType`` judgement on a leaf term gets a certificate from ``certify``
+only for its context, over one with entries: it is indexed by its context
+alone, never by its term, so it discharges no term obligation.  A leaf's
+rule costs what a discharge would, which is why its subject is not indexed;
+that reason does not reach its context, whose stage costs at least a step
+per entry, so a leaf precondition, a variable for a path, spares the
+context stage of every later judgement over its context.
+
 A verdict is a pure function of the obligation, and a certificate's
 judgement passed the stages an obligation of its kind is promised, so a
 discharged obligation is one the rule would have accepted: verdicts, reasons
@@ -724,18 +732,19 @@ def check(sig: Signature, j: Judgement) -> CheckReport:
     return CheckReport("reject", reason, locus, steps, time.perf_counter_ns() - t0)
 
 
-def _issue(sig: Signature, j, subject: Term, conditional=False,
+def _issue(sig: Signature, j, subject: Optional[Term], conditional=False,
            provenance=None) -> Certificate:
-    """A certificate for ``j``, indexed by ``subject`` for as long as the
-    caller holds it unless a live one for the same object is indexed
-    already; either way it stays sound to hold.  One that is not
-    ``conditional`` is also indexed by its context, if that has entries,
-    for as long as the caller holds it."""
+    """A certificate for ``j``.  Unless ``subject`` is None, it is indexed
+    by that object for as long as the caller holds it, unless a live one
+    for the same object is indexed already; either way it stays sound to
+    hold.  One that is not ``conditional`` is also indexed by its context,
+    if that has entries, for as long as the caller holds it."""
     cert = Certificate(sig, j, conditional, provenance)
-    key = id(subject)
-    ref = _certificates.get(key)
-    if ref is None or ref() is None:
-        _certificates[key] = weakref.ref(cert, partial(_forget, key))
+    if subject is not None:
+        key = id(subject)
+        ref = _certificates.get(key)
+        if ref is None or ref() is None:
+            _certificates[key] = weakref.ref(cert, partial(_forget, key))
     if not conditional and j.ctx:
         key = (id(j.ctx[-1]), len(j.ctx))
         ref = weakref.ref(cert, partial(_forget_context, key))
@@ -760,12 +769,15 @@ def _exceeds(t: Term, bound: int) -> bool:
 def certify(sig: Signature, j: Union[HasType, TypeWF]
             ) -> Tuple[CheckReport, Optional[Certificate]]:
     """``check(sig, j)``, and on acceptance a certificate for ``j``, which
-    the kernel indexes for as long as the caller holds it, or None.  A term
-    gets one unless it is a leaf; a type gets one if it has more nodes than
-    its context has entries plus one, since a discharge compares every entry
-    and could cost as much as the rules.  A type over a context with at
-    least one entry is the identity instance of itself as a family,
-    ``B[Var 0]`` with the other variables weakened by 1, and its
+    the kernel indexes for as long as the caller holds it, or None.  A type
+    gets one if it has more nodes than its context has entries plus one,
+    since a discharge compares every entry and could cost as much as the
+    rules.  A term that is not a leaf gets one; a leaf gets one only over a
+    context with entries, and it is indexed by that context alone: a leaf's
+    rule costs what discharging it would, but the context stage it spares
+    a later judgement costs at least a step per entry.  A type over a
+    context with at least one entry is the identity instance of itself as
+    a family, ``B[Var 0]`` with the other variables weakened by 1, and its
     certificate records that provenance."""
     report = check(sig, j)
     if not report.ok:
@@ -774,7 +786,7 @@ def certify(sig: Signature, j: Union[HasType, TypeWF]
     if isinstance(j, HasType):
         t = j.term
         if t[0] == VAR or t[0] == CONST or len(t) == 1:
-            return report, None
+            return report, _issue(sig, j, None) if j.ctx else None
     else:
         t = j.ty
         if not _exceeds(t, len(j.ctx) + 1):

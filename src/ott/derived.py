@@ -15,13 +15,13 @@ precondition's until the emitter's own result is sealed (a telescope
 product's for as long as the product lives).  While a certificate is held,
 the kernel discharges an obligation on its term or type object at the
 certified context (and type) by comparison, both when the object comes back
-as a precondition and when it sits inside a larger emitted term: the
-reversed path inside transitivity's transport, the witness so far inside
-betaconv's congruence, the point inside transport's application.  A held
-certificate also vouches for its context: a later precondition or recheck
-over the same entry objects, or over those followed by more, checks only
-the entries after them, so a chain of transitivity links over one long
-context checks that context once.
+as a precondition and when it sits inside a larger emitted term: the first
+path, transitivity's point, inside transport's application, and the witness
+so far inside betaconv's congruence.  A held certificate also vouches for
+its context, a leaf's too: a later precondition or recheck over the same
+entry objects, or over those followed by more, checks only the entries
+after them, so a chain of transitivity links over one long context checks
+that context once.
 
 Transport writes six instances of its family into the term it emits.  It
 asks the kernel for each with ``ott.checker.instantiate``, from the family's
@@ -66,9 +66,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-# ``check`` is not called here, but stays a name of this module: profilers
-# and tests wrap the kernel entry points where the elaborators import them
-from .checker import Certificate, HasType, TypeWF, certify, check, instantiate  # noqa: F401
+from .checker import Certificate, HasType, TypeWF, certify, check, instantiate
 from .kernel import APP, BETA, ID, IDCONV, IDREC, LAM, PI, REFL, VAR
 from .subst import inst, shift
 from .terms import Context, Signature, Telescope, Term
@@ -93,7 +91,8 @@ class ElabResult:
     term: Term
     stated_type: Term
     context: Context
-    # the kernel's certificate for the judgement, None for a leaf term
+    # the kernel's certificate for the judgement, None for a leaf term over
+    # the empty context
     certificate: Optional[Certificate] = field(compare=False, repr=False)
 
 
@@ -194,11 +193,29 @@ def symmetry(sig: Signature, ctx: Context, over: Term, lhs: Term, rhs: Term,
 def transitivity(sig: Signature, ctx: Context, over: Term, a: Term, b: Term,
                  c: Term, path_ab: Term, path_bc: Term) -> ElabResult:
     """Chain ``Id(over, a, b)`` and ``Id(over, b, c)`` into ``Id(over, a, c)``:
-    transport ``path_bc`` along the reversal of ``path_ab`` at the family
-    "x equals c"."""
-    reverse = symmetry(sig, ctx, over, a, b, path_ab)
-    family = (ID, shift(over, 1), (VAR, 0), shift(c, 1))
-    return transport(sig, ctx, over, family, b, a, reverse.term, path_bc)
+    transport ``path_ab`` along ``path_bc`` at the family "a equals x".
+    Transport in that family is post-composition (Univalent Foundations
+    Program, *Homotopy Type Theory*, 2013, Lemma 2.11.2), so one transport
+    composes the two paths and neither is reversed.
+
+    A refused precondition is named in transitivity's own terms: the
+    preconditions are checked again one by one, in reading order, and the
+    first that fails is reported.  Only a rejection pays for that."""
+    family = (ID, shift(over, 1), shift(a, 1), (VAR, 0))
+    try:
+        return transport(sig, ctx, over, family, b, c, path_bc, path_ab)
+    except ElabError:
+        for j, what in (
+            (TypeWF(ctx, over), "endpoint type is a type"),
+            (HasType(ctx, a, over), "a inhabits the endpoint type"),
+            (HasType(ctx, b, over), "b inhabits the endpoint type"),
+            (HasType(ctx, c, over), "c inhabits the endpoint type"),
+            (HasType(ctx, path_ab, (ID, over, a, b)), "first path relates a and b"),
+            (HasType(ctx, path_bc, (ID, over, b, c)), "second path relates b and c"),
+        ):
+            if not check(sig, j).ok:
+                raise ElabError(f"precondition failed: transitivity: {what}") from None
+        raise
 
 
 def congruence_app(sig: Signature, ctx: Context, domain: Term, codomain: Term,

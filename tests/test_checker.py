@@ -989,13 +989,22 @@ def _over(ctx):
     return HasType(ctx, Refl(NatTy, Zero), Id(NatTy, Zero, Zero))
 
 
+def _leaves_over(ctx):
+    """Judgements on leaf terms over ``ctx``, which ``certify`` certifies
+    by their context alone wherever ``ctx`` is well-formed and has entries:
+    zero, and the innermost variable at its entry."""
+    return [HasType(ctx, Zero, NatTy), HasType(ctx, Var(0), shift(ctx[-1], 1))]
+
+
 def _certify_prefixes(sig, ctx, rng, share):
     """Certify a judgement over about ``share`` of the prefixes of ``ctx``
-    (the same entry objects in a new tuple); returns the certificates."""
+    (the same entry objects in a new tuple), on a leaf term or on one that
+    is not; returns the certificates."""
     held = []
     for m in range(1, len(ctx) + 1):
         if rng.random() < share:
-            _, cert = certify(sig, _over(ctx[:m]))
+            prefix = ctx[:m]
+            _, cert = certify(sig, rng.choice([_over(prefix)] + _leaves_over(prefix)))
             if cert is not None:
                 held.append(cert)
     return held
@@ -1134,7 +1143,8 @@ def _size(j):
 def test_certificates_never_change_a_verdict(rng, share):
     """Certificates for random accepted term and type sub-judgements of a
     generated judgement, for judgements over prefixes of the cases'
-    contexts, and for instances that ``instantiate`` makes of a generated
+    contexts, some on leaf terms, whose certificates vouch for their
+    context alone, and for instances that ``instantiate`` makes of a generated
     family.  The judgement, its single-node mutants of term,
     type and context entries, and its term and type over contexts with one
     entry replaced, added or dropped, all of which share the untouched
@@ -1718,9 +1728,30 @@ def test_plain_check_and_infer_issue_no_certificate(sig):
     assert ott.checker._certificates == before
 
 
-def test_leaf_terms_get_no_certificate(sig):
-    for term, ty in ((a, A), (Zero, NatTy), (Var(0), A)):
-        report, cert = certify(sig, HasType((A,), term, ty))
+def test_leaf_certificate_vouches_for_its_context_only(sig):
+    """A leaf term's certificate is indexed by its context, never by its
+    term: it discharges no term obligation, and later judgements over its
+    context's entries skip their context stage.  Over the empty context
+    none is issued, and a rejection gets none."""
+    ctx = _CTX
+    stage = _context_stage(sig, ctx)
+    for term, ty in ((a, A), (Zero, NatTy), (Var(0), shift(ctx[-1], 1))):
+        report, cert = certify(sig, HasType(ctx, term, ty))
+        assert report.ok and cert is not None and not cert.conditional
+        assert _live(_certificates, sig, term, HasType) is None
+        # the term obligation goes through its rule: at a wrong type it
+        # fails as it does by the rules, and at its own type it costs the
+        # rule's steps, past the context stage the certificate spares
+        for j in (HasType(ctx, term, Pi(A, A)), HasType(ctx, term, ty)):
+            r = check(sig, j)
+            assert (r.verdict, r.reason, r.locus) == _by_rules(sig, j)
+            assert r.steps == check(sig, _copy(j)).steps - stage + len(ctx)
+        assert _certified_prefix(sig, ctx + (A,)) == (len(ctx), len(ctx))
+        del cert
+        gc.collect()
+        assert _certified_prefix(sig, ctx) == (0, 0)
+    for term, ty in ((a, A), (Zero, NatTy)):
+        report, cert = certify(sig, HasType((), term, ty))
         assert report.ok and cert is None
-    report, cert = certify(sig, HasType((), Succ(a), NatTy))
+    report, cert = certify(sig, HasType((A,), Zero, A))
     assert not report.ok and cert is None

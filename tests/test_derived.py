@@ -4,6 +4,8 @@ import sys
 import threading
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import ott.checker
 import ott.derived
@@ -12,13 +14,14 @@ from ott.derived import (
     ElabError, congruence_app, symmetry, telescope_idconv, telescope_idrec,
     telescope_pi, transitivity, transport,
 )
+from ott.kernel import APP
 from ott.subst import shift, subst
 from ott.terms import (
     App, BetaConv, Const, Id, IdConv, IdRec, Lambda, NatTy, Pi, Refl, Signature,
     Var, Zero, size, syntactic_equal,
 )
 
-from generators import Generator, fresh_copy
+from generators import Generator, default_signature, fresh_copy
 
 A = Const("A")
 a = Const("a")
@@ -192,6 +195,100 @@ def test_transitivity_association_both_recheck(sig):
     right = transitivity(sig, ctx, A, t0, t1, t3, p, qr.term)
     assert syntactic_equal(left.stated_type, right.stated_type)
     assert not syntactic_equal(left.term, right.term)  # no definitional collapse
+
+
+# [u : A, v : A, w : A, p : Id(A, u, v), q : Id(A, v, w)]
+_TWO_PATHS = (A, A, A, Id(A, Var(2), Var(1)), Id(A, Var(2), Var(1)))
+
+
+def test_transitivity_is_one_transport(sig, monkeypatch):
+    """The first path is moved along the second: one transport, and
+    neither path is reversed."""
+    calls = []
+    for name in ("transport", "symmetry"):
+        def counted(*args, inner=getattr(ott.derived, name), name=name):
+            calls.append(name)
+            return inner(*args)
+
+        monkeypatch.setattr(ott.derived, name, counted)
+    result = transitivity(sig, _TWO_PATHS, A, Var(4), Var(3), Var(2), Var(1), Var(0))
+    assert calls == ["transport"]
+    # the first path is transport's point, the last argument of the
+    # emitted application
+    assert result.term[0] == APP and result.term[4] == Var(1)
+
+
+def test_transitivity_chain_grows_by_a_constant_per_link(sig):
+    k = 6
+    ctx, x, p = _chain_context(k)
+    held, path = [], p(1)
+    for i in range(1, k):
+        held.append(transitivity(sig, ctx, A, x(0), x(i), x(i + 1), path, p(i + 1)))
+        path = held[-1].term
+    sizes = [size(r.term) for r in held]
+    assert len({b - a for a, b in zip(sizes, sizes[1:])}) == 1
+
+
+def _paths_over(gen, rng):
+    """A small generated context, with a type ``over`` and points ``a``,
+    ``b`` and ``c`` of it over that context, extended by a postulated path
+    for each of the two steps, except that a step between equal points may
+    be reflexivity instead: (ctx, over, a, b, c, path_ab, path_bc), all
+    over ``ctx``."""
+    ctx = gen.random_context(rng.randrange(0, 3), 3)
+    over = gen.random_type(ctx, 4)
+    points = [gen.random_term(ctx, over, 3)]
+    assume(points[0] is not None)
+    for _ in range(2):
+        point = points[-1] if rng.random() < 0.4 else gen.random_term(ctx, over, 3)
+        points.append(points[-1] if point is None else point)
+    base, entries = len(ctx), []  # the index in ctx of each step's path
+    for lhs, rhs in zip(points, points[1:]):
+        if syntactic_equal(lhs, rhs) and rng.random() < 0.5:
+            entries.append(None)
+        else:
+            m = len(ctx) - base
+            entries.append(len(ctx))
+            ctx += (Id(shift(over, m), shift(lhs, m), shift(rhs, m)),)
+    over, a, b, c = (shift(t, len(ctx) - base) for t in (over, *points))
+    paths = [Refl(over, lhs) if i is None else Var(len(ctx) - 1 - i)
+             for i, lhs in zip(entries, (a, b))]
+    return ctx, over, a, b, c, *paths
+
+
+@settings(max_examples=80)
+@given(st.randoms(use_true_random=False))
+def test_transitivity_states_the_composite_and_checks_by_the_rules(rng):
+    """Over small generated contexts, with a first path that is postulated,
+    reflexivity, or itself a sealed composite: ``transitivity`` states
+    ``Id(over, a, c)``, and once every certificate is dropped and
+    collected, plain ``check`` accepts the emitted term at that type."""
+    sig = default_signature()
+    ctx, over, a, b, c, path_ab, path_bc = _paths_over(Generator(sig, rng), rng)
+    held = []
+    if rng.random() < 0.5:
+        held.append(transitivity(sig, ctx, over, a, b, b, path_ab, Refl(over, b)))
+        path_ab = held[-1].term
+    result = transitivity(sig, ctx, over, a, b, c, path_ab, path_bc)
+    assert syntactic_equal(result.stated_type, Id(over, a, c))
+    term, ty = result.term, result.stated_type
+    del held, result
+    gc.collect()
+    assert ott.checker._certificates == {} and ott.checker._contexts == {}
+    assert check(sig, HasType(ctx, term, ty)).ok
+
+
+@pytest.mark.parametrize("endpoints, paths, what", [
+    ((Var(4), Var(3), Var(2)), (Var(0), Var(0)), "first path relates a and b"),
+    ((Var(4), Var(3), Var(2)), (Var(1), Var(1)), "second path relates b and c"),
+    ((Var(4), Var(3), Var(1)), (Var(1), Var(0)), "c inhabits the endpoint type"),
+    ((Zero, Var(3), Var(2)), (Var(1), Var(0)), "a inhabits the endpoint type"),
+], ids=["first-path", "second-path", "endpoint-c", "endpoint-a"])
+def test_transitivity_names_the_refused_precondition(sig, endpoints, paths, what):
+    """A refusal reads as transitivity's own, whichever precondition of the
+    transport inside it failed."""
+    with pytest.raises(ElabError, match=f"^precondition failed: transitivity: {what}$"):
+        transitivity(sig, _TWO_PATHS, A, *endpoints, *paths)
 
 
 # congruence ------------------------------------------------------------------
@@ -695,15 +792,15 @@ def _demo_tele_idconv(sig):
 
 
 @pytest.mark.parametrize("build, steps, sizes", [
-    (_transport_certified, 1269, [764]),
-    (_transitivity_chain, 1025, [69, 137]),
+    (_transport_certified, 1263, [764]),
+    (_transitivity_chain, 521, [34, 67]),
     (_betaconv(1), 37, [5]),
-    (_betaconv(2), 1520, [529]),
-    (_betaconv(3), 4584, [1690]),
-    (_betaconv(4), 9764, [3714]),
+    (_betaconv(2), 983, [390]),
+    (_betaconv(3), 2927, [1240]),
+    (_betaconv(4), 6195, [2719]),
     (_demo_tele_app, 133, [47]),
-    (_demo_tele_idrec, 338, [34]),
-    (_demo_tele_idconv, 12651, [1113, 2692]),
+    (_demo_tele_idrec, 332, [34]),
+    (_demo_tele_idconv, 8014, [819, 1982]),
 ], ids=["transport", "transitivity", "betaconv-1", "betaconv-2", "betaconv-3",
         "betaconv-4", "tele_app", "tele_idrec", "tele_idconv"])
 def test_emitters_kernel_work_is_pinned(monkeypatch, build, steps, sizes):
