@@ -1,5 +1,9 @@
 """Command-line front door: run check scripts and the scaling benchmark.
 
+Every script item emits at most one record, built in one place, ``_record``;
+an accepted ``postulate`` or ``def`` emits none.  ``_run_item`` counts a
+rejection and hands the record to ``_emit``, the one printer.
+
 Exit codes: 0 all verdicts accept, 1 at least one verification failure,
 2 syntax or name error, 3 usage or I/O error (a closed standard output among
 them).  Any nesting depth that the checker accepts is accepted.  ``--json``
@@ -21,8 +25,8 @@ from .derived import (
     telescope_pi, transitivity, transport,
 )
 from .surface import (
-    CheckItem, Definition, ElabItem, InferItem, ParseError, Postulate,
-    is_pair, located_item, parse, print_term, to_core,
+    CheckItem, Definition, ElabItem, ParseError, Postulate, is_pair,
+    located_item, parse, print_term, to_core,
 )
 from .terms import Signature
 
@@ -35,21 +39,21 @@ def _truncate(text: str, limit: int = 200) -> str:
     return text[: limit - 12] + f" ...[{len(text)} chars]"
 
 
+_RECORD_JSON = json.JSONEncoder(sort_keys=True)  # json.dumps's encoder, made once
+
+
 def _emit(record: dict, args) -> None:
-    if "display" in record:
-        record = dict(record)
-        record["display"] = _truncate(record["display"])
+    # every record is built for this one call, so its display is cut in place
+    display = record["display"] = _truncate(record["display"])
     if args.json:
-        print(json.dumps(record, sort_keys=True))
+        print(_RECORD_JSON.encode(record))
         return
-    status = record.get("verdict", "ok")
-    line = "ok   " if status in ("accept", "ok") else "FAIL "
-    line += record.get("display", "")
-    if status == "reject" and "reason" in record:
-        line += f"  -- {record['reason']} at {record.get('locus')}"
+    line = ("ok   " if record["verdict"] == "accept" else "FAIL ") + display
+    if record["verdict"] == "reject" and "reason" in record:
+        line += f"  -- {record['reason']} at {record['locus']}"
     if record.get("error"):
         line += f"  -- {record['error']}"
-    if getattr(args, "steps", False) and "steps" in record:
+    if args.steps and "steps" in record:
         line += f"  [steps={record['steps']} ns={record['nanoseconds']}]"
     print(line)
     for extra in record.get("lines", ()):
@@ -65,93 +69,15 @@ class _ScriptState:
         # no later postulate or def may take
         self.reserved: set = set()
 
-    def context_of(self, bindings):
-        names: list = []
-        entries = []
-        for name, surface_ty in bindings:
-            entries.append(to_core(surface_ty, names, self.sig, self.defs))
-            names.append(name)
-        return tuple(entries), tuple(names)
-
 
 def _run_item(item, state: _ScriptState, args) -> None:
-    sig = state.sig
-    if isinstance(item, (Postulate, Definition)) and item.name in state.reserved:
-        raise ValueError(f"duplicate declaration of {item.name!r}")
-    if isinstance(item, Postulate):
-        if item.ty is None:
-            state.sig = sig.with_type(item.name)
-            state.reserved.add(item.name)
-            return
-        core = to_core(item.ty, [], sig, state.defs)
-        report = check(sig, TypeWF((), core))
-        if not report.ok:
+    """Run one item, then count its record if it rejects and emit it; an
+    accepted declaration has none."""
+    record = _record(item, state)
+    if record is not None:
+        if record["verdict"] == "reject":
             state.failures += 1
-            _emit({"item": "postulate", "display": f"postulate {item.name}",
-                   **report.to_record()}, args)
-            return
-        state.sig = sig.with_const(item.name, core)
-        state.reserved.add(item.name)
-        return
-    if isinstance(item, Definition):
-        ty = to_core(item.ty, [], sig, state.defs)
-        body = to_core(item.body, [], sig, state.defs)
-        report = check(sig, HasType((), body, ty))
-        if not report.ok:
-            state.failures += 1
-            _emit({"item": "def", "display": f"def {item.name}",
-                   **report.to_record()}, args)
-            return
-        state.defs[item.name] = body
-        state.reserved.add(item.name)
-        return
-    if isinstance(item, CheckItem):
-        ctx, names = state.context_of(item.bindings)
-        if item.form == "ctxt":
-            judgement = CtxtWF(ctx)
-            shown = f"check [{', '.join(names)}] Ctxt"
-        elif item.form == "type":
-            ty = to_core(item.ty, names, sig, state.defs)
-            judgement = TypeWF(ctx, ty)
-            shown = f"check |- {print_term(ty, names, state.reserved)} Type"
-        else:
-            term = to_core(item.term, names, sig, state.defs)
-            ty = to_core(item.ty, names, sig, state.defs)
-            judgement = HasType(ctx, term, ty)
-            shown = (
-                f"check |- {print_term(term, names, state.reserved)}"
-                f" : {print_term(ty, names, state.reserved)}"
-            )
-        report = check(sig, judgement)
-        if not report.ok:
-            state.failures += 1
-        _emit({"item": "check", "display": shown, **report.to_record()}, args)
-        return
-    if isinstance(item, InferItem):
-        ctx, names = state.context_of(item.bindings)
-        term = to_core(item.term, names, sig, state.defs)
-        ctx_report = check(sig, CtxtWF(ctx))
-        shown = f"infer |- {print_term(term, names, state.reserved)}"
-        if not ctx_report.ok:
-            state.failures += 1
-            _emit({"item": "infer", "display": shown,
-                   **ctx_report.to_record()}, args)
-            return
-        try:
-            ty = infer(sig, ctx, term)
-        except InferFailure as exc:
-            state.failures += 1
-            _emit({"item": "infer", "display": shown, "verdict": "reject",
-                   "reason": exc.reason, "locus": list(exc.locus)}, args)
-            return
-        rendered = print_term(ty, names, state.reserved)
-        _emit({"item": "infer", "display": shown, "verdict": "accept",
-               "inferred": rendered, "lines": [f": {rendered}"]}, args)
-        return
-    if isinstance(item, ElabItem):
-        _run_elab(item, state, args)
-        return
-    raise AssertionError(f"unhandled item {item!r}")
+        _emit(record, args)
 
 
 # Each elaborator by op, taking the item's resolved arguments after ``ctx``;
@@ -171,43 +97,91 @@ _ELABORATORS = {
     "tele_idrec": lambda *a: telescope_idrec(*a),
     "tele_idconv": lambda *a: telescope_idconv(*a),
 }
+# A check item's judgement form, applied to its context and terms.
+_FORMS = {"ctxt": CtxtWF, "type": TypeWF, "term": HasType}
 
 
-def _run_elab(item: ElabItem, state: _ScriptState, args) -> None:
-    sig = state.sig
-    ctx, names = state.context_of(item.bindings)
-    reserved = state.reserved
-
-    def core(pair):
-        binders, surface = pair
-        return to_core(surface, names + binders, sig, state.defs)
-
-    call = []
-    for arg in item.args:  # a (binders, term) pair, or a tuple of them
-        if is_pair(arg):
-            call.append(core(arg))
+def _record(item, state: _ScriptState):
+    """The record of one item, or None for an accepted declaration.  Every
+    name of the item is resolved before the state changes, so an unbound
+    name raises with the item undone."""
+    sig, defs, reserved = state.sig, state.defs, state.reserved
+    if isinstance(item, (Postulate, Definition)):
+        name = item.name
+        if name in reserved:
+            raise ValueError(f"duplicate declaration of {name!r}")
+        if item.ty is None:  # an atomic type
+            state.sig = sig.with_type(name)
         else:
-            call.append(tuple(core(pair) for pair in arg))
-    shown = f"elab {item.op}"
+            ty = to_core(item.ty, (), sig, defs)
+            if isinstance(item, Postulate):
+                kind, report = "postulate", check(sig, TypeWF((), ty))
+            else:
+                body = to_core(item.body, (), sig, defs)
+                kind, report = "def", check(sig, HasType((), body, ty))
+            if not report.ok:
+                return {"item": kind, "display": f"{kind} {name}", **report.to_record()}
+            if kind == "def":
+                defs[name] = body
+            else:
+                state.sig = sig.with_const(name, ty)
+        reserved.add(name)
+        return None
+
+    names, entries = [], []
+    for binder, surface_ty in item.bindings:
+        entries.append(to_core(surface_ty, names, sig, defs))
+        names.append(binder)
+    ctx, names = tuple(entries), tuple(names)
+    if isinstance(item, ElabItem):
+        call = []
+        for arg in item.args:  # a (binders, term) pair, or a tuple of them
+            pieces = []
+            for binders, surface in (arg,) if is_pair(arg) else arg:
+                pieces.append(to_core(surface, names + binders, sig, defs))
+            call.append(pieces[0] if is_pair(arg) else tuple(pieces))
+        try:
+            result = _ELABORATORS[item.op](sig, ctx, *call)
+        except ElabError as exc:
+            return {"item": "elab", "display": f"elab {item.op}", "verdict": "reject",
+                    "error": str(exc)}
+        terms = [result.pi_type] if item.op == "tele_pi" else [result.term, result.stated_type]
+    else:  # a check or infer item: its term before its type
+        terms = []
+        for surface in (item.term, item.ty) if isinstance(item, CheckItem) else (item.term,):
+            if surface is not None:
+                terms.append(to_core(surface, names, sig, defs))
+    texts = []
+    for term in terms:
+        texts.append(print_term(term, names, reserved))
+    shown = " : ".join(texts)
+
+    if isinstance(item, ElabItem):
+        record = {"item": "elab", "display": f"elab {item.op} => {shown}",
+                  "verdict": "accept", "term": texts[0]}
+        if len(texts) == 2:
+            record.update(stated_type=texts[1], lines=[f"rechecked : {texts[1]}"])
+        return record
+    if isinstance(item, CheckItem):
+        if item.form == "ctxt":
+            shown = f"[{', '.join(names)}] Ctxt"
+        else:
+            shown = f"|- {shown} Type" if item.form == "type" else f"|- {shown}"
+        report = check(sig, _FORMS[item.form](ctx, *terms))
+        return {"item": "check", "display": f"check {shown}", **report.to_record()}
+    record = {"item": "infer", "display": f"infer |- {shown}"}
+    report = check(sig, CtxtWF(ctx))
+    if not report.ok:
+        record.update(report.to_record())
+        return record
     try:
-        result = _ELABORATORS[item.op](sig, ctx, *call)
-    except ElabError as exc:
-        state.failures += 1
-        _emit({"item": "elab", "display": shown, "verdict": "reject",
-               "error": str(exc)}, args)
-        return
-    if item.op == "tele_pi":
-        rendered = print_term(result.pi_type, names, reserved)
-        _emit({"item": "elab", "display": f"{shown} => {rendered}",
-               "verdict": "accept", "term": rendered}, args)
-        return
-    term_text = print_term(result.term, names, reserved)
-    type_text = print_term(result.stated_type, names, reserved)
-    _emit({
-        "item": "elab", "display": f"{shown} => {term_text} : {type_text}",
-        "verdict": "accept", "term": term_text, "stated_type": type_text,
-        "lines": [f"rechecked : {type_text}"],
-    }, args)
+        ty = infer(sig, ctx, terms[0])
+    except InferFailure as exc:
+        record.update(verdict="reject", reason=exc.reason, locus=list(exc.locus))
+    else:
+        rendered = print_term(ty, names, reserved)
+        record.update(verdict="accept", inferred=rendered, lines=[f": {rendered}"])
+    return record
 
 
 def run_script(path: str, args) -> int:

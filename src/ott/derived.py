@@ -90,7 +90,6 @@ class RecheckFailure(Exception):
 class ElabResult:
     term: Term
     stated_type: Term
-    context: Context
     # the kernel's certificate for the judgement, None for a leaf term over
     # the empty context
     certificate: Optional[Certificate] = field(compare=False, repr=False)
@@ -136,7 +135,19 @@ def _instance(family, cert, ctx, extra, s, held):
 def _sealed(sig, ctx, term, ty) -> ElabResult:
     """Recheck an emitted term.  The caller's local list of precondition
     certificates keeps them alive until this returns."""
-    return ElabResult(term, ty, ctx, _certified(sig, HasType(ctx, term, ty)))
+    return ElabResult(term, ty, _certified(sig, HasType(ctx, term, ty)))
+
+
+def _own_words(sig, emitter, preconditions):
+    """Name a precondition that the transport inside ``emitter`` refused in
+    ``emitter``'s own words.  Called while that refusal is handled, it
+    checks ``emitter``'s preconditions, (judgement, words) pairs in reading
+    order, one by one, and raises the first that fails as an ElabError; if
+    all hold, it returns and the caller re-raises the transport's.  Only a
+    rejection pays for it."""
+    for j, what in preconditions:
+        if not check(sig, j).ok:
+            raise ElabError(f"precondition failed: {emitter}: {what}") from None
 
 
 def transport(sig: Signature, ctx: Context, family_over: Term, family: Term,
@@ -187,7 +198,16 @@ def symmetry(sig: Signature, ctx: Context, over: Term, lhs: Term, rhs: Term,
     """From ``path : Id(over, lhs, rhs)`` emit a term of ``Id(over, rhs, lhs)``:
     transport of reflexivity at the family "x equals lhs"."""
     family = (ID, shift(over, 1), (VAR, 0), shift(lhs, 1))
-    return transport(sig, ctx, over, family, lhs, rhs, path, (REFL, over, lhs))
+    try:
+        return transport(sig, ctx, over, family, lhs, rhs, path, (REFL, over, lhs))
+    except ElabError:
+        _own_words(sig, "symmetry", (
+            (TypeWF(ctx, over), "endpoint type is a type"),
+            (HasType(ctx, lhs, over), "lhs inhabits the endpoint type"),
+            (HasType(ctx, rhs, over), "rhs inhabits the endpoint type"),
+            (HasType(ctx, path, (ID, over, lhs, rhs)), "path relates lhs and rhs"),
+        ))
+        raise
 
 
 def transitivity(sig: Signature, ctx: Context, over: Term, a: Term, b: Term,
@@ -196,25 +216,19 @@ def transitivity(sig: Signature, ctx: Context, over: Term, a: Term, b: Term,
     transport ``path_ab`` along ``path_bc`` at the family "a equals x".
     Transport in that family is post-composition (Univalent Foundations
     Program, *Homotopy Type Theory*, 2013, Lemma 2.11.2), so one transport
-    composes the two paths and neither is reversed.
-
-    A refused precondition is named in transitivity's own terms: the
-    preconditions are checked again one by one, in reading order, and the
-    first that fails is reported.  Only a rejection pays for that."""
+    composes the two paths and neither is reversed."""
     family = (ID, shift(over, 1), shift(a, 1), (VAR, 0))
     try:
         return transport(sig, ctx, over, family, b, c, path_bc, path_ab)
     except ElabError:
-        for j, what in (
+        _own_words(sig, "transitivity", (
             (TypeWF(ctx, over), "endpoint type is a type"),
             (HasType(ctx, a, over), "a inhabits the endpoint type"),
             (HasType(ctx, b, over), "b inhabits the endpoint type"),
             (HasType(ctx, c, over), "c inhabits the endpoint type"),
             (HasType(ctx, path_ab, (ID, over, a, b)), "first path relates a and b"),
             (HasType(ctx, path_bc, (ID, over, b, c)), "second path relates b and c"),
-        ):
-            if not check(sig, j).ok:
-                raise ElabError(f"precondition failed: transitivity: {what}") from None
+        ))
         raise
 
 
@@ -225,8 +239,19 @@ def congruence_app(sig: Signature, ctx: Context, domain: Term, codomain: Term,
     the two applications at ``arg``."""
     fun_ty = (PI, domain, codomain)
     steps, result_ty = _spine_steps(fun_ty, (arg,))
-    return _spine_congruence(sig, ctx, fun_ty, fun_a, fun_b, path, steps, (arg,),
-                             result_ty)
+    try:
+        return _spine_congruence(sig, ctx, fun_ty, fun_a, fun_b, path, steps, (arg,),
+                                 result_ty)
+    except ElabError:
+        _own_words(sig, "congruence_app", (
+            (TypeWF(ctx, domain), "domain is a type"),
+            (TypeWF(ctx + (domain,), codomain), "codomain is a type over the domain"),
+            (HasType(ctx, fun_a, fun_ty), "fun_a has the product type"),
+            (HasType(ctx, fun_b, fun_ty), "fun_b has the product type"),
+            (HasType(ctx, path, (ID, fun_ty, fun_a, fun_b)), "path relates fun_a and fun_b"),
+            (HasType(ctx, arg, domain), "arg inhabits the domain"),
+        ))
+        raise
 
 
 def _spine_app(steps, head, args, by):

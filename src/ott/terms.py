@@ -15,6 +15,8 @@ values here are immutable and safe to share across concurrent checks.
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 from . import kernel as _k
 from .kernel import (
     APP, BETA, CONST, ID, IDCONV, IDREC, LAM, NAT, NATCONVSUCC,
@@ -115,14 +117,22 @@ class Signature:
     once and a constant's type may only mention earlier declarations, which
     preserves the one-rule-per-judgement property the checker relies on.
 
-    Instances are immutable; ``with_type``/``with_const`` return extensions.
+    Instances are immutable, which the kernel's certificates rely on: the
+    attributes cannot be set again and ``constants`` is a read-only view of a
+    dict no one else holds.  ``with_type``/``with_const`` return extensions.
     """
 
     __slots__ = ("atomic_types", "constants")
 
     def __init__(self, atomic_types=(), constants=()):
-        self.atomic_types = frozenset(atomic_types)
-        self.constants = dict(constants)
+        object.__setattr__(self, "atomic_types", frozenset(atomic_types))
+        object.__setattr__(self, "constants", MappingProxyType(dict(constants)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Signature is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Signature is immutable: cannot delete {name!r}")
 
     def _check_fresh(self, name: str) -> None:
         if name in self.atomic_types or name in self.constants:

@@ -1201,6 +1201,31 @@ def test_certificates_never_change_a_verdict(rng, share):
     del held
 
 
+def test_a_certified_signature_cannot_be_mutated():
+    """A certificate is keyed by its signature object, so after ``Refl(A,
+    a)`` is certified no mutation may retype ``a``: every way the public API
+    offers to change the signature raises, and the certified object keeps
+    the verdict of a fresh copy."""
+    B = Const("B")
+    sig = Signature().with_type("A").with_type("B").with_const("a", A).with_const("b", B)
+    term, ty = Refl(A, a), Id(A, a, a)
+    report, cert = certify(sig, HasType((), term, ty))
+    assert report.ok and cert is not None
+    with pytest.raises(TypeError):
+        sig.constants["a"] = B
+    with pytest.raises(TypeError):
+        del sig.constants["a"]
+    for name in ("constants", "atomic_types"):
+        with pytest.raises(AttributeError):
+            setattr(sig, name, {})
+        with pytest.raises(AttributeError):
+            delattr(sig, name)
+    assert sig.constants["a"] == A and sig.atomic_types == {"A", "B"}
+    assert check(sig, HasType((), term, ty)).ok
+    assert check(sig, HasType((), fresh_copy(term), ty)).ok
+    del cert
+
+
 def _family():
     """z : A |- Id(A, z, z) over [A], certified, and its instance at
     ``a`` over [A], which is large enough to be certified too."""

@@ -159,7 +159,7 @@ elab [x : A, y : A, p : Id(A, x, x)] |- symmetry(A, x, y, p)
 """)
     assert cli.main(["check", path]) == 1
     assert capsys.readouterr().out == (
-        "FAIL elab symmetry  -- precondition failed: transport: path relates the endpoints\n"
+        "FAIL elab symmetry  -- precondition failed: symmetry: path relates lhs and rhs\n"
     )
 
 
@@ -363,6 +363,17 @@ def test_json_records_match_recorded_outputs(tmp_path, capsys, name, code):
         record.pop("nanoseconds", None)
     text = "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
     assert text == (ROOT / "tests" / "golden" / f"{name}.jsonl").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", ["basics", "equality"])
+def test_human_output_matches_recorded_output(capsys, name):
+    """``ott check`` without ``--json`` or ``--steps`` prints the lines in
+    ``tests/golden/<name>.txt`` for a demo script and exits 0."""
+    from ott import cli
+
+    assert cli.main(["check", str(ROOT / "demo" / f"{name}.ott")]) == 0
+    out = capsys.readouterr().out
+    assert out == (ROOT / "tests" / "golden" / f"{name}.txt").read_text(encoding="utf-8")
 
 
 def test_equality_demo_stated_types():

@@ -291,6 +291,19 @@ def test_transitivity_names_the_refused_precondition(sig, endpoints, paths, what
         transitivity(sig, _TWO_PATHS, A, *endpoints, *paths)
 
 
+@pytest.mark.parametrize("args, what", [
+    ((A, Var(1), Var(2), Var(0)), "path relates lhs and rhs"),
+    ((A, Zero, Var(1), Var(0)), "lhs inhabits the endpoint type"),
+    ((A, Var(2), Zero, Var(0)), "rhs inhabits the endpoint type"),
+    ((a, Var(2), Var(1), Var(0)), "endpoint type is a type"),
+], ids=["path", "lhs", "rhs", "over"])
+def test_symmetry_names_the_refused_precondition(sig, args, what):
+    """A refusal reads as symmetry's own, not as the transport's inside it."""
+    ctx, _, _, _ = _path_context()
+    with pytest.raises(ElabError, match=f"^precondition failed: symmetry: {what}$"):
+        symmetry(sig, ctx, *args)
+
+
 # congruence ------------------------------------------------------------------
 
 
@@ -310,6 +323,23 @@ def test_congruence_with_postulated_path(sig):
     assert syntactic_equal(
         result.stated_type, Id(A, App(A, A, f, a), App(A, A, g, a))
     )
+
+
+@pytest.mark.parametrize("args, what", [
+    ((A, A, Var(1), Var(2), Var(0), a), "path relates fun_a and fun_b"),
+    ((A, A, Var(2), Var(1), Var(0), Zero), "arg inhabits the domain"),
+    ((A, A, Zero, Var(1), Var(0), a), "fun_a has the product type"),
+    ((A, A, Var(2), Zero, Var(0), a), "fun_b has the product type"),
+    ((a, A, Var(2), Var(1), Var(0), a), "domain is a type"),
+    ((A, Var(0), Var(2), Var(1), Var(0), a), "codomain is a type over the domain"),
+], ids=["path", "arg", "fun_a", "fun_b", "domain", "codomain"])
+def test_congruence_names_the_refused_precondition(sig, args, what):
+    """A refusal reads as congruence_app's own, not as the transport's
+    inside it."""
+    pi = Pi(A, A)
+    ctx = (pi, pi, Id(pi, Var(1), Var(0)))
+    with pytest.raises(ElabError, match=f"^precondition failed: congruence_app: {what}$"):
+        congruence_app(sig, ctx, *args)
 
 
 # telescopes --------------------------------------------------------------------

@@ -2,8 +2,9 @@
 function in the package recurses on the Python stack, only the kernel
 enters judgements into its certificate index, only the checker's rule
 table dispatches on a term rule's tag, no module of the package or the tests
-imports a name it does not use, and the public surface the README shows
-exists and runs."""
+imports a name it does not use, the public surface the README shows exists
+and runs, and the grammar doc names every keyword and elaborator the parser
+knows."""
 
 import ast
 import re
@@ -305,3 +306,15 @@ def test_readme_library_example_runs():
     exec(compile(blocks[0], "README.md", "exec"), scope)
     assert scope["report"].verdict == "accept"
     assert scope["result"].stated_type == Id(Const("A"), Var(1), Var(1))
+
+
+def test_grammar_doc_quotes_every_keyword_and_elaborator():
+    """docs/grammar.ebnf quotes, outside its comments, every keyword the
+    lexer knows and every elaborator the parser accepts, so the doc cannot
+    fall behind the parser."""
+    from ott.surface import _ELAB_OPS, KEYWORDS
+
+    text = (ROOT / "docs" / "grammar.ebnf").read_text(encoding="utf-8")
+    quoted = set(re.findall(r'"([^"]*)"', re.sub(r"\(\*.*?\*\)", "", text, flags=re.S)))
+    assert sorted(set(KEYWORDS) - quoted) == []
+    assert sorted(set(_ELAB_OPS) - quoted) == []
