@@ -3,10 +3,9 @@
 Every computation rule is a propositional equality witnessed by an explicit
 constructor, so checking never normalizes anything: it is annotation-directed
 syntactic comparison, decidable in quadratic time.  The package provides the
-core syntax, the checker and type synthesis, substitution and context
-morphisms, term-emitting elaborators for the admissible congruence and
-telescope rules, a surface syntax with a CLI, and an empirical scaling
-benchmark.
+core syntax, the checker and type synthesis, shifting and substitution,
+term-emitting elaborators for the admissible congruence and telescope rules,
+a surface syntax with a CLI, and an empirical scaling benchmark.
 """
 
 from .checker import (
@@ -14,7 +13,7 @@ from .checker import (
     check, infer,
 )
 from .kernel import BACKEND
-from .subst import ContextMorphism, apply_morphism, compose, identity, shift, subst
+from .subst import shift, subst
 from .terms import (
     App, BetaConv, Const, Context, Id, IdConv, IdRec, Lambda, NatConvSucc,
     NatConvZero, NatRec, NatTy, Pi, Refl, Signature, Succ, Telescope, Term,
@@ -29,8 +28,7 @@ __all__ = [
     "Var", "Const", "Pi", "Lambda", "App", "BetaConv", "Id", "Refl",
     "IdRec", "IdConv", "NatTy", "Zero", "Succ", "NatRec", "NatConvZero",
     "NatConvSucc", "size", "syntactic_equal",
-    "ContextMorphism", "shift", "subst", "apply_morphism", "compose",
-    "identity",
+    "shift", "subst",
     "CheckReport", "Judgement", "CtxtWF", "TypeWF", "HasType",
     "check", "infer", "InferFailure",
 ]

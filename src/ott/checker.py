@@ -42,11 +42,12 @@ node.  The benchmark gates on it instead of wall time.
 Loci.  An obligation carries only its slot, its index among its parent's
 premises or, for a stage's seed, the stage's name, so the run that decides a
 verdict allocates no path.  ``_run`` returns the failing slot and leaves its
-stack as it was at the failure.  A failing seed is its own locus; below a
-stage's root, ``_locus`` runs that one stage again on a stack that keeps the
-path of each obligation it hands out.  Verdicts are deterministic, so the
-rerun fails at the same obligation.  Only a rejection pays for it, and its
-steps are not charged.
+stack as it was at the failure.  ``_decide`` is the one place a stack is
+run: it runs a copy of its seeds and turns a failing slot into a locus.  A
+failing seed is its own locus; below a stage's root, ``_decide`` runs that
+one stage again on a stack that keeps the path of each obligation it hands
+out.  Verdicts are deterministic, so the rerun fails at the same
+obligation.  Only a rejection pays for it, and its steps are not charged.
 
 Certificates.  ``certify`` is ``check`` that, when it accepts a ``HasType``
 judgement whose term is not a leaf, or a ``TypeWF`` judgement whose type has
@@ -201,10 +202,8 @@ Judgement = Union[CtxtWF, TypeWF, HasType]
 class CheckReport:
     """A verdict, the reason and locus of a rejection, the steps charged and
     the wall time.  The locus is the path of slots from the failing stage's
-    name down to the obligation that failed.  The run that decides the
-    verdict keeps no paths, so a rejection below a stage's root runs that
-    one stage again, on a stack that keeps them, to find its locus; that
-    rerun is charged no steps, though ``nanoseconds`` includes it."""
+    name down to the obligation that failed.  ``steps`` counts the work
+    that decides the verdict; ``nanoseconds`` is the whole call."""
     verdict: str  # "accept" or "reject"
     reason: Optional[str]
     locus: Optional[tuple]
@@ -343,7 +342,7 @@ _UNWRITTEN = object()
 # walk is charged to the step counter.  The slot is a premise's index in its
 # parent, or a stage's name for a stage's seed: "term", "type", ("ctx", i)
 # or "component".  A task holds no path: ``_run`` returns the failing slot,
-# and ``_locus`` finds the rest by running the failing stage again on a
+# and ``_decide`` finds the rest by running the failing stage again on a
 # ``_Paths`` stack, which keeps the path of what it hands out.
 
 
@@ -380,22 +379,33 @@ class _Paths(list):
         return task
 
 
-def _locus(sig: Signature, seeds: list, stack: list, slot) -> tuple:
-    """The locus of the obligation that failed with ``slot`` when ``_run``
-    rejected on a stack seeded with ``seeds`` and left as ``stack``.  A
-    failed seed is its own locus.  Otherwise the seeds still at the bottom
-    of ``stack`` (the entries whose slot is not an ``int``) are those below
-    the failing stage's, and that one stage is run again, on a stack that
-    keeps paths.  Verdicts are deterministic, so it fails at the same
-    obligation."""
-    if slot.__class__ is not int:
-        return (slot,)
+def _decide(sig: Signature, seeds: list):
+    """``_run`` on a copy of ``seeds``: (ok, reason, what, steps).  On
+    acceptance ``what`` is what ``_run`` returns, the type an ``infer`` seed
+    concludes or None; on a rejection it is the failing obligation's locus.
+    A failed seed is its own locus.  Otherwise the seeds still at the bottom
+    of the stack (the entries whose slot is not an ``int``) are those below
+    the failing stage's, and that one stage is run again, uncharged, on a
+    stack that keeps paths.  Verdicts are deterministic, so it fails at the
+    same obligation."""
+    stack = list(seeds)
+    ok, reason, what, steps = _run(sig, stack)
+    if ok:
+        return ok, reason, what, steps
+    if what.__class__ is not int:
+        return ok, reason, (what,), steps
     m = 0
     while m < len(stack) and stack[m][4].__class__ is not int:
         m += 1
     paths = _Paths(seeds[m])
     _run(sig, paths)
-    return tuple(paths.path)
+    return ok, reason, tuple(paths.path), steps
+
+
+def _same(e, g):
+    """(equal, steps): one step for one object, else what ``eq_lazy``
+    charges with ``g`` as the target."""
+    return (True, 1) if e is g else _k.eq_lazy(e, g)
 
 
 def _apply(clo):
@@ -413,27 +423,19 @@ def _matches(j, ctx, target):
     entries innermost first, each stopping at the first difference."""
     steps = 0
     if target is not None:
-        ty = j.ty
-        if ty is target:
-            steps = 1
-        else:
-            # a motive left unwritten is compared with the sides swapped
-            eq, steps = (_k.eq_lazy(target, ty) if target[-1] is _UNWRITTEN
-                         else _k.eq_lazy(ty, target))
-            if not eq:
-                return False, steps
+        # a motive left unwritten is compared with the sides swapped
+        eq, steps = (_same(target, j.ty) if target[-1] is _UNWRITTEN
+                     else _same(j.ty, target))
+        if not eq:
+            return False, steps
     entries = j.ctx
     i = len(entries)
     while i and ctx is not None:
         i -= 1
-        e = entries[i]
-        if e is ctx[0]:
-            steps += 1
-        else:
-            eq, c = _k.eq_lazy(e, ctx[0])
-            steps += c
-            if not eq:
-                return False, steps
+        eq, c = _same(entries[i], ctx[0])
+        steps += c
+        if not eq:
+            return False, steps
         ctx = ctx[1]
     return i == 0 and ctx is None, steps
 
@@ -445,7 +447,7 @@ def _run(sig: Signature, stack: list):
     obligation's, or None on acceptance, except that a term obligation with
     no target returns (True, None, the type its rule concludes, steps) once
     its head rule has run.  A rejection leaves ``stack`` as it was at the
-    failure, which ``_locus`` reads.
+    failure, which ``_decide`` reads.
     """
     consts = sig.constants
     atomics = sig.atomic_types
@@ -711,25 +713,19 @@ def check(sig: Signature, j: Judgement) -> CheckReport:
     entries after the longest prefix of the context that is the context of
     a live certificate from ``certify``."""
     t0 = time.perf_counter_ns()
-    cmp_steps = 0
+    eq, cmp_steps = False, 0
     if _certificates and isinstance(j, HasType):
         cert = _live(_certificates, sig, j.term, HasType)
         if cert is not None:
             eq, cmp_steps = _matches(cert.judgement, _cons_ctx(j.ctx), j.ty)
-            if eq:
-                ns = time.perf_counter_ns() - t0
-                return CheckReport("accept", None, None, cmp_steps + 1, ns)
-    start = 0
-    if _contexts and j.ctx:
-        start, c = _certified_prefix(sig, j.ctx)
+    if eq:
+        ok, reason, locus, steps = True, None, None, 1
+    else:
+        start, c = _certified_prefix(sig, j.ctx) if _contexts and j.ctx else (0, 0)
+        ok, reason, locus, steps = _decide(sig, _seed_judgement(j, start))
         cmp_steps += c
-    stack = _seed_judgement(j, start)
-    ok, reason, slot, steps = _run(sig, stack)
-    steps += cmp_steps
-    if ok:
-        return CheckReport("accept", None, None, steps, time.perf_counter_ns() - t0)
-    locus = _locus(sig, _seed_judgement(j, start), stack, slot)
-    return CheckReport("reject", reason, locus, steps, time.perf_counter_ns() - t0)
+    return CheckReport("accept" if ok else "reject", reason, locus,
+                       steps + cmp_steps, time.perf_counter_ns() - t0)
 
 
 def _issue(sig: Signature, j, subject: Optional[Term], conditional=False,
@@ -832,11 +828,7 @@ def instantiate(cert: Certificate, ctx: Context, s: Term
     ok, steps, i = k >= 0, 1, 0
     # delta is the front of ctx, compared entry by entry as ``_matches`` does
     while ok and i < n:
-        e, g = entries[i], ctx[i]
-        if e is g:
-            c = 1
-        else:
-            ok, c = _k.eq_lazy(e, g)
+        ok, c = _same(entries[i], ctx[i])
         steps += c
         i += 1
     if not ok:
@@ -847,11 +839,8 @@ def instantiate(cert: Certificate, ctx: Context, s: Term
         # stage's promise that ctx is well-formed and the target a type
         target, c = _k.inst(entries[n], (), k, 0)
         seed = (_TERM, _cons_ctx(ctx), s, target, "component")
-        stack = [seed]
-        ok, reason, slot, c2 = _run(cert.sig, stack)
+        ok, reason, locus, c2 = _decide(cert.sig, [seed])
         steps += c + c2
-        if not ok:
-            locus = _locus(cert.sig, [seed], stack, slot)
     if not ok:
         ns = time.perf_counter_ns() - t0
         return CheckReport("reject", reason, locus, steps, ns), None, None
@@ -886,14 +875,11 @@ def infer(sig: Signature, ctx: Context, a: Term) -> Term:
     well-formed), or raise InferFailure.  What it returns is a type that
     ``check(sig, HasType(ctx, a, ty))`` accepts."""
     c = _cons_ctx(ctx)
-    seed = (_TERM, c, a, None, "term")
-    stack = [seed]
-    ok, reason, ty, _ = _run(sig, stack)
+    ok, reason, ty, _ = _decide(sig, [(_TERM, c, a, None, "term")])
     if not ok:
-        raise InferFailure(reason, _locus(sig, [seed], stack, ty))
-    term, stated = (_TERM, c, a, ty, "term"), (_TYPE, c, ty, None, "type")
-    stack = [term, stated]
-    ok, reason, slot, _ = _run(sig, stack)
+        raise InferFailure(reason, ty)
+    ok, reason, locus, _ = _decide(
+        sig, [(_TERM, c, a, ty, "term"), (_TYPE, c, ty, None, "type")])
     if not ok:
-        raise InferFailure(reason, _locus(sig, [term, stated], stack, slot))
+        raise InferFailure(reason, locus)
     return ty

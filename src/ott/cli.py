@@ -50,7 +50,7 @@ def _emit(record: dict, args) -> None:
         return
     line = ("ok   " if record["verdict"] == "accept" else "FAIL ") + display
     if record["verdict"] == "reject" and "reason" in record:
-        line += f"  -- {record['reason']} at {record['locus']}"
+        line += f"  -- {record['reason']} at {_RECORD_JSON.encode(record['locus'])}"
     if record.get("error"):
         line += f"  -- {record['error']}"
     if args.steps and "steps" in record:

@@ -1,6 +1,12 @@
 """Randomized generators for property tests: well-typed judgements, typed
 context morphisms, single-node type mutations, and contexts as script text.
 
+A ``ContextMorphism`` f : source -> target is a sequence of source-context
+terms, one per target entry, outermost first (``terms[0]`` substitutes the
+outermost target variable).  Composition is componentwise substitution; the
+identity is the sequence of variables.  These are meta-level objects that
+the generalized-substitution laws are stated over; no term holds one.
+
 The generator builds derivations, not raw trees, so everything it returns is
 derivable by construction; tests then compare the checker's verdicts (and the
 synthesizer's answers) against that ground truth.  Inhabitation is best
@@ -14,17 +20,73 @@ how many premises one rule pushes.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 
-from ott.checker import _TERM, _TYPE, _cons_ctx, _locus, _run
-from ott.kernel import APP, CONST, ID, IDREC, LAM, NAT, NATREC, PI, REFL, SUCC, VAR, ZERO
-from ott.subst import ContextMorphism, inst, shift
+from ott.checker import _TERM, _TYPE, _cons_ctx, _decide, _run
+from ott.kernel import (
+    APP, BINDERS, CONST, ID, IDREC, LAM, NAT, NATREC, PI, REFL, SUCC, VAR, ZERO,
+)
+from ott.subst import inst, shift
 from ott.surface import _fresh, print_term
 from ott.terms import Context, Signature, Term
 
 __all__ = [
-    "Generator", "default_signature", "fresh_copy", "mutations", "premise_count",
+    "ContextMorphism", "Generator", "apply_morphism", "compose",
+    "default_signature", "fresh_copy", "identity", "mutations", "premise_count",
     "print_context", "replace_at", "subterm_paths",
 ]
+
+
+# context morphisms ------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ContextMorphism:
+    source: Context
+    target: Context
+    terms: tuple
+
+    def __post_init__(self):
+        if len(self.terms) != len(self.target):
+            raise ValueError("morphism needs one term per target entry")
+
+
+def identity(ctx: Context) -> ContextMorphism:
+    n = len(ctx)
+    return ContextMorphism(ctx, ctx, tuple((VAR, n - 1 - i) for i in range(n)))
+
+
+def _max_free(t: Term) -> int:
+    """Largest free index in ``t``, or -1 when closed."""
+    best = -1
+    stack = [(t, 0)]
+    while stack:
+        node, depth = stack.pop()
+        tag = node[0]
+        if tag == VAR:
+            if node[1] >= depth:
+                best = max(best, node[1] - depth)
+        elif tag != CONST and len(node) > 1:
+            binders = BINDERS[tag]
+            for i, child in enumerate(node[1:]):
+                stack.append((child, depth + binders[i]))
+    return best
+
+
+def apply_morphism(theta: Term, f: ContextMorphism) -> Term:
+    """Generalized substitution of the morphism's terms for the target
+    context's variables: ``terms[0]`` replaces the outermost variable.
+    Raises ValueError if ``theta`` is not scoped over the target context."""
+    if _max_free(theta) >= len(f.target):
+        raise ValueError("scope mismatch: term has free indices outside the "
+                         "morphism's target context")
+    return inst(theta, tuple(reversed(f.terms)))
+
+
+def compose(f: ContextMorphism, g: ContextMorphism) -> ContextMorphism:
+    """Componentwise substitution: ``(f . g).terms[i] = f.terms[i][g]``."""
+    if g.target != f.source:
+        raise ValueError("compose: source/target contexts do not match")
+    return ContextMorphism(g.source, f.target, tuple(apply_morphism(t, g) for t in f.terms))
 
 
 def default_signature() -> Signature:
@@ -262,9 +324,9 @@ def premise_count(sig: Signature, ctx: Context, subject: Term, target=None) -> i
     kind, stage = (_TYPE, "type") if target is None else (_TERM, "term")
     seed = (kind, _cons_ctx(ctx), subject, target, stage)
     stack = _PopDepths([seed])
-    ok, reason, slot, _ = _run(sig, stack)
-    if not ok:
-        raise ValueError(f"{reason} at {list(_locus(sig, [seed], stack, slot))}")
+    if not _run(sig, stack)[0]:
+        _, reason, locus, _ = _decide(sig, [seed])
+        raise ValueError(f"{reason} at {list(locus)}")
     return stack.depths[1] if len(stack.depths) > 1 else 0
 
 

@@ -27,13 +27,16 @@ from ott.derived import (
     transitivity, transport,
 )
 from ott.oracle import DerivationSpace, all_terms
-from ott.subst import apply_morphism, compose, identity, shift, subst
+from ott.subst import shift, subst
 from ott.terms import (
     App, BetaConv, Const, Id, IdConv, IdRec, Lambda, NatConvZero, NatRec,
     NatTy, Pi, Refl, Signature, Succ, Var, Zero, size, syntactic_equal,
 )
 
-from generators import Generator, default_signature, mutations, premise_count
+from generators import (
+    Generator, apply_morphism, compose, default_signature, identity, mutations,
+    premise_count,
+)
 
 A = Const("A")
 

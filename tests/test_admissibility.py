@@ -8,10 +8,10 @@ extra entries.
 """
 
 from ott.checker import HasType, check
-from ott.subst import ContextMorphism, apply_morphism, shift
+from ott.subst import shift
 from ott.terms import syntactic_equal
 
-from generators import Generator
+from generators import ContextMorphism, Generator, apply_morphism
 
 
 def _weaken_context(ctx, position, entry):

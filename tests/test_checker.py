@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import ott.checker
 from ott.checker import (
     _TERM, _TYPE, CtxtWF, HasType, InferFailure, TypeWF, _certificates,
-    _certified_prefix, _cons_ctx, _live, _locus, _run, _seed_judgement,
+    _certified_prefix, _cons_ctx, _decide, _live, _run, _seed_judgement,
     certify, check, infer, instantiate,
 )
 from ott.terms import (
@@ -508,7 +508,7 @@ def test_step_fingerprint_is_pinned_with_live_certificates(sig):
 # substitution was a kernel call (its test-only trace hook left out), and
 # every obligation carried its path as a cons list.  The current loop decides
 # leaf comparisons and substitutions inline and returns the failing slot,
-# which ``_locus`` turns into a path; together they must give the same
+# which ``_decide`` turns into a path; together they must give the same
 # (ok, reason, locus, steps), or raise the same exception type, on every
 # input, malformed ones included.  The one intended difference is a negative
 # variable index, which the reference accepts.
@@ -690,20 +690,12 @@ def reference_run(sig, seeds):
     return True, None, None, steps
 
 
-def _run_with_locus(sig, seeds):
-    """``_run`` on ``seeds``, with the failing slot turned into a locus by
-    ``_locus`` as the public entry points do."""
-    stack = list(seeds)
-    ok, reason, slot, steps = _run(sig, stack)
-    return ok, reason, slot if ok else _locus(sig, seeds, stack, slot), steps
-
-
 def _both(sig, make_stack):
-    """The outcome of ``_run`` with ``_locus`` and of ``reference_run`` on
+    """The outcome of ``_decide`` and of ``reference_run`` on
     fresh copies of one obligation stack: the 4-tuple, or the exception type
     raised."""
     out = []
-    for run in (_run_with_locus, reference_run):
+    for run in (_decide, reference_run):
         try:
             out.append(run(sig, make_stack()))
         except Exception as exc:  # malformed input: compare the failure
@@ -1578,10 +1570,8 @@ def test_unwritten_motive_meets_a_substituted_type_written(sig):
     entry = Id(A, Var(0), Var(0))
     motive = (CLO, fresh_copy(entry), (0, (), 0), _UNWRITTEN)
     obligation = (_TERM, _cons_ctx((A, entry)), Var(0), motive, "term")
-    stack = [obligation]
-    ok, reason, slot, _ = _run(sig, stack)
-    assert (ok, reason, slot) == (False, "variable type mismatch", "term")
-    assert _locus(sig, [obligation], stack, slot) == ("term",)
+    ok, reason, locus, _ = _decide(sig, [obligation])
+    assert (ok, reason, locus) == (False, "variable type mismatch", ("term",))
     del held
 
 

@@ -346,6 +346,14 @@ def test_scripts_without_errors_never_run_the_positional_scan(tmp_path, capsys, 
     capsys.readouterr()
 
 
+def _golden_script(tmp_path, name):
+    """The path of the script that ``tests/golden/<name>.*`` records: a demo,
+    or the benchmark's 100-item script."""
+    if name == "script-1-100":
+        return _write(tmp_path, "script.ott", _benchmark_script())
+    return str(ROOT / "demo" / f"{name}.ott")
+
+
 @pytest.mark.parametrize("name, code", [("basics", 0), ("equality", 0), ("script-1-100", 1)])
 def test_json_records_match_recorded_outputs(tmp_path, capsys, name, code):
     """``ott --json check`` prints the records in ``tests/golden``, where
@@ -353,11 +361,7 @@ def test_json_records_match_recorded_outputs(tmp_path, capsys, name, code):
     the recorded code."""
     from ott import cli
 
-    if name == "script-1-100":
-        path = _write(tmp_path, "script.ott", _benchmark_script())
-    else:
-        path = str(ROOT / "demo" / f"{name}.ott")
-    assert cli.main(["--json", "check", path]) == code
+    assert cli.main(["--json", "check", _golden_script(tmp_path, name)]) == code
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     for record in records:
         record.pop("nanoseconds", None)
@@ -365,15 +369,35 @@ def test_json_records_match_recorded_outputs(tmp_path, capsys, name, code):
     assert text == (ROOT / "tests" / "golden" / f"{name}.jsonl").read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize("name", ["basics", "equality"])
-def test_human_output_matches_recorded_output(capsys, name):
+@pytest.mark.parametrize("name, code", [("basics", 0), ("equality", 0), ("script-1-100", 1)],
+                         ids=["basics", "equality", "script-1-100"])
+def test_human_output_matches_recorded_output(tmp_path, capsys, name, code):
     """``ott check`` without ``--json`` or ``--steps`` prints the lines in
-    ``tests/golden/<name>.txt`` for a demo script and exits 0."""
+    ``tests/golden/<name>.txt``, ``FAIL`` lines included, and exits with the
+    recorded code."""
     from ott import cli
 
-    assert cli.main(["check", str(ROOT / "demo" / f"{name}.ott")]) == 0
+    assert cli.main(["check", _golden_script(tmp_path, name)]) == code
     out = capsys.readouterr().out
     assert out == (ROOT / "tests" / "golden" / f"{name}.txt").read_text(encoding="utf-8")
+
+
+def test_a_rejection_locus_reads_the_same_in_both_modes(tmp_path, capsys):
+    """A check or infer rejection's line ends with its locus written as the
+    JSON record writes it, tuples inside it as lists."""
+    from ott import cli
+
+    path = _write(tmp_path, "loci.ott", (
+        "postulate A : Type\npostulate a : A\npostulate B : Type\n"
+        "check [x : Id(A, a, B)] Ctxt\ninfer [x : A] |- succ(x)\n"))
+    assert cli.main(["--json", "check", path]) == 1
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r["locus"] for r in records] == [[["ctx", 0], 2], ["term", 0]]
+    assert cli.main(["check", path]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        'FAIL check [x] Ctxt  -- not a term constant at [["ctx", 0], 2]',
+        'FAIL infer |- succ(x)  -- variable type mismatch at ["term", 0]',
+    ]
 
 
 def test_equality_demo_stated_types():

@@ -1,7 +1,8 @@
 """Repository hygiene: nothing that .gitignore excludes is tracked, no
 function in the package recurses on the Python stack, only the kernel
 enters judgements into its certificate index, only the checker's rule
-table dispatches on a term rule's tag, no module of the package or the tests
+table dispatches on a term rule's tag, only ``checker._decide`` runs an
+obligation stack, no module of the package or the tests
 imports a name it does not use, the public surface the README shows exists
 and runs, and the grammar doc names every keyword and elaborator the parser
 knows."""
@@ -222,6 +223,64 @@ def test_tag_comparison_scan_finds_dispatch():
         "        return leaf()\n"
     )
     assert _tag_comparisons(tree) == [("conclusion", 7), ("conclusion", 9), ("certify", 14)]
+
+
+# ``checker._decide`` is the one place the package runs an obligation stack:
+# it runs a copy of its seeds and finds a rejection's locus, so no other
+# function reads ``_run``.
+_RUNNER = ("checker.py", "_decide")
+
+
+def _reads(tree, name):
+    """(enclosing function, line) of each read of ``name``, by bare name or
+    as an attribute, with methods and nested functions named by their
+    qualified name and module-level code by ""."""
+    found = []
+
+    def visit(node, prefix, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, prefix + child.name + ".", prefix + child.name)
+                continue
+            if isinstance(child, ast.ClassDef):
+                visit(child, prefix + child.name + ".", where)
+                continue
+            read = child.id if isinstance(child, ast.Name) else (
+                child.attr if isinstance(child, ast.Attribute) else None)
+            if read == name and isinstance(child.ctx, ast.Load):
+                found.append((where, child.lineno))
+            visit(child, prefix, where)
+
+    visit(tree, "", "")
+    return found
+
+
+def test_only_decide_runs_a_stack():
+    """No function in the package but ``checker._decide`` reads ``_run``,
+    and ``_decide`` still calls it, so the scan cannot go stale."""
+    offenders, runs = [], 0
+    for path in sorted((ROOT / "src" / "ott").glob("*.py")):
+        for where, line in _reads(ast.parse(path.read_text(encoding="utf-8")), "_run"):
+            if (path.name, where) == _RUNNER:
+                runs += 1
+            else:
+                offenders.append(f"{path.name}:{line} {where or '<module>'}")
+    assert offenders == []
+    assert runs
+
+
+def test_run_scan_finds_other_runners():
+    tree = ast.parse(
+        "def _decide(sig, seeds):\n    return _run(sig, list(seeds))\n"
+        "def check(sig, j):\n    return _run(sig, [j])\n"
+        "class C:\n"
+        "    def m(self):\n"
+        "        def go(stack):\n            return checker._run(None, stack)\n"
+        "        return go\n"
+        "runner = partial(_run, None)\n"
+        "_run = None\n"
+    )
+    assert _reads(tree, "_run") == [("_decide", 2), ("check", 4), ("C.m.go", 8), ("", 10)]
 
 
 # No module in the package or the tests imports a name it does not use.

@@ -4,14 +4,14 @@ import hypothesis.strategies as st
 from hypothesis import example, given, settings
 
 from ott import kernel
-from ott.subst import (
-    ContextMorphism, apply_morphism, compose, identity, inst, shift, subst,
-)
+from ott.subst import inst, shift, subst
 from ott.terms import (
     Const, Id, Lambda, NatTy, Pi, Succ, Var, Zero, size, syntactic_equal,
 )
 
-from generators import Generator, default_signature
+from generators import (
+    ContextMorphism, Generator, apply_morphism, compose, default_signature, identity,
+)
 from test_terms import terms
 
 _BINDERS = kernel.BINDERS
