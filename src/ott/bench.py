@@ -12,7 +12,8 @@ is reported, not gated.
 The families pin down the checker's distinct cost paths:
 
   app-chain     nested eliminations, four recursive obligations per node
-  lambda-chain  introductions compared against a growing product type
+  lambda-chain  introductions compared against a growing product type, the
+                annotations alternating between two disjoint copies of it
   idrec-tower   identity eliminations with motive instantiation per node
   conv-heavy    computation witnesses: zero recursion, comparison-dominated
 
@@ -114,12 +115,15 @@ def _lambda_chain(n: int) -> Judgement:
     depth = max(1, int((math.isqrt(4 * n + 8) - 4) // 2))
     while depth * depth + 4 * depth + 2 < 0.9 * n:
         depth += 1
-    ty = _A
+    # the lambdas' annotations alternate between two disjoint copies of the
+    # product chain, and the type is stated on the copy the outermost lambda
+    # does not use, so no comparison meets one object on both sides
+    chains = [_A, _A]
     t = _C
-    for _ in range(depth):
-        t = Lambda(_A, ty, t)
-        ty = Pi(_A, ty)
-    return HasType((), t, ty)
+    for k in range(depth):
+        t = Lambda(_A, chains[k % 2], t)
+        chains = [Pi(_A, c) for c in chains]
+    return HasType((), t, chains[depth % 2])
 
 
 def _idrec_tower(n: int) -> Judgement:

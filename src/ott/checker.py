@@ -37,7 +37,11 @@ module: equality of types is syntactic equality, full stop.
 
 ``CheckReport.steps`` is a deterministic work counter: one unit per processed
 obligation, per comparison step, per variable-lookup hop and per materialized
-node.  The benchmark gates on it instead of wall time.
+node.  The benchmark gates on it instead of wall time.  The quadratic bound is
+on this counter, in the judgement's tree size: the nodes of its context
+entries, term and type, a shared subterm counted at each occurrence.  The
+types of the signature's constants do not count, since a comparison costs at
+most its target's size plus one and every target is built from the judgement.
 
 Loci.  An obligation carries only its slot, its index among its parent's
 premises or, for a stage's seed, the stage's name, so the run that decides a
@@ -101,10 +105,10 @@ the same ``Signature`` object, is discharged by comparison instead of its
 rule: its context against the certificate's, entry by entry, and for a term
 its target against the certificate's type.  No term rule's subject is a
 ``Pi`` or an ``Id``, so an object is never both, and a certificate of one
-kind never discharges an obligation of the other.  A comparison of one
-object with itself costs one step, anything else what ``eq_lazy`` charges
-with the obligation's side as the target, where a closure never matches; on
-a mismatch those steps are charged and the rule is applied as before.
+kind never discharges an obligation of the other.  A comparison costs what
+``eq_lazy`` charges with the obligation's side as the target, where a
+closure never matches; on a mismatch those steps are charged and the rule
+is applied as before.
 ``check`` makes the same test on a whole ``HasType`` judgement before
 seeding any stage.
 
@@ -402,12 +406,6 @@ def _decide(sig: Signature, seeds: list):
     return ok, reason, tuple(paths.path), steps
 
 
-def _same(e, g):
-    """(equal, steps): one step for one object, else what ``eq_lazy``
-    charges with ``g`` as the target."""
-    return (True, 1) if e is g else _k.eq_lazy(e, g)
-
-
 def _apply(clo):
     """The term that a rule's closure ``(CLO, body, (lift, terms, outer))``
     stands for."""
@@ -424,15 +422,15 @@ def _matches(j, ctx, target):
     steps = 0
     if target is not None:
         # a motive left unwritten is compared with the sides swapped
-        eq, steps = (_same(target, j.ty) if target[-1] is _UNWRITTEN
-                     else _same(j.ty, target))
+        eq, steps = (_k.eq_lazy(target, j.ty) if target[-1] is _UNWRITTEN
+                     else _k.eq_lazy(j.ty, target))
         if not eq:
             return False, steps
     entries = j.ctx
     i = len(entries)
     while i and ctx is not None:
         i -= 1
-        eq, c = _same(entries[i], ctx[0])
+        eq, c = _k.eq_lazy(entries[i], ctx[0])
         steps += c
         if not eq:
             return False, steps
@@ -618,14 +616,15 @@ def _run(sig: Signature, stack: list):
                 steps += c
         # A leaf (a constant or a one-slot node such as Nat) is unchanged by
         # any substitution, so it is decided here in one head step, exactly
-        # as ``eq_lazy`` takes and charges it; anything else goes to
-        # ``eq_lazy``.
+        # as ``eq_lazy`` takes and charges it, one object on both sides
+        # first; anything else goes to ``eq_lazy``.
         etag = expected[0]
         if swapped:
             pass
         elif etag == CONST or len(expected) == 1 and etag != VAR and etag != CLO:
             steps += 1
-            if etag != target[0] or etag == CONST and expected[1] != target[1]:
+            if expected is not target and (
+                    etag != target[0] or etag == CONST and expected[1] != target[1]):
                 return False, why, slot, steps
         else:
             if env is not None:
@@ -828,7 +827,7 @@ def instantiate(cert: Certificate, ctx: Context, s: Term
     ok, steps, i = k >= 0, 1, 0
     # delta is the front of ctx, compared entry by entry as ``_matches`` does
     while ok and i < n:
-        ok, c = _same(entries[i], ctx[i])
+        ok, c = _k.eq_lazy(entries[i], ctx[i])
         steps += c
         i += 1
     if not ok:

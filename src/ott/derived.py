@@ -79,7 +79,13 @@ __all__ = [
 
 
 class ElabError(Exception):
-    """A precondition of an emitter does not hold."""
+    """A precondition of an emitter does not hold.  ``precondition`` holds
+    the words that name it, as the message gives them after "precondition
+    failed: ", or None for a malformed call."""
+
+    def __init__(self, message, precondition=None):
+        super().__init__(message)
+        self.precondition = precondition
 
 
 class RecheckFailure(Exception):
@@ -112,7 +118,7 @@ def _certified(sig, j, what=None, entry_what=None):
             f"emitted {kind} failed recheck: {report.reason} at {report.locus}")
     if entry_what is not None and report.locus[0] != "type":
         what = entry_what(report.locus[0][1])
-    raise ElabError(f"precondition failed: {what}")
+    raise ElabError(f"precondition failed: {what}", what)
 
 
 def _instance(family, cert, ctx, extra, s, held):
@@ -138,16 +144,28 @@ def _sealed(sig, ctx, term, ty) -> ElabResult:
     return ElabResult(term, ty, _certified(sig, HasType(ctx, term, ty)))
 
 
-def _own_words(sig, emitter, preconditions):
+# transport's words for its family check, whose context stage checks the
+# family's base
+_FAMILY_WORDS = "transport: family is a type"
+_BASE_WORDS = "transport: base is a type"
+
+
+def _own_words(sig, emitter, refused, preconditions, implied=0):
     """Name a precondition that the transport inside ``emitter`` refused in
-    ``emitter``'s own words.  Called while that refusal is handled, it
-    checks ``emitter``'s preconditions, (judgement, words) pairs in reading
-    order, one by one, and raises the first that fails as an ElabError; if
-    all hold, it returns and the caller re-raises the transport's.  Only a
-    rejection pays for it."""
+    ``emitter``'s own words.  Called while that refusal, the ElabError
+    ``refused``, is handled, it checks ``emitter``'s preconditions,
+    (judgement, words) pairs in reading order, one by one, and raises the
+    first that fails as an ElabError; if all hold, it returns and the caller
+    re-raises the transport's.  The first ``implied`` preconditions follow
+    from the transport's family being a type, so unless ``refused`` is that
+    check they hold, and only the rest are checked.  Only a rejection pays
+    for it."""
+    if refused.precondition not in (_FAMILY_WORDS, _BASE_WORDS):
+        preconditions = preconditions[implied:]
     for j, what in preconditions:
         if not check(sig, j).ok:
-            raise ElabError(f"precondition failed: {emitter}: {what}") from None
+            what = f"{emitter}: {what}"
+            raise ElabError(f"precondition failed: {what}", what) from None
 
 
 def transport(sig: Signature, ctx: Context, family_over: Term, family: Term,
@@ -162,7 +180,7 @@ def transport(sig: Signature, ctx: Context, family_over: Term, family: Term,
     """
     # the family's context stage checks the base
     fam = _certified(sig, TypeWF(ctx + (family_over,), family),
-                     "transport: family is a type", lambda i: "transport: base is a type")
+                     _FAMILY_WORDS, lambda i: _BASE_WORDS)
     held = [fam, _certified(sig, HasType(ctx, path, (ID, family_over, src, dst)),
                             "transport: path relates the endpoints")]
     fam_src = _instance(family, fam, ctx, (), src, held)
@@ -200,13 +218,15 @@ def symmetry(sig: Signature, ctx: Context, over: Term, lhs: Term, rhs: Term,
     family = (ID, shift(over, 1), (VAR, 0), shift(lhs, 1))
     try:
         return transport(sig, ctx, over, family, lhs, rhs, path, (REFL, over, lhs))
-    except ElabError:
-        _own_words(sig, "symmetry", (
+    except ElabError as refused:
+        # a family over ``over`` that states ``lhs`` at it is a type only if
+        # ``over`` is one and ``lhs`` inhabits it
+        _own_words(sig, "symmetry", refused, (
             (TypeWF(ctx, over), "endpoint type is a type"),
             (HasType(ctx, lhs, over), "lhs inhabits the endpoint type"),
             (HasType(ctx, rhs, over), "rhs inhabits the endpoint type"),
             (HasType(ctx, path, (ID, over, lhs, rhs)), "path relates lhs and rhs"),
-        ))
+        ), implied=2)
         raise
 
 
@@ -220,15 +240,17 @@ def transitivity(sig: Signature, ctx: Context, over: Term, a: Term, b: Term,
     family = (ID, shift(over, 1), shift(a, 1), (VAR, 0))
     try:
         return transport(sig, ctx, over, family, b, c, path_bc, path_ab)
-    except ElabError:
-        _own_words(sig, "transitivity", (
+    except ElabError as refused:
+        # a family over ``over`` that states ``a`` at it is a type only if
+        # ``over`` is one and ``a`` inhabits it
+        _own_words(sig, "transitivity", refused, (
             (TypeWF(ctx, over), "endpoint type is a type"),
             (HasType(ctx, a, over), "a inhabits the endpoint type"),
             (HasType(ctx, b, over), "b inhabits the endpoint type"),
             (HasType(ctx, c, over), "c inhabits the endpoint type"),
             (HasType(ctx, path_ab, (ID, over, a, b)), "first path relates a and b"),
             (HasType(ctx, path_bc, (ID, over, b, c)), "second path relates b and c"),
-        ))
+        ), implied=2)
         raise
 
 
@@ -242,8 +264,8 @@ def congruence_app(sig: Signature, ctx: Context, domain: Term, codomain: Term,
     try:
         return _spine_congruence(sig, ctx, fun_ty, fun_a, fun_b, path, steps, (arg,),
                                  result_ty)
-    except ElabError:
-        _own_words(sig, "congruence_app", (
+    except ElabError as refused:
+        _own_words(sig, "congruence_app", refused, (
             (TypeWF(ctx, domain), "domain is a type"),
             (TypeWF(ctx + (domain,), codomain), "codomain is a type over the domain"),
             (HasType(ctx, fun_a, fun_ty), "fun_a has the product type"),

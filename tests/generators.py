@@ -273,11 +273,28 @@ def subterm_paths(t: Term, path=()):
 
 
 def fresh_copy(t):
-    """An equal copy of a term, or of a tuple of terms such as a context,
-    that shares no tuple with it, so no certificate on the original's objects
-    applies to it (``copy.deepcopy`` returns a tuple of immutable atoms as it
-    is)."""
-    return tuple(fresh_copy(c) if isinstance(c, tuple) else c for c in t)
+    """An equal copy of a term, or of a tuple of terms such as a context, in
+    which every tuple is a new object: it shares no tuple with ``t``, so no
+    certificate on the original's objects applies to it, and none between
+    two of its own positions, so no comparison in a check of it meets one
+    object on both sides (``copy.deepcopy`` returns a tuple of immutable
+    atoms as it is, and keeps sharing).  Built without recursion, so a deep
+    term copies too."""
+    out = []
+    work = [(t, False)]
+    while work:
+        node, built = work.pop()
+        if built:
+            lo = len(out) - len(node)
+            kids = out[lo:]
+            del out[lo:]
+            out.append(tuple(kids))
+        elif isinstance(node, tuple):
+            work.append((node, True))
+            work.extend((c, False) for c in reversed(node))
+        else:
+            out.append(node)
+    return out[0]
 
 
 def replace_at(t: Term, path, new: Term) -> Term:

@@ -362,6 +362,9 @@ def test_concurrent_checks_share_a_signature(sig):
 # recorded before leaf comparisons and substitutions were decided inline in
 # ``_run``.  Step counts are the checker's behavioural fingerprint: a kernel
 # change that moves one of them must say why, here and in CHANGES.md.
+# ``FINGERPRINT`` pins each case's unshared copy, in which no comparison
+# meets one object on both sides; ``SHARED`` pins the cases as built, where
+# a subterm shared by the two sides of a comparison is decided in one step.
 
 B = Const("B")
 c = Const("c")
@@ -479,15 +482,56 @@ FINGERPRINT = {
 }
 
 
+# The cases as built that share a subterm across a comparison: conv-heavy's
+# scrutinee, met twice on both sides; huge-refl's ``huge``, which its
+# reflexivity compares with itself; last-node's ``left``, before the real
+# mismatch; and idconv's ``rec``, shared by the stated type's two sides.
+SHARED = {
+    'conv-heavy': ('accept', None, None, 5479),
+    'huge-refl': ('reject', 'refl type mismatch', ('term',), 2029),
+    'last-node': ('reject', 'refl type mismatch', ('term',), 2608),
+    'reject: idconv type mismatch': ('reject', 'idconv type mismatch', ('term',), 101),
+}
+
+
 def test_step_fingerprint_is_pinned():
     sig = _fingerprint_signature()
     cases = _fingerprint_cases()
-    assert set(cases) == set(FINGERPRINT)
+    assert set(cases) == set(FINGERPRINT) >= set(SHARED)
     reasons = {name[len("reject: "):] for name in cases if name.startswith("reject: ")}
     assert len(reasons) == 17
     for name, j in cases.items():
-        r = check(sig, j)
+        r = check(sig, _copy(j))
         assert (r.verdict, r.reason, r.locus, r.steps) == FINGERPRINT[name], name
+        r = check(sig, j)
+        assert (r.verdict, r.reason, r.locus, r.steps) == SHARED.get(
+            name, FINGERPRINT[name]), name
+
+
+@settings(max_examples=100)
+@given(st.randoms(use_true_random=False))
+def test_sharing_moves_no_verdict_and_adds_no_step(rng):
+    """A judgement and its unshared copy, in which every node is a new
+    object, get the same (verdict, reason, locus), and the judgement as
+    built takes at most the copy's steps: a pair of one object is decided in
+    one step where the copy walks it.  The cases are a generated judgement,
+    its single-node mutants of term and type, which share every untouched
+    subterm with it, and reflexivity at its term against an equation whose
+    right side is the term or a mutant, so that both sides of a comparison
+    hold the term's objects."""
+    sig = default_signature()
+    gen = Generator(sig, rng)
+    ctx, term, ty = gen.random_judgement()
+    cases = [HasType(ctx, term, ty)]
+    cases += [HasType(ctx, m, ty) for m in mutations(term)]
+    cases += [HasType(ctx, term, m) for m in mutations(ty)]
+    cases += [HasType(ctx, Refl(ty, term), Id(ty, term, m))
+              for m in [term, *mutations(term)]]
+    for j in cases:
+        shared, copied = check(sig, j), check(sig, _copy(j))
+        assert (shared.verdict, shared.reason, shared.locus) == (
+            copied.verdict, copied.reason, copied.locus), j
+        assert shared.steps <= copied.steps, j
 
 
 def test_step_fingerprint_is_pinned_with_live_certificates(sig):
@@ -1470,7 +1514,10 @@ def test_components_that_differ_where_the_family_does_not_look_fall_back(sig):
     _, x, x_cert = instantiate(fam, (A,), a)
     _, y, y_cert = instantiate(fam, (A, A), a)
     assert syntactic_equal(x, y)
-    assert _k.eq_lazy(x, y) == (True, size(y))
+    assert _k.eq_lazy(x, fresh_copy(y)) == (True, size(y))
+    # the lambda, a closed subterm of the family that both instances share,
+    # is one step instead of four
+    assert _k.eq_lazy(x, y) == (True, size(y) - 3)
     assert _k.eq_lazy((CLO, x, (0, (), 0)), y, ott.checker._certificates) == (
         True, 2 + 1 + size(y))
     del fam, x_cert, y_cert

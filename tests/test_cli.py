@@ -467,6 +467,22 @@ def test_bench_json_smoke():
     assert "wall_slope" in summary
 
 
+def test_bench_fits_every_family_in_process(capsys):
+    """``ott bench --family all`` at 2^8 to 2^15 nodes exits 0 with one
+    slope record per family, each within the gate.  A family whose step
+    counts span less than two orders of magnitude over these sizes, as when
+    its comparisons meet one object on both sides, makes it exit 3."""
+    from ott import cli
+    from ott.bench import FAMILIES
+
+    sizes = ",".join(str(2 ** k) for k in range(8, 16))
+    assert cli.main(["--json", "bench", "--family", "all", "--sizes", sizes, "--reps", "1"]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    slopes = [r for r in records if "slope" in r]
+    assert [r["family"] for r in slopes] == list(FAMILIES)
+    assert all(r["passed"] is True for r in slopes)
+
+
 def test_usage_error_exit_code():
     result = _run(["bench", "--family", "zigzag"])
     assert result.returncode == 3

@@ -69,8 +69,9 @@ def test_transport_rejects_bad_point(sig):
 ])
 def test_transport_names_the_ill_formed_base_or_family(sig, over, family, what):
     ctx, x, y, p = _path_context()
-    with pytest.raises(ElabError, match=f"^precondition failed: transport: {what}$"):
+    with pytest.raises(ElabError, match=f"^precondition failed: transport: {what}$") as e:
         transport(sig, ctx, over, family, x, y, p, Refl(A, x))
+    assert e.value.precondition == f"transport: {what}"
 
 
 def test_transport_random_instances(sig, rng):
@@ -278,30 +279,54 @@ def test_transitivity_states_the_composite_and_checks_by_the_rules(rng):
     assert check(sig, HasType(ctx, term, ty)).ok
 
 
-@pytest.mark.parametrize("endpoints, paths, what", [
-    ((Var(4), Var(3), Var(2)), (Var(0), Var(0)), "first path relates a and b"),
-    ((Var(4), Var(3), Var(2)), (Var(1), Var(1)), "second path relates b and c"),
-    ((Var(4), Var(3), Var(1)), (Var(1), Var(0)), "c inhabits the endpoint type"),
-    ((Zero, Var(3), Var(2)), (Var(1), Var(0)), "a inhabits the endpoint type"),
+def _rechecks(monkeypatch):
+    """The judgements that ``ott.derived`` passes to ``check`` from now on:
+    the rechecks by which an emitter names a refusal in its own words."""
+    seen = []
+
+    def counted(sig, j, inner=ott.derived.check):
+        seen.append(j)
+        return inner(sig, j)
+
+    monkeypatch.setattr(ott.derived, "check", counted)
+    return seen
+
+
+# ``rechecks``: the preconditions checked again.  Unless the transport
+# refused its family, the endpoint type and ``a`` are not among them.
+@pytest.mark.parametrize("endpoints, paths, what, rechecks", [
+    ((Var(4), Var(3), Var(2)), (Var(0), Var(0)), "first path relates a and b", 3),
+    ((Var(4), Var(3), Var(2)), (Var(1), Var(1)), "second path relates b and c", 4),
+    ((Var(4), Var(3), Var(1)), (Var(1), Var(0)), "c inhabits the endpoint type", 2),
+    ((Zero, Var(3), Var(2)), (Var(1), Var(0)), "a inhabits the endpoint type", 2),
 ], ids=["first-path", "second-path", "endpoint-c", "endpoint-a"])
-def test_transitivity_names_the_refused_precondition(sig, endpoints, paths, what):
+def test_transitivity_names_the_refused_precondition(sig, monkeypatch, endpoints, paths,
+                                                     what, rechecks):
     """A refusal reads as transitivity's own, whichever precondition of the
     transport inside it failed."""
-    with pytest.raises(ElabError, match=f"^precondition failed: transitivity: {what}$"):
+    seen = _rechecks(monkeypatch)
+    with pytest.raises(ElabError, match=f"^precondition failed: transitivity: {what}$") as e:
         transitivity(sig, _TWO_PATHS, A, *endpoints, *paths)
+    assert e.value.precondition == f"transitivity: {what}"
+    assert len(seen) == rechecks
 
 
-@pytest.mark.parametrize("args, what", [
-    ((A, Var(1), Var(2), Var(0)), "path relates lhs and rhs"),
-    ((A, Zero, Var(1), Var(0)), "lhs inhabits the endpoint type"),
-    ((A, Var(2), Zero, Var(0)), "rhs inhabits the endpoint type"),
-    ((a, Var(2), Var(1), Var(0)), "endpoint type is a type"),
+# ``rechecks`` as above: unless the transport refused its family, the
+# endpoint type and ``lhs`` are not checked again.
+@pytest.mark.parametrize("args, what, rechecks", [
+    ((A, Var(1), Var(2), Var(0)), "path relates lhs and rhs", 2),
+    ((A, Zero, Var(1), Var(0)), "lhs inhabits the endpoint type", 2),
+    ((A, Var(2), Zero, Var(0)), "rhs inhabits the endpoint type", 1),
+    ((a, Var(2), Var(1), Var(0)), "endpoint type is a type", 1),
 ], ids=["path", "lhs", "rhs", "over"])
-def test_symmetry_names_the_refused_precondition(sig, args, what):
+def test_symmetry_names_the_refused_precondition(sig, monkeypatch, args, what, rechecks):
     """A refusal reads as symmetry's own, not as the transport's inside it."""
     ctx, _, _, _ = _path_context()
-    with pytest.raises(ElabError, match=f"^precondition failed: symmetry: {what}$"):
+    seen = _rechecks(monkeypatch)
+    with pytest.raises(ElabError, match=f"^precondition failed: symmetry: {what}$") as e:
         symmetry(sig, ctx, *args)
+    assert e.value.precondition == f"symmetry: {what}"
+    assert len(seen) == rechecks
 
 
 # congruence ------------------------------------------------------------------
@@ -825,12 +850,12 @@ def _demo_tele_idconv(sig):
     (_transport_certified, 1263, [764]),
     (_transitivity_chain, 521, [34, 67]),
     (_betaconv(1), 37, [5]),
-    (_betaconv(2), 983, [390]),
-    (_betaconv(3), 2927, [1240]),
-    (_betaconv(4), 6195, [2719]),
-    (_demo_tele_app, 133, [47]),
-    (_demo_tele_idrec, 332, [34]),
-    (_demo_tele_idconv, 8014, [819, 1982]),
+    (_betaconv(2), 882, [390]),
+    (_betaconv(3), 2574, [1240]),
+    (_betaconv(4), 5385, [2719]),
+    (_demo_tele_app, 125, [47]),
+    (_demo_tele_idrec, 320, [34]),
+    (_demo_tele_idconv, 7292, [819, 1982]),
 ], ids=["transport", "transitivity", "betaconv-1", "betaconv-2", "betaconv-3",
         "betaconv-4", "tele_app", "tele_idrec", "tele_idconv"])
 def test_emitters_kernel_work_is_pinned(monkeypatch, build, steps, sizes):

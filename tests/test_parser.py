@@ -3,9 +3,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ott.surface import (
-    ParseError, is_pair, parse, parse_term, print_term, to_core,
+    KEYWORDS, ParseError, Script, _lex, is_pair, parse, parse_term, print_term,
+    to_core,
 )
 from ott.terms import (
     Const, Id, Lambda, NatTy, Refl, Succ, Var, Zero, size, syntactic_equal,
@@ -268,3 +271,67 @@ def test_parsed_terms_are_plain_tuples_the_collector_untracks():
         for _ in range(max(depth for _, depth in nodes) + 1):
             gc.collect()
         assert [t for t, _ in nodes if gc.is_tracked(t)] == []
+
+
+# fuzzing ----------------------------------------------------------------------
+#
+# Whatever bytes or text come in, ``parse`` returns a Script and
+# ``parse_term`` a term, or either raises a ParseError; no other exception
+# escapes.  The inputs are random bytes, soups of the language's own tokens,
+# and the demo scripts with tokens deleted, repeated, swapped and inserted,
+# which reach deep into the grammar before they go wrong.
+
+_TOKENS = sorted(KEYWORDS) + [
+    "|-", "->", ":=", "(", ")", "{", "}", "[", "]", ",", ";", ":", ".",
+    "x", "y", "A", "a", "_", "x'", "--", "-", "|", "0", "½", "é",
+]
+_TOKEN_SOUP = st.lists(st.sampled_from(_TOKENS), max_size=40).map(" ".join)
+_DEMO = [_lex((ROOT / "demo" / name).read_text())[:-1]
+         for name in ("basics.ott", "equality.ott")]
+
+
+@st.composite
+def _demo_mutant(draw):
+    """A demo script's lexemes (comments are not among them) with one to
+    eight random edits, joined by spaces."""
+    words = list(draw(st.sampled_from(_DEMO)))
+    for _ in range(draw(st.integers(1, 8))):
+        i = draw(st.integers(0, len(words)))
+        j = draw(st.integers(i, min(len(words), i + 6)))
+        edit = draw(st.sampled_from(("delete", "repeat", "swap", "insert")))
+        if edit == "delete":
+            del words[i:j]
+        elif edit == "repeat":
+            words[i:i] = words[i:j]
+        elif edit == "swap" and j < len(words):
+            words[i], words[j] = words[j], words[i]
+        else:
+            words.insert(i, draw(st.sampled_from(_TOKENS)))
+    return " ".join(words)
+
+
+def _read_outcome(read, source, kind):
+    try:
+        result = read(source)
+    except ParseError:
+        return
+    assert isinstance(result, kind), (source, result)
+
+
+@settings(max_examples=300)
+@given(st.one_of(
+    st.binary(max_size=80), _TOKEN_SOUP, _TOKEN_SOUP.map(str.encode), _demo_mutant(),
+    st.tuples(_demo_mutant(), st.binary(max_size=4)).map(
+        lambda p: p[0].encode() + p[1]),
+))
+def test_parsers_give_a_result_or_a_parse_error(source):
+    _read_outcome(parse, source, Script)
+    _read_outcome(parse_term, source, (tuple, str))
+
+
+def test_demo_mutants_reach_the_grammar():
+    """The unedited demo lexemes, joined by spaces, parse to the demo
+    scripts' items, so an edit goes wrong only where it is made."""
+    for name, words in zip(("basics.ott", "equality.ott"), _DEMO):
+        script = parse((ROOT / "demo" / name).read_text())
+        assert parse(" ".join(words)).items == script.items

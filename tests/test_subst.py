@@ -10,7 +10,8 @@ from ott.terms import (
 )
 
 from generators import (
-    ContextMorphism, Generator, apply_morphism, compose, default_signature, identity,
+    ContextMorphism, Generator, apply_morphism, compose, default_signature, fresh_copy,
+    identity,
 )
 from test_terms import terms
 
@@ -138,9 +139,14 @@ def test_equal_under_subst_cost_bounded_by_target(t, a, target):
 @given(terms, terms)
 def test_equal_under_subst_cost_exact_on_success(t, a):
     target = _eager(t, (0, (a,), 0))
-    eq, steps = _lazy(t, (0, (a,), 0), target)
+    eq, steps = _lazy(t, (0, (a,), 0), fresh_copy(target))
     assert eq
     assert steps == size(target)
+    # where ``a`` is substituted outside every binder the target holds its
+    # object, which is compared in one step
+    eq, steps = _lazy(t, (0, (a,), 0), target)
+    assert eq
+    assert steps <= size(target)
 
 
 # context morphisms -----------------------------------------------------------
@@ -234,9 +240,14 @@ def test_equal_under_general_env_matches_materialization(t, subs, lift, outer, t
 def test_equal_under_general_env_cost_bound(t, subs, lift):
     env = (lift, tuple(subs), 1)
     target = _eager(t, env)
-    eq, steps = _lazy(t, env, target)
+    eq, steps = _lazy(t, env, fresh_copy(target))
     assert eq
     assert steps == size(target)
+    # where a term is substituted at depth 0 the target holds its object,
+    # which is compared in one step
+    eq, steps = _lazy(t, env, target)
+    assert eq
+    assert steps <= size(target)
 
 
 @given(terms, st.lists(terms, max_size=3), st.integers(0, 2), st.integers(0, 2))
