@@ -235,11 +235,13 @@ def inst_open(t, spine, terms, outer):
 
 
 def _provenance(index, x):
-    """``x``'s provenance ``(family, s, k, n)`` if ``index`` holds a live
-    entry for the object, else None."""
-    ref = index.get(id(x))
-    holder = ref() if ref is not None else None
-    return holder.provenance if holder is not None else None
+    """``x``'s provenance ``(family, s, k, n)`` from the oldest live entry
+    that ``index`` holds for the object, else None."""
+    for ref in index.get(id(x), ()):
+        holder = ref()
+        if holder is not None:
+            return holder.provenance
+    return None
 
 
 def _components(index, x, env, y):
@@ -270,18 +272,20 @@ def eq_lazy(expected, target, index=None):
     is compared once; a closure is never its own target and is still
     expanded.
 
-    ``index``, when given, maps ``id`` of a term object to a weak reference
-    whose referent's ``provenance`` is None or ``(family, s, k, n)``: the
-    object is ``inst(family, (s,), k, 0)`` and ``family`` has no free
-    variable past ``n``.  When a closure's body and its target are two such
-    instances of one family object, the pair is first decided by their
-    components, for one step: ``s`` under the closure's environment against
-    the target's ``s``, and each outer variable ``i - 1 + k`` (``i`` from 1
-    to the target's ``n``) against its counterpart.  Their equality is the
-    instances' equality, since substitution is structural; if one differs,
-    the pair is walked as it would be without ``index``, and no other pair
-    is tested during either.  So the answer never depends on ``index``, only
-    the steps do.
+    ``index``, when given, maps ``id`` of a term object to a list of weak
+    references, oldest first, whose referents' ``provenance`` is None or
+    ``(family, s, k, n)``: the object is ``inst(family, (s,), k, 0)`` and
+    ``family`` has no free variable past ``n``; the oldest live one counts.
+    When a closure's body and its target are two such instances of one
+    family object, the pair is first decided by their components, for one
+    step: one call without ``index`` per component pair, ``s`` under the
+    closure's environment against the target's ``s`` first, then each
+    outer variable ``i - 1 + k`` (``i`` from the target's ``n`` down to 1)
+    against its counterpart.  Their equality is the instances' equality,
+    since substitution is structural; if one differs, one more call without
+    ``index`` walks the pair.  Neither call tests components, so no pair is
+    tried twice, and the answer never depends on ``index``, only the steps
+    do.
     """
     if expected is target and target[0] != CLO:
         # the loop's first step, taken before it allocates anything: a root
@@ -290,78 +294,69 @@ def eq_lazy(expected, target, index=None):
         return True, 1
     steps = 0
     stack = [(expected, target)]
-    idx = index
-    # while one pair is decided on a stack of its own: the stack set aside,
-    # and the pair itself as long as its components are being compared
-    outer = trial = None
-    while True:
-        while stack:
-            e, t = stack.pop()
-            etag = e[0]
-            while etag == CLO:
-                body = e[1]
-                env = e[2]
-                lift = env[0]
-                terms = env[1]
-                btag = body[0]
-                if btag == VAR:
-                    i = body[1]
-                    if i < lift:
-                        e = body
-                    elif i - lift < len(terms):
-                        sub = terms[i - lift]
-                        if lift == 0:
-                            e = sub
-                        else:
-                            e = (CLO, sub, (0, (), lift))
-                    else:
-                        e = (VAR, i - len(terms) + env[2])
-                    etag = e[0]
-                elif btag == CONST or len(body) == 1:
+    while stack:
+        e, t = stack.pop()
+        etag = e[0]
+        while etag == CLO:
+            body = e[1]
+            env = e[2]
+            lift = env[0]
+            terms = env[1]
+            btag = body[0]
+            if btag == VAR:
+                i = body[1]
+                if i < lift:
                     e = body
-                    etag = btag
+                elif i - lift < len(terms):
+                    sub = terms[i - lift]
+                    if lift == 0:
+                        e = sub
+                    else:
+                        e = (CLO, sub, (0, (), lift))
                 else:
-                    if idx is not None and id(body) in idx:
-                        pairs = _components(idx, body, env, t)
-                        if pairs is not None:
-                            steps += 1
-                            outer, stack, trial, idx = stack, pairs, (e, t), None
-                            break
-                    steps += 1
-                    if btag != t[0]:
-                        if trial is None:
-                            return False, steps
-                        stack, trial = [trial], None
-                        break
-                    binders = BINDERS[btag]
-                    k = len(body) - 1
-                    while k >= 1:
-                        b = binders[k - 1]
-                        cenv = env if b == 0 else (lift + b, terms, env[2])
-                        stack.append(((CLO, body[k], cenv), t[k]))
-                        k -= 1
-                    break
+                    e = (VAR, i - len(terms) + env[2])
+                etag = e[0]
+            elif btag == CONST or len(body) == 1:
+                e = body
+                etag = btag
             else:
+                if index is not None and id(body) in index:
+                    pairs = _components(index, body, env, t)
+                    if pairs is not None:
+                        steps += 1
+                        while pairs:
+                            eq, c = eq_lazy(*pairs.pop())
+                            steps += c
+                            if not eq:
+                                eq, c = eq_lazy(e, t)
+                                steps += c
+                                if not eq:
+                                    return False, steps
+                                break
+                        break
                 steps += 1
-                if e is t:
-                    continue
-                if etag != t[0]:
-                    if trial is None:
-                        return False, steps
-                    stack, trial = [trial], None
-                    continue
-                if etag == VAR or etag == CONST:
-                    if e[1] != t[1]:
-                        if trial is None:
-                            return False, steps
-                        stack, trial = [trial], None
-                elif len(e) > 1:
-                    k = len(e) - 1
-                    while k >= 1:
-                        stack.append((e[k], t[k]))
-                        k -= 1
-        if outer is None:
-            return True, steps
-        # the components all matched, or the pair was walked: back to the
-        # stack set aside, testing pairs again
-        stack, outer, trial, idx = outer, None, None, index
+                if btag != t[0]:
+                    return False, steps
+                binders = BINDERS[btag]
+                k = len(body) - 1
+                while k >= 1:
+                    b = binders[k - 1]
+                    cenv = env if b == 0 else (lift + b, terms, env[2])
+                    stack.append(((CLO, body[k], cenv), t[k]))
+                    k -= 1
+                break
+        else:
+            steps += 1
+            if e is t:
+                continue
+            if etag != t[0]:
+                return False, steps
+            if etag == VAR or etag == CONST:
+                if e[1] != t[1]:
+                    return False, steps
+            elif len(e) > 1:
+                k = len(e) - 1
+                while k >= 1:
+                    stack.append((e[k], t[k]))
+                    k -= 1
+    return True, steps

@@ -56,8 +56,11 @@ obligation.  Only a rejection pays for it, and its steps are not charged.
 Certificates.  ``certify`` is ``check`` that, when it accepts a ``HasType``
 judgement whose term is not a leaf, or a ``TypeWF`` judgement whose type has
 more nodes than its context has entries plus one, also returns a
-``Certificate`` for it, which this module indexes by the subject object (the
-term, or the type) for exactly as long as the caller holds the certificate.
+``Certificate`` for it, which this module files in its one index under the
+subject object (the term, or the type) for exactly as long as the caller
+holds the certificate.  An object certified more than once keeps every
+live certificate filed under it, oldest first, and the oldest live one is
+the one a lookup reads, so the object stays indexed while any lives.
 ``instantiate`` issues the other kind: from a certified ``delta, x : T |- B
 type``, a context ``ctx`` that is ``delta`` followed by ``k`` more entries
 and a component ``s`` of type ``T`` weakened by ``k`` over ``ctx``, it
@@ -81,9 +84,10 @@ meets an instance ``X`` under a closure environment ``E`` against a live
 instance ``Y`` of the same ``B`` object, it first compares their
 components: ``s_X`` under ``E`` against ``s_Y``, and for each outer
 variable ``i`` from 1 to ``n``, ``Var(i - 1 + k_X)`` under ``E`` against
-``Var(i - 1 + k_Y)``.  Substitution is structural, so if those match, ``X``
-under ``E`` is ``Y``; if one differs, the pair is walked as it would have
-been, so ``eq_lazy``'s answer never changes.  ``instantiate`` records no
+``Var(i - 1 + k_Y)``, each by a call to itself without the index.
+Substitution is structural, so if those match, ``X`` under ``E`` is ``Y``;
+if one differs, one more such call walks the pair as it would have been
+walked, so ``eq_lazy``'s answer never changes.  ``instantiate`` records no
 provenance for a component with more nodes than the instance (the family
 does not use its variable).
 
@@ -99,29 +103,29 @@ else, and a mismatch there, writes the instance then, charged the nodes
 the input's or a conversion rule's, never matches a swapped comparison, so
 it meets the same comparison as without the certificate.
 
-A term obligation with a target whose subject has a ``HasType``
-certificate, or a type obligation whose subject has a ``TypeWF`` one, under
-the same ``Signature`` object, is discharged by comparison instead of its
-rule: its context against the certificate's, entry by entry, and for a term
-its target against the certificate's type.  No term rule's subject is a
-``Pi`` or an ``Id``, so an object is never both, and a certificate of one
-kind never discharges an obligation of the other.  A comparison costs what
-``eq_lazy`` charges with the obligation's side as the target, where a
-closure never matches; on a mismatch those steps are charged and the rule
-is applied as before.
-``check`` makes the same test on a whole ``HasType`` judgement before
-seeding any stage.
+``_run`` consults the index at one site, once per obligation and before
+it splits on the obligation's kind.  A term obligation with a target whose
+subject has a ``HasType`` certificate, or a type obligation whose subject
+has a ``TypeWF`` one, under the same ``Signature`` object, is discharged by
+comparison instead of its rule: its context against the certificate's,
+entry by entry, and for a term its target against the certificate's type.
+No term rule's subject is a ``Pi`` or an ``Id``, so an object is never
+both, and a certificate of one kind never discharges an obligation of the
+other.  A comparison costs what ``eq_lazy`` charges with the obligation's
+side as the target, where a closure never matches; on a mismatch those
+steps are charged and the rule is applied as before.  ``check`` makes the
+same test on a whole ``HasType`` judgement before seeding any stage.
 
-A certificate from ``certify`` is also indexed by its context, while that
-has entries.  ``check`` seeds the context stage only for the entries after
-the longest prefix of the judgement's context that is, entry object by
-entry object, the context of a live one under the same ``Signature``
-object, and charges one step per entry of that prefix, each compared by
-identity.  Entry ``i`` is well-formed exactly when the entries before it
-are and it is a type over them, so a certified prefix would pass its stage
-again, and a failure after it keeps its reason and its ``("ctx", i)``
-locus.  A certificate from ``instantiate`` promises nothing about its
-context and is not indexed by it.  A prefix is looked up by its last
+A certificate from ``certify`` is also filed in the same index under its
+context, while that has entries.  ``check`` seeds the context stage only
+for the entries after the longest prefix of the judgement's context that
+is, entry object by entry object, the context of a live one under the same
+``Signature`` object, and charges one step per entry of that prefix, each
+compared by identity.  Entry ``i`` is well-formed exactly when the entries
+before it are and it is a type over them, so a certified prefix would pass
+its stage again, and a failure after it keeps its reason and its ``("ctx",
+i)`` locus.  A certificate from ``instantiate`` promises nothing about its
+context and is not filed under it.  A prefix is looked up by its last
 entry object and its length, each length once, longest first; a
 certificate found there is compared entry by entry with the prefix,
 charged one step per entry whether or not it matches.  An entry's stage
@@ -132,12 +136,12 @@ with at most one refusal per length, refusals cost at most ``len(ctx) *
 (len(ctx) + 1) / 2`` steps, within the quadratic bound.
 
 A ``HasType`` judgement on a leaf term gets a certificate from ``certify``
-only for its context, over one with entries: it is indexed by its context
-alone, never by its term, so it discharges no term obligation.  A leaf's
-rule costs what a discharge would, which is why its subject is not indexed;
-that reason does not reach its context, whose stage costs at least a step
-per entry, so a leaf precondition, a variable for a path, spares the
-context stage of every later judgement over its context.
+only for its context, over one with entries: it is filed under its
+context alone, never under its term, so it discharges no term obligation.
+A leaf's rule costs what a discharge would, which is why its subject is
+not indexed; that reason does not reach its context, whose stage costs at
+least a step per entry, so a leaf precondition, a variable for a path,
+spares the context stage of every later judgement over its context.
 
 A verdict is a pure function of the obligation, and a certificate's
 judgement passed the stages an obligation of its kind is promised, so a
@@ -270,35 +274,26 @@ class Certificate:
     _spine: object = field(default=_UNBUILT, init=False, repr=False)
 
 
-# id(term) -> weak reference to the live Certificate indexed for that term
-# object.  The certificate holds its judgement and so the term, so the id is
-# not reused while the entry can be read; the entry goes when it dies.
-# Threads share it without a lock: a race between registering and forgetting
-# one key can only drop an entry, which costs a full check later, because a
-# lookup trusts nothing but a live certificate that it compares.
+# The certificate index: a key -> weak references to the live certificates
+# filed under it, oldest first.  A certificate is filed under ``id`` of its
+# subject (the term, or the type), if it has one, and, if it is from
+# ``certify`` over a context with entries, under ``(id(last entry), number
+# of entries)``, which ``check`` looks a judgement's context up by, prefix by
+# prefix.  A certificate holds its judgement, so no id is reused while a key
+# can be read; a reference goes when its certificate dies, and a key with
+# its last.  Threads share it without a lock: a race between filing and
+# forgetting under one key can only drop a reference, which costs steps
+# later and never a verdict, because a lookup trusts nothing but a live
+# certificate that it compares.
 _certificates: dict = {}
-
-# (id(last entry), number of entries) -> weak references to the live
-# certificates from ``certify`` over a context of that many entries whose
-# last entry is that object, newest last; a list goes when its last
-# certificate dies.  ``check`` looks a judgement's context up here, prefix
-# by prefix.  It is shared as ``_certificates`` is, and a lookup compares
-# the entries of the certificate it finds, so a lost entry costs steps and
-# never a verdict.
-_contexts: dict = {}
 
 
 def _forget(key, ref):
-    if _certificates.get(key) is ref:
-        _certificates.pop(key, None)
-
-
-def _forget_context(key, ref):
-    refs = _contexts.get(key)
+    refs = _certificates.get(key)
     if refs is not None and ref in refs:
         refs.remove(ref)
         if not refs:
-            _contexts.pop(key, None)
+            _certificates.pop(key, None)
 
 
 def _certified_prefix(sig: Signature, ctx: Context):
@@ -311,8 +306,7 @@ def _certified_prefix(sig: Signature, ctx: Context):
     entry."""
     steps = 0
     for m in range(len(ctx), 0, -1):
-        refs = _contexts.get((id(ctx[m - 1]), m))
-        for ref in reversed(refs or ()):
+        for ref in reversed(_certificates.get((id(ctx[m - 1]), m), ())):
             cert = ref()
             if cert is not None and cert.sig is sig:
                 steps += m
@@ -323,12 +317,12 @@ def _certified_prefix(sig: Signature, ctx: Context):
 
 
 def _live(certs, sig, t, kind):
-    """The live certificate of class ``kind`` (``HasType`` or ``TypeWF``)
-    indexed for the object ``t`` under ``sig``, or None."""
-    ref = certs.get(id(t))
-    cert = ref() if ref is not None else None
-    if cert is not None and cert.sig is sig and cert.judgement.__class__ is kind:
-        return cert
+    """The oldest live certificate filed for the object ``t``, if it is of
+    class ``kind`` (``HasType`` or ``TypeWF``) under ``sig``, else None."""
+    for ref in certs.get(id(t), ()):
+        cert = ref()
+        if cert is not None:
+            return cert if cert.sig is sig and cert.judgement.__class__ is kind else None
     return None
 
 
@@ -457,38 +451,28 @@ def _run(sig: Signature, stack: list):
         kind, ctx, t, target, slot = stack.pop()
         steps += 1
         tag = t[0]
-        if kind == _TYPE:
-            if tag == PI or tag == ID:
-                # a certified type is discharged by comparing contexts; a
-                # leaf type never has a certificate
-                if certs is not None and id(t) in certs:
-                    cert = _live(certs, sig, t, TypeWF)
-                    if cert is not None:
-                        eq, c = _matches(cert.judgement, ctx, None)
-                        steps += c
-                        if eq:
-                            continue
-                if tag == PI:
-                    stack.append((_TYPE, (t[1], ctx), t[2], None, 1))
-                    stack.append((_TYPE, ctx, t[1], None, 0))
-                else:
-                    stack.append((_TERM, ctx, t[3], t[1], 2))
-                    stack.append((_TERM, ctx, t[2], t[1], 1))
-                    stack.append((_TYPE, ctx, t[1], None, 0))
-            elif tag != NAT and not (tag == CONST and t[1] in atomics):
-                return False, "not a type", slot, steps
-            continue
-
-        # a certified subject is discharged by comparison; a variable or a
-        # constant is a leaf, which never has a certificate
-        if (certs is not None and tag != VAR and tag != CONST and target is not None
+        # a certified subject is discharged by comparison: a type, or a term
+        # with a target.  A variable or a constant is a leaf, which never
+        # has a certificate
+        if (certs is not None and tag > CONST and (kind == _TYPE or target is not None)
                 and id(t) in certs):
-            cert = _live(certs, sig, t, HasType)
+            cert = _live(certs, sig, t, TypeWF if kind == _TYPE else HasType)
             if cert is not None:
                 eq, c = _matches(cert.judgement, ctx, target)
                 steps += c
                 if eq:
                     continue
+        if kind == _TYPE:
+            if tag == PI:
+                stack.append((_TYPE, (t[1], ctx), t[2], None, 1))
+                stack.append((_TYPE, ctx, t[1], None, 0))
+            elif tag == ID:
+                stack.append((_TERM, ctx, t[3], t[1], 2))
+                stack.append((_TERM, ctx, t[2], t[1], 1))
+                stack.append((_TYPE, ctx, t[1], None, 0))
+            elif tag != NAT and not (tag == CONST and t[1] in atomics):
+                return False, "not a type", slot, steps
+            continue
 
         # term against target.  Each rule pushes its premises and names the
         # type its conclusion states, ``expected`` (standing under the
@@ -720,7 +704,7 @@ def check(sig: Signature, j: Judgement) -> CheckReport:
     if eq:
         ok, reason, locus, steps = True, None, None, 1
     else:
-        start, c = _certified_prefix(sig, j.ctx) if _contexts and j.ctx else (0, 0)
+        start, c = _certified_prefix(sig, j.ctx) if _certificates and j.ctx else (0, 0)
         ok, reason, locus, steps = _decide(sig, _seed_judgement(j, start))
         cmp_steps += c
     return CheckReport("accept" if ok else "reject", reason, locus,
@@ -729,21 +713,15 @@ def check(sig: Signature, j: Judgement) -> CheckReport:
 
 def _issue(sig: Signature, j, subject: Optional[Term], conditional=False,
            provenance=None) -> Certificate:
-    """A certificate for ``j``.  Unless ``subject`` is None, it is indexed
-    by that object for as long as the caller holds it, unless a live one
-    for the same object is indexed already; either way it stays sound to
-    hold.  One that is not ``conditional`` is also indexed by its context,
-    if that has entries, for as long as the caller holds it."""
+    """A certificate for ``j``, filed in the index for as long as the
+    caller holds it: under ``subject`` unless that is None, and, unless it
+    is ``conditional``, under its context if that has entries."""
     cert = Certificate(sig, j, conditional, provenance)
-    if subject is not None:
-        key = id(subject)
-        ref = _certificates.get(key)
-        if ref is None or ref() is None:
-            _certificates[key] = weakref.ref(cert, partial(_forget, key))
+    keys = [] if subject is None else [id(subject)]
     if not conditional and j.ctx:
-        key = (id(j.ctx[-1]), len(j.ctx))
-        ref = weakref.ref(cert, partial(_forget_context, key))
-        _contexts.setdefault(key, []).append(ref)
+        keys.append((id(j.ctx[-1]), len(j.ctx)))
+    for key in keys:
+        _certificates.setdefault(key, []).append(weakref.ref(cert, partial(_forget, key)))
     return cert
 
 

@@ -66,6 +66,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from . import kernel as _k
 from .checker import Certificate, HasType, TypeWF, certify, check, instantiate
 from .kernel import APP, BETA, ID, IDCONV, IDREC, LAM, PI, REFL, VAR
 from .subst import inst, shift
@@ -81,11 +82,22 @@ __all__ = [
 class ElabError(Exception):
     """A precondition of an emitter does not hold.  ``precondition`` holds
     the words that name it, as the message gives them after "precondition
-    failed: ", or None for a malformed call."""
+    failed: ", or None for a malformed call; ``judgement`` is the judgement
+    the kernel refused, or None."""
+
+    judgement = None
 
     def __init__(self, message, precondition=None):
         super().__init__(message)
         self.precondition = precondition
+
+
+def _refused(what, j):
+    """The ElabError for the precondition ``j``, named ``what``, that the
+    kernel refused."""
+    error = ElabError(f"precondition failed: {what}", what)
+    error.judgement = j
+    return error
 
 
 class RecheckFailure(Exception):
@@ -118,7 +130,7 @@ def _certified(sig, j, what=None, entry_what=None):
             f"emitted {kind} failed recheck: {report.reason} at {report.locus}")
     if entry_what is not None and report.locus[0] != "type":
         what = entry_what(report.locus[0][1])
-    raise ElabError(f"precondition failed: {what}", what)
+    raise _refused(what, j)
 
 
 def _instance(family, cert, ctx, extra, s, held):
@@ -150,22 +162,33 @@ _FAMILY_WORDS = "transport: family is a type"
 _BASE_WORDS = "transport: base is a type"
 
 
+def _same(j, k):
+    """Whether the judgements ``j`` and ``k`` are equal, compared by the
+    kernel's iterative comparison: tuple ``==`` recurses on deep terms."""
+    if k is None or j.__class__ is not k.__class__ or len(j.ctx) != len(k.ctx):
+        return False
+    parts = zip((*j.ctx, j.ty), (*k.ctx, k.ty))
+    if isinstance(j, HasType):
+        parts = ((j.term, k.term), *parts)
+    return all(_k.eq_lazy(x, y)[0] for x, y in parts)
+
+
 def _own_words(sig, emitter, refused, preconditions, implied=0):
     """Name a precondition that the transport inside ``emitter`` refused in
     ``emitter``'s own words.  Called while that refusal, the ElabError
-    ``refused``, is handled, it checks ``emitter``'s preconditions,
-    (judgement, words) pairs in reading order, one by one, and raises the
-    first that fails as an ElabError; if all hold, it returns and the caller
-    re-raises the transport's.  The first ``implied`` preconditions follow
-    from the transport's family being a type, so unless ``refused`` is that
-    check they hold, and only the rest are checked.  Only a rejection pays
-    for it."""
+    ``refused``, is handled, it goes through ``emitter``'s preconditions,
+    (judgement, words) pairs in reading order, and raises the first that
+    fails as an ElabError; if all hold, it returns and the caller re-raises
+    the transport's.  One that is the judgement the transport refused fails
+    without a check, since the kernel has just refused it; the others are
+    checked.  The first ``implied`` preconditions follow from the
+    transport's family being a type, so unless ``refused`` is that check
+    they hold and are skipped.  Only a rejection pays for it."""
     if refused.precondition not in (_FAMILY_WORDS, _BASE_WORDS):
         preconditions = preconditions[implied:]
     for j, what in preconditions:
-        if not check(sig, j).ok:
-            what = f"{emitter}: {what}"
-            raise ElabError(f"precondition failed: {what}", what) from None
+        if _same(j, refused.judgement) or not check(sig, j).ok:
+            raise _refused(f"{emitter}: {what}", j) from None
 
 
 def transport(sig: Signature, ctx: Context, family_over: Term, family: Term,

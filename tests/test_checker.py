@@ -1438,6 +1438,25 @@ def test_dead_certificates_discharge_nothing(sig):
     assert check(sig, TypeWF(delta, out)).steps == walked
 
 
+def test_a_second_certificate_takes_over_from_the_first(sig):
+    """A term object certified twice keeps both certificates: once the
+    first is collected, the second still discharges the term, as a whole
+    judgement and as a premise; once both are, the rules run."""
+    term, ty = Refl(NatTy, Zero), Id(NatTy, Zero, Zero)
+    j = HasType((), term, ty)
+    outer = HasType((), Refl(ty, term), Id(ty, term, term))
+    held = [certify(sig, j)[1], certify(sig, j)[1]]
+    assert None not in held
+    discharged = check(sig, j).steps, check(sig, outer).steps
+    assert discharged == (2, 18)
+    del held[0]
+    gc.collect()
+    assert (check(sig, j).steps, check(sig, outer).steps) == discharged
+    del held
+    gc.collect()
+    assert (check(sig, j).steps, check(sig, outer).steps) == (13, 33)
+
+
 def _applied(arg):
     """``(lam(z : A) z)(arg)``, the identity applied at ``arg``."""
     return App(A, A, Lambda(A, A, Var(0)), arg)
@@ -1540,6 +1559,38 @@ def test_equal_family_objects_share_no_provenance(sig):
     r = check(sig, j)
     assert (r.verdict, r.reason, r.locus) == _by_rules(sig, j)
     del fam, fam2, x_cert, y_cert
+
+
+def test_a_component_trial_makes_no_nested_trial(sig):
+    """x and y are live instances of one family F at components that hold
+    live instances of another family G, gx and gy, as their annotations.
+    x under the shift against y is decided by F's components: one step,
+    the walk of the component pair, 24 steps, and one for F's outer
+    variable.  The component pair is compared without the index, so gx
+    under the shift against gy is walked too; with the index it would be
+    decided by G's components, in 16 steps instead of 24."""
+    g = Id(A, _applied(Var(0)), Var(1))
+    _, g_fam = certify(sig, TypeWF((A, A), g))
+    _, gx, gx_cert = instantiate(g_fam, (A,), a)
+    sx = Lambda(gx, shift(gx, 1), Var(0))
+    ty = Pi(gx, shift(gx, 1))
+    family = Id(shift(ty, 1), Var(0), Var(0))
+    _, fam = certify(sig, TypeWF((A, ty), family))
+    _, x, x_cert = instantiate(fam, (A,), sx)
+    _, gy, gy_cert = instantiate(g_fam, (A, x), a)
+    sy = Lambda(gy, shift(gy, 1), Var(0))
+    _, y, y_cert = instantiate(fam, (A, x), sy)
+    assert None not in (g_fam, gx_cert, fam, x_cert, gy_cert, y_cert)
+    assert gx_cert.provenance is not None and gy_cert.provenance is not None
+    index = ott.checker._certificates
+    assert _k.eq_lazy((CLO, sx, _SHIFT), sy) == (True, size(sy)) == (True, 24)
+    assert _k.eq_lazy((CLO, sx, _SHIFT), sy, index) == (True, 16)
+    assert _k.eq_lazy((CLO, x, _SHIFT), y, index) == (True, 1 + 24 + 1)
+    assert _k.eq_lazy((CLO, x, _SHIFT), y) == (True, size(y))
+    j = HasType((A, x), Var(0), y)
+    r = check(sig, j)
+    assert (r.verdict, r.reason, r.locus) == _by_rules(sig, j) == ("accept", None, None)
+    del g_fam, gx_cert, fam, x_cert, gy_cert, y_cert
 
 
 def test_dead_instance_certificate_gives_the_full_walk(sig):
@@ -1766,18 +1817,17 @@ def test_either_of_two_certificates_over_one_context_keeps_the_discharge(sig, dr
 
 
 def test_kernel_indexes_are_empty_once_every_certificate_is_collected(sig):
-    """Every entry of both indexes goes with the last certificate that
-    keeps it."""
+    """Every key of the index, a subject's or a context's, goes with the
+    last certificate filed under it."""
     delta, over, family = _family()
     held = [certify(sig, TypeWF(delta + (over,), family))[1],
             certify(sig, _over(_CTX))[1], certify(sig, _over(_CTX))[1]]
     held.append(instantiate(held[0], delta, a)[2])
     assert None not in held
-    assert ott.checker._certificates and ott.checker._contexts
+    assert {key.__class__ for key in ott.checker._certificates} == {int, tuple}
     del held
     gc.collect()
     assert ott.checker._certificates == {}
-    assert ott.checker._contexts == {}
 
 
 def test_plain_check_and_infer_issue_no_certificate(sig):
