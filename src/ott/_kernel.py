@@ -39,7 +39,12 @@ caller so the checker can keep a deterministic step counter.
 ``inst_open`` is ``inst`` at lift 0 for a term whose ``open_spine`` is
 known: it writes only the nodes above a variable that escapes the term and
 shares every closed subterm, so a family written many times is walked for
-its spine once.
+its spine once.  The spine is a flat list of instructions in post-order,
+one per escaping variable (with its binder depth) and per open node (with
+the slot of its one open child, or the ascending slots of several), so
+writing an instance is one loop over the list with no work stack: a node
+is written around the output of its open children, which are the last
+outputs written.
 
 A leaf (a constant or a one-slot node such as ``Nat``) costs one step in
 either operation: one head comparison in ``eq_lazy``, one node for ``inst``,
@@ -160,24 +165,55 @@ def inst(t, terms, outer, lift):
 def open_spine(t):
     """The open spine of ``t``, its nodes below which a variable escapes
     ``t``, for ``inst_open``: None when ``t`` is closed, else ``(size(t),
-    tree)``.  An open node's tree is a list ``[k1, tree1, k2, tree2, ...]``
-    of its open children's slots and trees, an escaping variable's is
-    ``()``, and every child not listed is closed: no substitution changes
-    it."""
-    n = 1
+    code)``.  ``code`` lists the spine in post-order, each open node after
+    its open children, one instruction a node: ``(v, d)`` for a variable
+    ``v`` that escapes from binder depth ``d``, ``[node, k]`` for a node
+    whose one open child is in slot ``k``, and ``[node, (k1, k2, ...)]``
+    for a node whose open children are in the ascending slots ``k1 < k2
+    ...``.  Every child that no instruction lists is closed: no
+    substitution changes it.
+
+    The walk takes the children in ascending slots and opens a node when a
+    variable below it is found to escape, so the open nodes are found in
+    pre-order; an open node's later children are added to its instruction,
+    and the code is that order reversed, children written last slot
+    first."""
     tag = t[0]
     if tag == VAR:
-        return n, ()
+        return 1, [(t, 0)]
     if tag == CONST or len(t) == 1:
         return None
-    # work items are (node, depth, parent's item, slot in the parent, tree),
-    # the tree empty until a variable below the node is found to escape
-    root = (t, 0, None, 0, [])
-    work = [root]
+    n = 1
+    # the open nodes and escaping variables in pre-order
+    found = []
+    # work items are (node, depth, parent's item, slot in the parent, code),
+    # the code a node's instruction, empty until the node is opened; an
+    # escaping variable is an item of its own, with no code, so that it is
+    # found in pre-order among its siblings' subtrees
+    work = [(t, 0, None, 0, [])]
     while work:
         item = work.pop()
-        node, d = item[0], item[1]
-        binders = BINDERS[node[0]]
+        node = item[0]
+        tag = node[0]
+        if tag == VAR:
+            # an escaping variable: open the path up to the first node that
+            # is open already, and add the slot to that node's instruction
+            path = [(node, item[1])]
+            slot, up = item[3], item[2]
+            while up is not None:
+                code = up[4]
+                if code:
+                    ks = code[1]
+                    code[1] = (ks, slot) if ks.__class__ is int else ks + (slot,)
+                    break
+                code += (up[0], slot)
+                path.append(code)
+                slot, up = up[3], up[2]
+            path.reverse()
+            found += path
+            continue
+        d = item[1]
+        binders = BINDERS[tag]
         k = len(node) - 1
         n += k
         while k >= 1:
@@ -185,50 +221,43 @@ def open_spine(t):
             tag = child[0]
             if tag == VAR:
                 if child[1] >= d + binders[k - 1]:
-                    # open the path up to the first node that is open already
-                    tree, slot, up = (), k, item
-                    while up is not None:
-                        above = up[4]
-                        was_open = bool(above)
-                        above += (slot, tree)
-                        if was_open:
-                            break
-                        tree, slot, up = above, up[3], up[2]
+                    work.append((child, d + binders[k - 1], item, k, None))
             elif tag != CONST and len(child) > 1:
                 work.append((child, d + binders[k - 1], item, k, []))
             k -= 1
-    return (n, root[4]) if root[4] else None
+    if not found:
+        return None
+    found.reverse()
+    return n, found
 
 
 def inst_open(t, spine, terms, outer):
     """``inst(t, terms, outer, 0)``, ``terms`` not empty, for an open ``t``
-    whose ``open_spine`` is ``spine``: only the open nodes are written, and
-    every closed child is ``t``'s own object.  The count is still the tree
-    size of the output, as ``inst`` counts it: ``size(t)``, with each
-    escaping variable counted as what ``inst`` writes for it."""
-    count, tree = spine
+    whose ``open_spine`` is ``spine``: one pass over the spine's code, which
+    writes only the open nodes, so every closed child is ``t``'s own
+    object.  An escaping variable is written by ``inst``; a node with one
+    open child is written around the output last written, and one with
+    several takes them from the output, lowest slot first.  The count is
+    still the tree size of the output, as ``inst`` counts it: ``size(t)``,
+    with each escaping variable counted as what ``inst`` writes for it."""
+    count, code = spine
     out = []
-    work = [(t, tree, 0)]
-    while work:
-        node, tree, d = work.pop()
-        if d is None:
-            # the open children are written: put them in their slots
+    for node, k in code:
+        if k.__class__ is not int:
+            # several open children, written last slot first, so the
+            # lowest slot's output is the last written
             kids = list(node)
-            i = len(tree) - 2
-            while i >= 0:
-                kids[tree[i]] = out.pop()
-                i -= 2
+            for slot in k:
+                kids[slot] = out.pop()
             out.append(tuple(kids))
-        elif tree:
-            work.append((node, tree, None))
-            binders = BINDERS[node[0]]
-            i = len(tree) - 2
-            while i >= 0:
-                k = tree[i]
-                work.append((node[k], tree[i + 1], d + binders[k - 1]))
-                i -= 2
+        elif node[0]:
+            # one open child, whose output is the last written
+            kids = list(node)
+            kids[k] = out[-1]
+            out[-1] = tuple(kids)
         else:
-            v, c = inst(node, terms, outer, d)
+            # an escaping variable at binder depth k
+            v, c = inst(node, terms, outer, k)
             out.append(v)
             count += c - 1
     return out[0], count

@@ -268,9 +268,10 @@ class Certificate:
     judgement: Union[HasType, TypeWF]
     conditional: bool = False
     provenance: Optional[tuple] = None
-    # the family's open spine (None for a closed family), which
-    # ``instantiate`` builds on its first instance and keeps here, so that
-    # it dies with the certificate
+    # the family's open spine, ``_kernel.open_spine``'s size and post-order
+    # instruction list (None for a closed family), which ``instantiate``
+    # builds on its first instance and keeps here, so that it dies with the
+    # certificate
     _spine: object = field(default=_UNBUILT, init=False, repr=False)
 
 
@@ -791,9 +792,12 @@ def instantiate(cert: Certificate, ctx: Context, s: Term
     linear in ``delta``, ``s`` and the instance, never a walk of ``B``.
     Only the instance's open spine is written: the nodes above an
     occurrence of a variable of ``B``; every closed subterm is ``B``'s own
-    object.  The spine is found on the certificate's first instance and
-    kept by the certificate; that walk is not charged, since ``certify``
-    charged a walk of ``B`` already.  A closed ``B`` is written in full.
+    object.  The spine is found on the certificate's first instance, as a
+    list of post-order instructions, one per open node or escaping
+    variable, and kept by the certificate; that walk is not charged, since
+    ``certify`` charged a walk of ``B`` already.  Each instance is then one
+    pass over the list that writes one node per instruction, and ``inst``
+    writes each escaping variable.  A closed ``B`` is written in full.
     """
     t0 = time.perf_counter_ns()
     j = cert.judgement

@@ -101,6 +101,14 @@ _ELABORATORS = {
 _FORMS = {"ctxt": CtxtWF, "type": TypeWF, "term": HasType}
 
 
+def _context_text(ctx, names, reserved) -> str:
+    """``[x : A, y : B]``: each binder with its entry, printed over the
+    binders before it."""
+    return "[" + ", ".join(
+        f"{name} : {print_term(entry, names[:i], reserved)}"
+        for i, (name, entry) in enumerate(zip(names, ctx))) + "]"
+
+
 def _record(item, state: _ScriptState):
     """The record of one item, or None for an accepted declaration.  Every
     name of the item is resolved before the state changes, so an unbound
@@ -164,16 +172,17 @@ def _record(item, state: _ScriptState):
         return record
     if isinstance(item, CheckItem):
         if item.form == "ctxt":
-            shown = f"[{', '.join(names)}] Ctxt"
+            shown = f"{_context_text(ctx, names, reserved)} Ctxt"
         else:
             shown = f"|- {shown} Type" if item.form == "type" else f"|- {shown}"
         report = check(sig, _FORMS[item.form](ctx, *terms))
         return {"item": "check", "display": f"check {shown}", **report.to_record()}
-    record = {"item": "infer", "display": f"infer |- {shown}"}
     report = check(sig, CtxtWF(ctx))
     if not report.ok:
-        record.update(report.to_record())
-        return record
+        # the locus names a context entry, so the display shows the entries
+        shown = f"{_context_text(ctx, names, reserved)} |- {shown}"
+        return {"item": "infer", "display": f"infer {shown}", **report.to_record()}
+    record = {"item": "infer", "display": f"infer |- {shown}"}
     try:
         ty = infer(sig, ctx, terms[0])
     except InferFailure as exc:

@@ -1424,6 +1424,49 @@ def test_a_family_builds_its_spine_once_and_drops_it_with_its_certificate(
     assert spine() is None
 
 
+def _objects(t):
+    """The ids of ``t``'s distinct tuple objects."""
+    seen, work = set(), [t]
+    while work:
+        x = work.pop()
+        if id(x) not in seen:
+            seen.add(id(x))
+            if x[0] > CONST:
+                work.extend(x[1:])
+    return seen
+
+
+@pytest.mark.parametrize("shape", ["two 4096-link chains", "one 10^5-link chain"])
+def test_an_instance_writes_its_open_nodes_and_nothing_else(sig, shape):
+    """transport's family shape, two chains of seeded links, and one deep
+    chain: the instance and its steps are ``inst``'s, and the only new
+    objects are one per open node, the root and each application."""
+    rng = random.Random(7)
+    funs = (Lambda(A, A, Var(0)), Lambda(A, A, a))
+
+    def chain(links):
+        t = Var(0)
+        for _ in range(links):
+            t = App(A, A, rng.choice(funs), t)
+        return t
+
+    if shape == "one 10^5-link chain":
+        family, open_nodes = Id(A, chain(10 ** 5), a), 10 ** 5 + 1
+    else:
+        family, open_nodes = Id(A, chain(4096), chain(4096)), 2 * 4096 + 1
+    _, fam = certify(sig, TypeWF((A,), family))
+    ctx, s = (A, NatTy), Var(1)
+    report, out, _ = instantiate(fam, ctx, s)
+    want, written = inst(family, (s,), len(ctx), 0)
+    assert report.ok and syntactic_equal(out, want)
+    # the steps: the empty prefix, the component's check against its
+    # weakened type, and what inst writes
+    target, c = inst(A, (), len(ctx), 0)
+    ok, _, _, component = _run(sig, [(_TERM, _cons_ctx(ctx), s, target, "component")])
+    assert ok and report.steps == 1 + c + component + written
+    assert len(_objects(out) - _objects(family) - _objects(s)) == open_nodes
+
+
 def test_dead_certificates_discharge_nothing(sig):
     delta, over, family = _family()
     report, fam = certify(sig, TypeWF(delta + (over,), family))

@@ -384,18 +384,23 @@ def test_human_output_matches_recorded_output(tmp_path, capsys, name, code):
 
 def test_a_rejection_locus_reads_the_same_in_both_modes(tmp_path, capsys):
     """A check or infer rejection's line ends with its locus written as the
-    JSON record writes it, tuples inside it as lists."""
+    JSON record writes it, tuples inside it as lists, and a context
+    rejection's line shows the entry that its locus names."""
     from ott import cli
 
     path = _write(tmp_path, "loci.ott", (
         "postulate A : Type\npostulate a : A\npostulate B : Type\n"
-        "check [x : Id(A, a, B)] Ctxt\ninfer [x : A] |- succ(x)\n"))
+        "check [x : Id(A, a, B)] Ctxt\ninfer [x : Id(A, a, B)] |- x\n"
+        "infer [x : A] |- succ(x)\n"))
     assert cli.main(["--json", "check", path]) == 1
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    assert [r["locus"] for r in records] == [[["ctx", 0], 2], ["term", 0]]
+    assert [r["locus"] for r in records] == [[["ctx", 0], 2], [["ctx", 0], 2], ["term", 0]]
+    assert [r["display"] for r in records] == [
+        "check [x : Id(A, a, B)] Ctxt", "infer [x : Id(A, a, B)] |- x", "infer |- succ(x)"]
     assert cli.main(["check", path]) == 1
     assert capsys.readouterr().out.splitlines() == [
-        'FAIL check [x] Ctxt  -- not a term constant at [["ctx", 0], 2]',
+        'FAIL check [x : Id(A, a, B)] Ctxt  -- not a term constant at [["ctx", 0], 2]',
+        'FAIL infer [x : Id(A, a, B)] |- x  -- not a term constant at [["ctx", 0], 2]',
         'FAIL infer |- succ(x)  -- variable type mismatch at ["term", 0]',
     ]
 

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from ott import kernel
 from ott.subst import inst, shift, subst
 from ott.terms import (
-    Const, Id, Lambda, NatTy, Pi, Succ, Var, Zero, size, syntactic_equal,
+    App, Const, Id, Lambda, NatTy, Pi, Succ, Var, Zero, size, syntactic_equal,
 )
 
 from generators import (
@@ -263,39 +263,73 @@ def test_inst_count_is_output_size(t, subs, lift, outer):
 # the open spine ---------------------------------------------------------------
 #
 # A family over a non-empty context binds its variable at index 0 and may
-# mention the outer entries above it.  ``kernel.inst_open`` writes its
-# instance along the spine that ``kernel.open_spine`` finds and keeps every
-# closed child as the family's own object.
+# mention the outer entries above it.  ``kernel.open_spine`` lists the nodes
+# below which a variable escapes as post-order instructions, and
+# ``kernel.inst_open`` writes its instance from them, keeping every closed
+# child as the family's own object.
 
 
-def _children(family, tree, out):
-    """(family's child, output's child, binder depth, listed) for each child
-    of each node on the spine ``tree``; ``listed`` says whether the spine
-    lists the child as open."""
-    found = []
-    work = [(family, tree, out, 0)]
+def _open_code(t, depth=0):
+    """The instructions ``open_spine`` should give for ``t`` at binder
+    ``depth``, as ``(object, slot or slots or depth)`` pairs: a child is open
+    when a shift at its depth changes it, children are written last slot
+    first, and a node follows its open children."""
+    if shift(t, 1, depth) == t:
+        return []
+    if t[0] == kernel.VAR:
+        return [(t, depth)]
+    code, slots = [], []
+    for k in range(len(t) - 1, 0, -1):
+        below = _open_code(t[k], depth + _BINDERS[t[0]][k - 1])
+        code += below
+        if below:
+            slots.insert(0, k)
+    code.append((t, slots[0] if len(slots) == 1 else tuple(slots)))
+    return code
+
+
+def _written(family, out):
+    """The distinct objects the output has at the family's open nodes,
+    those of them that are also the family's, and whether every closed child
+    of a written node is the family's own object."""
+    ids, work = set(), [family]
     while work:
-        b, tr, o, d = work.pop()
-        if not tr:  # an escaping variable
+        x = work.pop()
+        if id(x) not in ids:
+            ids.add(id(x))
+            if x[0] > kernel.CONST:
+                work.extend(x[1:])
+    new, kept, work = set(), True, [(family, out, 0)]
+    while work:
+        b, o, d = work.pop()
+        if b[0] == kernel.VAR:  # the component's objects
             continue
-        listed = dict(zip(tr[0::2], tr[1::2]))
-        binders = _BINDERS[b[0]]
+        new.add(id(o))
         for k in range(1, len(b)):
-            depth = d + binders[k - 1]
-            found.append((b[k], o[k], depth, k in listed))
-            if k in listed:
-                work.append((b[k], listed[k], o[k], depth))
-    return found
+            depth = d + _BINDERS[b[0]][k - 1]
+            if shift(b[k], 1, depth) == b[k]:
+                kept = kept and o[k] is b[k]
+            else:
+                work.append((b[k], o[k], depth))
+    return new, new & ids, kept
 
 
 # a family whose every variable is bound inside it
 closed_families = terms.map(lambda t: Pi(NatTy, Pi(NatTy, Pi(NatTy, t))))
+# a closed object at two positions of one family
+_shared = Lambda(NatTy, NatTy, Var(0))
 
 
 @given(st.one_of(terms, closed_families), terms, st.integers(0, 3))
 # the component under a binder, and the outer variables renumbered
 @example(Pi(NatTy, Id(Var(2), Var(1), Pi(Var(0), Var(3)))), Lambda(NatTy, NatTy, Var(1)), 2)
 @example(Pi(NatTy, Var(0)), Var(0), 0)  # a closed family
+@example(Id(NatTy, App(NatTy, NatTy, _shared, Var(0)), App(NatTy, NatTy, _shared, Var(0))),
+         Zero, 1)  # one closed object at two positions
+@example(Pi(Var(0), Id(Var(1), Var(0), Var(2))), Succ(Zero), 0)  # two open children
+# an escaping variable under two binders, written as its component shifted
+@example(Lambda(NatTy, NatTy, Pi(NatTy, Var(2))),
+         App(NatTy, NatTy, Lambda(NatTy, NatTy, Var(1)), Var(0)), 1)
 @settings(max_examples=300)
 def test_inst_open_writes_the_instance_inst_writes(family, s, k):
     want, count = kernel.inst(family, (s,), k, 0)
@@ -305,12 +339,17 @@ def test_inst_open_writes_the_instance_inst_writes(family, s, k):
     if spine is None:
         return
     assert spine[0] == size(family)
+    # the instructions list exactly the open nodes, each with its open slots
+    code = spine[1]
+    expected = _open_code(family)
+    assert [(type(x[1]), x[1]) for x in code] == [(type(arg), arg) for _, arg in expected]
+    assert all(x[0] is node for x, (node, _) in zip(code, expected))
     out, n = kernel.inst_open(family, spine, (s,), k)
     assert out == want and n == count == size(out)
-    # the spine lists exactly the open children, and each closed one is kept
-    for child, written, depth, listed in _children(family, spine[1], out):
-        assert listed == (shift(child, 1, depth) != child)
-        assert listed or written is child
+    # only the open nodes are written, and each closed child is kept
+    new, old, kept = _written(family, out)
+    assert kept and not old
+    assert len(new) == sum(node[0] != kernel.VAR for node, _ in expected)
 
 
 def test_apply_morphism_rejects_out_of_scope_terms():
