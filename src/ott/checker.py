@@ -43,6 +43,18 @@ entries, term and type, a shared subterm counted at each occurrence.  The
 types of the signature's constants do not count, since a comparison costs at
 most its target's size plus one and every target is built from the judgement.
 
+Numerals.  A literal is a chain of successors, and a successor's one
+premise, its predecessor against ``Nat``, is always the next obligation
+``_run`` pops.  A successor premise passes that comparison in its one head
+step, so the successor rule walks its predecessor chain in place: while the
+predecessor is a successor with no entry in the certificate index, it
+charges the two steps the loop would (the obligation and its head
+comparison) and descends.  It pushes only the first node that is not such
+a successor, which is decided, or discharged, as any obligation is.  Steps,
+verdicts, reasons and loci are those of one obligation per successor.  The
+walk is made only on a plain ``list`` stack: ``_decide``'s locus rerun, and
+a stack that counts what it hands out, see every obligation.
+
 Loci.  An obligation carries only its slot, its index among its parent's
 premises or, for a stage's seed, the stage's name, so the run that decides a
 verdict allocates no path.  ``_run`` returns the failing slot and leaves its
@@ -454,9 +466,10 @@ def _run(sig: Signature, stack: list):
         tag = t[0]
         # a certified subject is discharged by comparison: a type, or a term
         # with a target.  A variable or a constant is a leaf, which never
-        # has a certificate
-        if (certs is not None and tag > CONST and (kind == _TYPE or target is not None)
-                and id(t) in certs):
+        # has a certificate; the tag is tested by equality, so a malformed
+        # one meets its rule as it would with no certificate live
+        if (certs is not None and tag != VAR and tag != CONST
+                and (kind == _TYPE or target is not None) and id(t) in certs):
             cert = _live(certs, sig, t, TypeWF if kind == _TYPE else HasType)
             if cert is not None:
                 eq, c = _matches(cert.judgement, ctx, target)
@@ -664,7 +677,16 @@ def _run(sig: Signature, stack: list):
             stack.append((_TERM, ctx, z, pz, 1))
             stack.append((_TYPE, (_NAT, ctx), p, None, 0))
         elif tag == SUCC:
-            stack.append((_TERM, ctx, t[1], _NAT, 0))
+            # the one premise is the next obligation popped, so on a plain
+            # stack an uncertified successor premise is taken here, charged
+            # its obligation and its head comparison, and the chain's first
+            # other node is pushed
+            t = t[1]
+            if stack.__class__ is list:
+                while t[0] == SUCC and (certs is None or id(t) not in certs):
+                    steps += 2
+                    t = t[1]
+            stack.append((_TERM, ctx, t, _NAT, 0))
     return True, None, None, steps
 
 

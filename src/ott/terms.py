@@ -128,6 +128,15 @@ class Signature:
         object.__setattr__(self, "atomic_types", frozenset(atomic_types))
         object.__setattr__(self, "constants", MappingProxyType(dict(constants)))
 
+    @classmethod
+    def _of(cls, atomic_types: frozenset, constants: MappingProxyType) -> "Signature":
+        """A signature on these objects themselves, with no copy: a
+        frozenset, and a read-only view of a dict that no one else holds."""
+        sig = object.__new__(cls)
+        object.__setattr__(sig, "atomic_types", atomic_types)
+        object.__setattr__(sig, "constants", constants)
+        return sig
+
     def __setattr__(self, name, value):
         raise AttributeError(f"Signature is immutable: cannot set {name!r}")
 
@@ -140,13 +149,14 @@ class Signature:
 
     def with_type(self, name: str) -> "Signature":
         self._check_fresh(name)
-        return Signature(self.atomic_types | {name}, self.constants)
+        # the view is read-only, so the extension shares it
+        return Signature._of(self.atomic_types | {name}, self.constants)
 
     def with_const(self, name: str, ty: Term) -> "Signature":
         self._check_fresh(name)
-        consts = dict(self.constants)
+        consts = self.constants.copy()
         consts[name] = ty
-        return Signature(self.atomic_types, consts)
+        return Signature._of(self.atomic_types, MappingProxyType(consts))
 
     def __contains__(self, name: str) -> bool:
         return name in self.atomic_types or name in self.constants

@@ -28,8 +28,7 @@ A = Const("A")
 a = Const("a")
 
 
-def _nat(n):
-    t = Zero
+def _nat(n, t=Zero):
     for _ in range(n):
         t = Succ(t)
     return t
@@ -849,6 +848,63 @@ def test_negative_index_is_the_one_intended_difference(sig):
     new, old = _both(sig, _term_stack((A,), Var(-1), A))
     assert old == (True, None, None, 2)
     assert new == (False, "unbound variable", ("term",), 1)
+
+
+# numerals ------------------------------------------------------------------------
+#
+# ``_run`` takes a successor's uncertified successor premises in place, since
+# each is the next obligation it would pop; the reference pushes and pops
+# every one.  They must agree on every numeral, whatever ends its chain.
+
+
+def test_a_numeral_walk_matches_the_reference(sig):
+    sig = sig.with_const("c", A)
+    c = Const("c")
+    cases = [
+        ((), _nat(10 ** 5), NatTy),
+        ((), _nat(1000, c), NatTy),
+        ((), _nat(50), A),
+        ((), _nat(50), Succ(Zero)),
+        ((A,), _nat(50, Var(0)), NatTy),
+        ((NatTy,), _nat(50, Var(0)), NatTy),
+        ((), NatRec(NatTy, Zero, Succ(Var(0)), _nat(1000)), NatTy),
+        ((), NatRec(NatTy, Zero, Succ(Var(0)), _nat(1000, c)), NatTy),
+    ]
+    for ctx, term, ty in cases:
+        _agree(sig, ctx, term, ty)
+    r = check(sig, HasType((), _nat(1000, c), NatTy))
+    assert (r.reason, r.locus, r.steps) == (
+        "constant type mismatch", ("term",) + (0,) * 1000, 2003)
+
+
+def test_a_numeral_walk_stops_at_a_certified_node(sig):
+    """700 successors over a certified 300-successor numeral: the type
+    stage's step, 2 per successor and the discharge of the certified node,
+    an obligation and one comparison.  Under another signature the node is
+    looked up and checked by its rule, as every successor below it."""
+    inner = _nat(300)
+    j = HasType((), _nat(700, inner), NatTy)
+    _, held = certify(sig, HasType((), inner, NatTy))
+    assert held is not None
+    assert check(sig, j).steps == 1 + 2 * 700 + 2
+    other = Signature().with_type("A").with_const("a", A)
+    assert check(other, j).steps == 1 + 2 * 1000 + 2
+    del held
+    gc.collect()
+    assert check(sig, j).steps == 1 + 2 * 1000 + 2
+
+
+def test_a_live_certificate_leaves_a_malformed_head_to_its_rule(sig):
+    """A head that is not an int tag is compared only by equality, so it
+    meets the rejection it meets with no certificate live."""
+    probes = [HasType((), ("x",), A), HasType((), (None,), A), TypeWF((), ("x",))]
+    want = [("reject", "no term-level rule for this constructor", ("term",))] * 2
+    want.append(("reject", "not a type", ("type",)))
+    assert [(r.verdict, r.reason, r.locus) for r in (check(sig, j) for j in probes)] == want
+    _, held = certify(sig, HasType((A,), Refl(A, Var(0)), Id(A, Var(0), Var(0))))
+    assert held is not None and _certificates
+    assert [(r.verdict, r.reason, r.locus) for r in (check(sig, j) for j in probes)] == want
+    del held
 
 
 # loci below a stage's root ---------------------------------------------------------

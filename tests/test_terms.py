@@ -1,9 +1,11 @@
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from ott.terms import (
     App, BetaConv, Const, Id, IdConv, IdRec, Lambda, NatConvSucc, NatConvZero,
-    NatRec, NatTy, Pi, Refl, Succ, Var, Zero, size, syntactic_equal,
+    NatRec, NatTy, Pi, Refl, Signature, Succ, Var, Zero, size,
+    syntactic_equal,
 )
 
 leaves = st.sampled_from(
@@ -98,3 +100,17 @@ def test_syntactic_equal_transitive(s, t, u):
 def test_structural_identity_is_the_only_equality(t):
     # no reduction relation is ever consulted: adding one successor is enough
     assert not syntactic_equal(t, Succ(t))
+
+
+def test_signature_extensions_leave_their_base_alone():
+    """Two extensions of one signature see their own declarations only,
+    and an extension's constants stay read-only."""
+    base = Signature().with_type("A").with_const("a", Const("A"))
+    left = base.with_const("b", Const("A"))
+    right = base.with_type("B").with_const("b", Const("B"))
+    assert dict(base.constants) == {"a": Const("A")} and base.atomic_types == {"A"}
+    assert left.constants["b"] == Const("A") and left.atomic_types == {"A"}
+    assert right.constants["b"] == Const("B") and right.atomic_types == {"A", "B"}
+    for sig in (left, right, right.with_type("C")):
+        with pytest.raises(TypeError):
+            sig.constants["c"] = Const("A")
