@@ -138,7 +138,9 @@ def inst(t, terms, outer, lift):
                 sub = terms[i - d]
                 if d == 0:
                     out.append(sub)
-                    count += size(sub) - 1
+                    # a leaf, as ``size`` tests it, counts 1
+                    if sub[0] > CONST and len(sub) > 1:
+                        count += size(sub) - 1
                 else:
                     shifted, c = inst(sub, (), d, 0)
                     out.append(shifted)

@@ -43,27 +43,40 @@ entries, term and type, a shared subterm counted at each occurrence.  The
 types of the signature's constants do not count, since a comparison costs at
 most its target's size plus one and every target is built from the judgement.
 
-Numerals.  A literal is a chain of successors, and a successor's one
-premise, its predecessor against ``Nat``, is always the next obligation
-``_run`` pops.  A successor premise passes that comparison in its one head
-step, so the successor rule walks its predecessor chain in place: while the
-predecessor is a successor with no entry in the certificate index, it
-charges the two steps the loop would (the obligation and its head
-comparison) and descends.  It pushes only the first node that is not such
-a successor, which is decided, or discharged, as any obligation is.  Steps,
-verdicts, reasons and loci are those of one obligation per successor.  The
-walk is made only on a plain ``list`` stack: ``_decide``'s locus rerun, and
-a stack that counts what it hands out, see every obligation.
+Premises taken in place.  Once a rule's comparison has passed, ``_run``
+takes its premises in the order the loop would pop them, where the rule
+writes them.  A leading premise that is a leaf its rule accepts is charged
+what the loop charges it and is never pushed: ``Nat`` (an object the
+certificate index does not hold) or an atomic constant as a type, one step;
+a variable whose context entry, or a constant whose declared type, is a
+leaf equal to its target, the obligation, the lookup's hops and the one
+head step.  One function, ``_declared``, is the variable and constant rules
+up to their comparison, so the loop's own rule for such a subject reads the
+same answer, and ``_run``'s ``leaf_type`` is the type rule's test for a
+leaf.  The first premise that is not such a leaf is the loop's next
+obligation without a push, and only the premises after it are pushed.  A
+successor's one premise, its predecessor against ``Nat``, passes that
+comparison in its head step, so the successor rule walks its predecessor
+chain in place: while the predecessor is a successor with no entry in the
+certificate index, it charges the two steps the loop would and descends,
+and the first other node is the next obligation.  A premise that fails or
+is certified is the next obligation, which the loop decides as before; one
+that raises raises there, as it would when the loop took it.  Steps,
+verdicts, reasons and loci are those of one obligation per premise.
+Premises are taken in place only on a plain ``list`` stack: ``_decide``'s
+locus rerun, and a stack that counts what it hands out, see every
+obligation.
 
 Loci.  An obligation carries only its slot, its index among its parent's
 premises or, for a stage's seed, the stage's name, so the run that decides a
-verdict allocates no path.  ``_run`` returns the failing slot and leaves its
-stack as it was at the failure.  ``_decide`` is the one place a stack is
-run: it runs a copy of its seeds and turns a failing slot into a locus.  A
-failing seed is its own locus; below a stage's root, ``_decide`` runs that
-one stage again on a stack that keeps the path of each obligation it hands
-out.  Verdicts are deterministic, so the rerun fails at the same
-obligation.  Only a rejection pays for it, and its steps are not charged.
+verdict allocates no path.  ``_run`` returns the failing slot and leaves the
+seeds it has not reached at the bottom of its stack.  ``_decide`` is the one
+place a stack is run: it runs a copy of its seeds and turns a failing slot
+into a locus.  A failing seed is its own locus; below a stage's root,
+``_decide`` runs that one stage again on a stack that keeps the path of each
+obligation it hands out.  Verdicts are deterministic, so the rerun fails at
+the same obligation.  Only a rejection pays for it, and its steps are not
+charged.
 
 Certificates.  ``certify`` is ``check`` that, when it accepts a ``HasType``
 judgement whose term is not a leaf, or a ``TypeWF`` judgement whose type has
@@ -445,248 +458,425 @@ def _matches(j, ctx, target):
     return i == 0 and ctx is None, steps
 
 
+# What ``_declared`` gives for a declared type that is a leaf equal to the
+# target: the rule passes in its one head step.
+_EQUAL_LEAF = object()
+# The heads ``_declared`` takes.  ``_run`` tests a premise's head against
+# them before it asks whether the premise is such a leaf, and reads ``_NONE``
+# for any other head: a call costs more than the test.
+_LOOKUPS = (VAR, CONST)
+_NONE = (None, 0)
+
+
+def _declared(consts, ctx, t, target):
+    """The variable or constant rule for the variable or constant ``t``
+    over ``ctx`` (a cons list) up to its comparison: (the type the rule
+    states, the hops its lookup is charged).  The type is None for an
+    unbound variable or a name that is not a term constant, and
+    ``_EQUAL_LEAF`` when it is a leaf (a constant or a one-slot node) equal
+    to ``target`` in the one head step in which ``eq_lazy`` would compare
+    them; a leaf is never equal to a closure, nor to a missing target."""
+    if t[0] == CONST:
+        declared, hops = consts.get(t[1]), 0
+    else:
+        i = t[1]
+        entry = ctx
+        hops = 0
+        while entry is not None and hops < i:
+            entry = entry[1]
+            hops += 1
+        if entry is None or i < 0:
+            return None, hops
+        declared = entry[0]
+    if declared is not None and target is not None:
+        tag = declared[0]
+        if (tag == CONST or len(declared) == 1 and tag != VAR and tag != CLO) and (
+                declared is target or tag == target[0] and (
+                    tag != CONST or declared[1] == target[1])):
+            return _EQUAL_LEAF, hops
+    return declared, hops
+
+
 def _run(sig: Signature, stack: list):
     """Process obligations depth-first; first failure wins.
 
     Returns (ok, reason, slot, steps), where slot is the failing
     obligation's, or None on acceptance, except that a term obligation with
     no target returns (True, None, the type its rule concludes, steps) once
-    its head rule has run.  A rejection leaves ``stack`` as it was at the
-    failure, which ``_decide`` reads.
+    its head rule has run.  A rejection leaves the seeds not yet reached at
+    the bottom of ``stack``, in their order, which is all ``_decide`` reads
+    of it: above them are the premises pushed so far, and not the ones
+    taken in place.
     """
     consts = sig.constants
     atomics = sig.atomic_types
     certs = _certificates or None
     # whether this run has left a motive unwritten (IDREC)
     unwritten = False
+    # premises are taken in place only on a plain list
+    inplace = stack.__class__ is list
+
+    def leaf_type(x, atomics, certs):
+        # a type that the type rule accepts in its obligation's one step, an
+        # atomic type or Nat; the loop tries a certificate first on a Nat
+        # object that the index holds, so that one is not taken in place.
+        # It tests a rule's tag, so it lives in the rule table; it takes what
+        # it reads as arguments, which ``_run`` keeps as plain locals
+        tag = x[0]
+        return (tag == NAT and (certs is None or id(x) not in certs)
+                or tag == CONST and x[1] in atomics)
+
     steps = 0
     while stack:
         kind, ctx, t, target, slot = stack.pop()
-        steps += 1
-        tag = t[0]
-        # a certified subject is discharged by comparison: a type, or a term
-        # with a target.  A variable or a constant is a leaf, which never
-        # has a certificate; the tag is tested by equality, so a malformed
-        # one meets its rule as it would with no certificate live
-        if (certs is not None and tag != VAR and tag != CONST
-                and (kind == _TYPE or target is not None) and id(t) in certs):
-            cert = _live(certs, sig, t, TypeWF if kind == _TYPE else HasType)
-            if cert is not None:
-                eq, c = _matches(cert.judgement, ctx, target)
-                steps += c
-                if eq:
-                    continue
-        if kind == _TYPE:
-            if tag == PI:
-                stack.append((_TYPE, (t[1], ctx), t[2], None, 1))
-                stack.append((_TYPE, ctx, t[1], None, 0))
-            elif tag == ID:
-                stack.append((_TERM, ctx, t[3], t[1], 2))
-                stack.append((_TERM, ctx, t[2], t[1], 1))
-                stack.append((_TYPE, ctx, t[1], None, 0))
-            elif tag != NAT and not (tag == CONST and t[1] in atomics):
-                return False, "not a type", slot, steps
-            continue
-
-        # term against target.  Each rule pushes its premises and names the
-        # type its conclusion states, ``expected`` (standing under the
-        # substitution ``env`` when that is not None), and the reason a
-        # mismatch gives; the one comparison after the rules decides it.
-        env = None
-        if tag == VAR:
-            i = t[1]
-            entry = ctx
-            hops = 0
-            while entry is not None and hops < i:
-                entry = entry[1]
-                hops += 1
-            steps += hops
-            if entry is None or i < 0:
-                return False, "unbound variable", slot, steps
-            expected, env = entry[0], (0, (), i + 1)
-            why = "variable type mismatch"
-        elif tag == CONST:
-            expected = consts.get(t[1])
-            if expected is None:
-                return False, "not a term constant", slot, steps
-            why = "constant type mismatch"
-        elif tag == LAM:
-            a, b, body = t[1], t[2], t[3]
-            stack.append((_TERM, (a, ctx), body, b, 2))
-            expected = (PI, a, b)
-            why = "lambda against non-matching type"
-        elif tag == APP:
-            a, b, fun, arg = t[1], t[2], t[3], t[4]
-            stack.append((_TERM, ctx, arg, a, 3))
-            stack.append((_TERM, ctx, fun, (PI, a, b), 2))
-            stack.append((_TYPE, (a, ctx), b, None, 1))
-            stack.append((_TYPE, ctx, a, None, 0))
-            expected, env = b, (0, (arg,), 0)
-            why = "application result mismatch"
-        elif tag == BETA:
-            a, b, arg, body = t[1], t[2], t[3], t[4]
-            sub = (0, (arg,), 0)
-            expected = (
-                ID,
-                (CLO, b, sub),
-                (APP, a, b, (LAM, a, b, body), arg),
-                (CLO, body, sub),
-            )
-            why = "betaconv type mismatch"
-        elif tag == REFL:
-            a, point = t[1], t[2]
-            stack.append((_TERM, ctx, point, a, 1))
-            expected = (ID, a, point, point)
-            why = "refl type mismatch"
-        elif tag == IDREC:
-            # premises that need instances of ``over`` and the motive are
-            # pushed after the comparison, so a rejection substitutes nothing
-            a, p, lhs, rhs, pth, base = t[1], t[2], t[3], t[4], t[5], t[6]
-            expected, env = p, (0, (pth, rhs, lhs), 0)
-            why = "idrec result mismatch"
-        elif tag == IDCONV:
-            a, p, point, base = t[1], t[2], t[3], t[4]
-            rfl = (REFL, a, point)
-            expected = (
-                ID,
-                (CLO, p, (0, (rfl, point, point), 0)),
-                (IDREC, a, p, point, point, rfl, base),
-                (CLO, base, (0, (point,), 0)),
-            )
-            why = "idconv type mismatch"
-        elif tag == ZERO:
-            expected = _NAT
-            why = "zero against non-Nat type"
-        elif tag == SUCC:
-            # the premise reads t[1], so it is pushed after the comparison
-            expected = _NAT
-            why = "succ against non-Nat type"
-        elif tag == NATREC:
-            p, z, s, scrut = t[1], t[2], t[3], t[4]
-            expected, env = p, (0, (scrut,), 0)
-            why = "natrec result mismatch"
-        elif tag == NATCONVZERO:
-            p, z, s = t[1], t[2], t[3]
-            expected = (
-                ID,
-                (CLO, p, (0, ((ZERO,),), 0)),
-                (NATREC, p, z, s, (ZERO,)),
-                z,
-            )
-            why = "natconv_zero type mismatch"
-        elif tag == NATCONVSUCC:
-            p, z, s, m = t[1], t[2], t[3], t[4]
-            expected = (
-                ID,
-                (CLO, p, (0, ((SUCC, m),), 0)),
-                (NATREC, p, z, s, (SUCC, m)),
-                (CLO, s, (0, ((NATREC, p, z, s, m), m), 0)),
-            )
-            why = "natconv_succ type mismatch"
-        else:
-            return False, "no term-level rule for this constructor", slot, steps
-
-        # The one comparison site.  An obligation with no target (``infer``
-        # seeds one) ends the run here with the type the rule concludes, its
-        # own substitutions applied (``env``, or the closures a conversion
-        # rule builds; NATCONVZERO's right side is the input's ``z``).
-        if target is None:
-            if env is not None:
-                expected = _apply((CLO, expected, env))
-            elif tag == BETA or tag == IDCONV or tag == NATCONVZERO or tag == NATCONVSUCC:
-                rhs = expected[3] if tag == NATCONVZERO else _apply(expected[3])
-                expected = (ID, _apply(expected[1]), expected[2], rhs)
-            return True, None, expected, steps
-        # A motive at reflexivity that IDREC left unwritten.  An
-        # ``expected`` with no environment of its own is compared against it
-        # with the sides swapped, where a closure in ``expected`` never
-        # matches; anything else, or a mismatch there, writes the motive as
-        # IDREC would have, charged the same nodes, and compares as below,
-        # so the verdict is the same.
-        swapped = False
-        if unwritten and target[-1] is _UNWRITTEN:
-            if env is None:
-                swapped, c = _k.eq_lazy(target, expected, certs)
-                steps += c
-            if not swapped:
-                lift, terms, outer = target[2]
-                target, c = _k.inst(target[1], terms, outer, lift)
-                steps += c
-        # A leaf (a constant or a one-slot node such as Nat) is unchanged by
-        # any substitution, so it is decided here in one head step, exactly
-        # as ``eq_lazy`` takes and charges it, one object on both sides
-        # first; anything else goes to ``eq_lazy``.
-        etag = expected[0]
-        if swapped:
-            pass
-        elif etag == CONST or len(expected) == 1 and etag != VAR and etag != CLO:
+        # One pass per obligation.  Once a rule has passed, its premises are
+        # taken in the order the loop would pop them: each leading one that
+        # is a leaf its rule accepts is charged here what that rule charges,
+        # those after the first one that is not are pushed, and that one is
+        # the next pass's obligation.
+        while True:
             steps += 1
-            if expected is not target and (
-                    etag != target[0] or etag == CONST and expected[1] != target[1]):
-                return False, why, slot, steps
-        else:
-            if env is not None:
-                expected = (CLO, expected, env)
-            eq, c = _k.eq_lazy(expected, target, certs)
-            steps += c
-            if not eq:
-                return False, why, slot, steps
-
-        if tag == IDREC:
-            # a closed leaf is its own instance, charged 1 per ``inst`` it
-            # replaces, as ``inst`` charges it
-            atag = a[0]
-            if atag == CONST or len(a) == 1 and atag != VAR and atag != CLO:
-                a1 = a2 = a
-                steps += 2
-            else:
-                a1, c1 = _k.inst(a, (), 1, 0)
-                a2, c2 = _k.inst(a, (), 2, 0)
-                steps += c1 + c2
-            ptag = p[0]
-            if ptag == CONST or len(p) == 1 and ptag != VAR and ptag != CLO:
-                minst = p
-                steps += 1
-            else:
-                refl = ((REFL, a1, (VAR, 0)), (VAR, 0), (VAR, 0))
-                if certs is not None and _live(certs, sig, p, TypeWF) is not None:
-                    # the base's target stays a closure until it is compared
-                    minst = (CLO, p, (0, refl, 1), _UNWRITTEN)
-                    unwritten = True
+            tag = t[0]
+            # a certified subject is discharged by comparison: a type, or a
+            # term with a target.  A variable or a constant is a leaf, which
+            # never has a certificate; the tag is tested by equality, so a
+            # malformed one meets its rule as it would with no certificate
+            # live
+            if (certs is not None and tag != VAR and tag != CONST
+                    and (kind == _TYPE or target is not None) and id(t) in certs):
+                cert = _live(certs, sig, t, TypeWF if kind == _TYPE else HasType)
+                if cert is not None:
+                    eq, c = _matches(cert.judgement, ctx, target)
+                    steps += c
+                    if eq:
+                        break
+            if kind == _TYPE:
+                if tag == PI:
+                    a = t[1]
+                    if inplace and leaf_type(a, atomics, certs):
+                        steps += 1
+                        ctx, t, slot = (a, ctx), t[2], 1
+                    else:
+                        stack.append((_TYPE, (a, ctx), t[2], None, 1))
+                        t, slot = a, 0
+                elif tag == ID:
+                    a, lhs, rhs = t[1], t[2], t[3]
+                    if inplace and leaf_type(a, atomics, certs):
+                        steps += 1
+                        x, c = (_declared(consts, ctx, lhs, a)
+                                if lhs[0] in _LOOKUPS else _NONE)
+                        if x is _EQUAL_LEAF:
+                            steps += c + 2
+                            x, c = (_declared(consts, ctx, rhs, a)
+                                    if rhs[0] in _LOOKUPS else _NONE)
+                            if x is _EQUAL_LEAF:
+                                steps += c + 2
+                                break
+                            kind, t, target, slot = _TERM, rhs, a, 2
+                        else:
+                            stack.append((_TERM, ctx, rhs, a, 2))
+                            kind, t, target, slot = _TERM, lhs, a, 1
+                    else:
+                        stack.append((_TERM, ctx, rhs, a, 2))
+                        stack.append((_TERM, ctx, lhs, a, 1))
+                        t, slot = a, 0
+                elif tag == NAT or tag == CONST and t[1] in atomics:
+                    break
                 else:
-                    minst, c3 = _k.inst(p, refl, 1, 0)
-                    steps += c3
-            ctx3 = ((ID, a2, (VAR, 1), (VAR, 0)), (a1, (a, ctx)))
-            stack.append((_TERM, (a, ctx), base, minst, 5))
-            stack.append((_TERM, ctx, pth, (ID, a, lhs, rhs), 4))
-            stack.append((_TERM, ctx, rhs, a, 3))
-            stack.append((_TERM, ctx, lhs, a, 2))
-            stack.append((_TYPE, ctx3, p, None, 1))
-            stack.append((_TYPE, ctx, a, None, 0))
-        elif tag == NATREC:
-            ptag = p[0]
-            if ptag == CONST or len(p) == 1 and ptag != VAR and ptag != CLO:
-                pz = ps = p
-                steps += 2
+                    return False, "not a type", slot, steps
             else:
-                pz, c1 = _k.inst(p, ((ZERO,),), 0, 0)
-                ps, c2 = _k.inst(p, ((SUCC, (VAR, 1)),), 2, 0)
-                steps += c1 + c2
-            stack.append((_TERM, ctx, scrut, _NAT, 3))
-            stack.append((_TERM, (p, (_NAT, ctx)), s, ps, 2))
-            stack.append((_TERM, ctx, z, pz, 1))
-            stack.append((_TYPE, (_NAT, ctx), p, None, 0))
-        elif tag == SUCC:
-            # the one premise is the next obligation popped, so on a plain
-            # stack an uncertified successor premise is taken here, charged
-            # its obligation and its head comparison, and the chain's first
-            # other node is pushed
-            t = t[1]
-            if stack.__class__ is list:
-                while t[0] == SUCC and (certs is None or id(t) not in certs):
-                    steps += 2
+                # term against target.  Each rule names the type its
+                # conclusion states, ``expected`` (standing under the
+                # substitution ``env`` when that is not None), and the reason
+                # a mismatch gives; the one comparison after the rules decides
+                # it, and only then are its premises taken.
+                env = None
+                if tag == VAR or tag == CONST:
+                    expected, c = _declared(consts, ctx, t, target)
+                    steps += c
+                    if expected is _EQUAL_LEAF:
+                        steps += 1
+                        break
+                    if tag == VAR:
+                        if expected is None:
+                            return False, "unbound variable", slot, steps
+                        env = (0, (), t[1] + 1)
+                        why = "variable type mismatch"
+                    else:
+                        if expected is None:
+                            return False, "not a term constant", slot, steps
+                        why = "constant type mismatch"
+                elif tag == LAM:
+                    a, b, body = t[1], t[2], t[3]
+                    expected = (PI, a, b)
+                    why = "lambda against non-matching type"
+                elif tag == APP:
+                    a, b, fun, arg = t[1], t[2], t[3], t[4]
+                    expected, env = b, (0, (arg,), 0)
+                    why = "application result mismatch"
+                elif tag == BETA:
+                    a, b, arg, body = t[1], t[2], t[3], t[4]
+                    sub = (0, (arg,), 0)
+                    expected = (
+                        ID,
+                        (CLO, b, sub),
+                        (APP, a, b, (LAM, a, b, body), arg),
+                        (CLO, body, sub),
+                    )
+                    why = "betaconv type mismatch"
+                elif tag == REFL:
+                    a, point = t[1], t[2]
+                    expected = (ID, a, point, point)
+                    why = "refl type mismatch"
+                elif tag == IDREC:
+                    # premises that need instances of ``over`` and the motive
+                    # are written after the comparison, so a rejection
+                    # substitutes nothing
+                    a, p, lhs, rhs, pth, base = t[1], t[2], t[3], t[4], t[5], t[6]
+                    expected, env = p, (0, (pth, rhs, lhs), 0)
+                    why = "idrec result mismatch"
+                elif tag == IDCONV:
+                    a, p, point, base = t[1], t[2], t[3], t[4]
+                    rfl = (REFL, a, point)
+                    expected = (
+                        ID,
+                        (CLO, p, (0, (rfl, point, point), 0)),
+                        (IDREC, a, p, point, point, rfl, base),
+                        (CLO, base, (0, (point,), 0)),
+                    )
+                    why = "idconv type mismatch"
+                elif tag == ZERO:
+                    expected = _NAT
+                    why = "zero against non-Nat type"
+                elif tag == SUCC:
+                    expected = _NAT
+                    why = "succ against non-Nat type"
+                elif tag == NATREC:
+                    p, z, s, scrut = t[1], t[2], t[3], t[4]
+                    expected, env = p, (0, (scrut,), 0)
+                    why = "natrec result mismatch"
+                elif tag == NATCONVZERO:
+                    p, z, s = t[1], t[2], t[3]
+                    expected = (
+                        ID,
+                        (CLO, p, (0, ((ZERO,),), 0)),
+                        (NATREC, p, z, s, (ZERO,)),
+                        z,
+                    )
+                    why = "natconv_zero type mismatch"
+                elif tag == NATCONVSUCC:
+                    p, z, s, m = t[1], t[2], t[3], t[4]
+                    expected = (
+                        ID,
+                        (CLO, p, (0, ((SUCC, m),), 0)),
+                        (NATREC, p, z, s, (SUCC, m)),
+                        (CLO, s, (0, ((NATREC, p, z, s, m), m), 0)),
+                    )
+                    why = "natconv_succ type mismatch"
+                else:
+                    return False, "no term-level rule for this constructor", slot, steps
+
+                # The one comparison site.  An obligation with no target
+                # (``infer`` seeds one) ends the run here with the type the
+                # rule concludes, its own substitutions applied (``env``, or
+                # the closures a conversion rule builds; NATCONVZERO's right
+                # side is the input's ``z``).
+                if target is None:
+                    if env is not None:
+                        expected = _apply((CLO, expected, env))
+                    elif tag == BETA or tag == IDCONV or tag == NATCONVZERO or tag == NATCONVSUCC:
+                        rhs = expected[3] if tag == NATCONVZERO else _apply(expected[3])
+                        expected = (ID, _apply(expected[1]), expected[2], rhs)
+                    return True, None, expected, steps
+                # A motive at reflexivity that IDREC left unwritten.  An
+                # ``expected`` with no environment of its own is compared
+                # against it with the sides swapped, where a closure in
+                # ``expected`` never matches; anything else, or a mismatch
+                # there, writes the motive as IDREC would have, charged the
+                # same nodes, and compares as below, so the verdict is the
+                # same.
+                swapped = False
+                if unwritten and target[-1] is _UNWRITTEN:
+                    if env is None:
+                        swapped, c = _k.eq_lazy(target, expected, certs)
+                        steps += c
+                    if not swapped:
+                        lift, terms, outer = target[2]
+                        target, c = _k.inst(target[1], terms, outer, lift)
+                        steps += c
+                # A leaf (a constant or a one-slot node such as Nat) is
+                # unchanged by any substitution, so it is decided here in one
+                # head step, exactly as ``eq_lazy`` takes and charges it, one
+                # object on both sides first; anything else goes to
+                # ``eq_lazy``.
+                etag = expected[0]
+                if swapped:
+                    pass
+                elif etag == CONST or len(expected) == 1 and etag != VAR and etag != CLO:
+                    steps += 1
+                    if expected is not target and (
+                            etag != target[0] or etag == CONST and expected[1] != target[1]):
+                        return False, why, slot, steps
+                else:
+                    if env is not None:
+                        expected = (CLO, expected, env)
+                    eq, c = _k.eq_lazy(expected, target, certs)
+                    steps += c
+                    if not eq:
+                        return False, why, slot, steps
+
+                # the premises, in the order the loop would pop them
+                if tag == APP:
+                    # fun's target is not a leaf, so arg is always pushed
+                    stack.append((_TERM, ctx, arg, a, 3))
+                    if inplace and leaf_type(a, atomics, certs):
+                        steps += 1
+                        if leaf_type(b, atomics, certs):
+                            steps += 1
+                            t, target, slot = fun, (PI, a, b), 2
+                        else:
+                            stack.append((_TERM, ctx, fun, (PI, a, b), 2))
+                            kind, ctx, t, target, slot = _TYPE, (a, ctx), b, None, 1
+                    else:
+                        stack.append((_TERM, ctx, fun, (PI, a, b), 2))
+                        stack.append((_TYPE, (a, ctx), b, None, 1))
+                        kind, t, target, slot = _TYPE, a, None, 0
+                elif tag == LAM:
+                    ctx = (a, ctx)
+                    if inplace and body[0] in _LOOKUPS:
+                        x, c = _declared(consts, ctx, body, b)
+                        if x is _EQUAL_LEAF:
+                            steps += c + 2
+                            break
+                    t, target, slot = body, b, 2
+                elif tag == REFL:
+                    if inplace and point[0] in _LOOKUPS:
+                        x, c = _declared(consts, ctx, point, a)
+                        if x is _EQUAL_LEAF:
+                            steps += c + 2
+                            break
+                    t, target, slot = point, a, 1
+                elif tag == IDREC:
+                    # a closed leaf is its own instance, charged 1 per
+                    # ``inst`` it replaces, as ``inst`` charges it
+                    atag = a[0]
+                    if atag == CONST or len(a) == 1 and atag != VAR and atag != CLO:
+                        a1 = a2 = a
+                        steps += 2
+                    else:
+                        a1, c1 = _k.inst(a, (), 1, 0)
+                        a2, c2 = _k.inst(a, (), 2, 0)
+                        steps += c1 + c2
+                    ptag = p[0]
+                    if ptag == CONST or len(p) == 1 and ptag != VAR and ptag != CLO:
+                        minst = p
+                        steps += 1
+                    else:
+                        refl = ((REFL, a1, (VAR, 0)), (VAR, 0), (VAR, 0))
+                        if certs is not None and _live(certs, sig, p, TypeWF) is not None:
+                            # the base's target stays a closure until it is
+                            # compared
+                            minst = (CLO, p, (0, refl, 1), _UNWRITTEN)
+                            unwritten = True
+                        else:
+                            minst, c3 = _k.inst(p, refl, 1, 0)
+                            steps += c3
+                    ctx3 = ((ID, a2, (VAR, 1), (VAR, 0)), (a1, (a, ctx)))
+                    # pth's target is not a leaf, so base is always pushed
+                    stack.append((_TERM, (a, ctx), base, minst, 5))
+                    pid = (ID, a, lhs, rhs)
+                    if inplace and leaf_type(a, atomics, certs):
+                        steps += 1
+                        if leaf_type(p, atomics, certs):
+                            steps += 1
+                            x, c = (_declared(consts, ctx, lhs, a)
+                                    if lhs[0] in _LOOKUPS else _NONE)
+                            if x is _EQUAL_LEAF:
+                                steps += c + 2
+                                x, c = (_declared(consts, ctx, rhs, a)
+                                        if rhs[0] in _LOOKUPS else _NONE)
+                                if x is _EQUAL_LEAF:
+                                    steps += c + 2
+                                    t, target, slot = pth, pid, 4
+                                else:
+                                    stack.append((_TERM, ctx, pth, pid, 4))
+                                    t, target, slot = rhs, a, 3
+                            else:
+                                stack.append((_TERM, ctx, pth, pid, 4))
+                                stack.append((_TERM, ctx, rhs, a, 3))
+                                t, target, slot = lhs, a, 2
+                        else:
+                            stack.append((_TERM, ctx, pth, pid, 4))
+                            stack.append((_TERM, ctx, rhs, a, 3))
+                            stack.append((_TERM, ctx, lhs, a, 2))
+                            kind, ctx, t, target, slot = _TYPE, ctx3, p, None, 1
+                    else:
+                        stack.append((_TERM, ctx, pth, pid, 4))
+                        stack.append((_TERM, ctx, rhs, a, 3))
+                        stack.append((_TERM, ctx, lhs, a, 2))
+                        stack.append((_TYPE, ctx3, p, None, 1))
+                        kind, t, target, slot = _TYPE, a, None, 0
+                elif tag == NATREC:
+                    ptag = p[0]
+                    if ptag == CONST or len(p) == 1 and ptag != VAR and ptag != CLO:
+                        pz = ps = p
+                        steps += 2
+                    else:
+                        pz, c1 = _k.inst(p, ((ZERO,),), 0, 0)
+                        ps, c2 = _k.inst(p, ((SUCC, (VAR, 1)),), 2, 0)
+                        steps += c1 + c2
+                    nctx = (_NAT, ctx)
+                    sctx = (p, nctx)
+                    if inplace and leaf_type(p, atomics, certs):
+                        steps += 1
+                        x, c = _declared(consts, ctx, z, pz) if z[0] in _LOOKUPS else _NONE
+                        if x is _EQUAL_LEAF:
+                            steps += c + 2
+                            x, c = (_declared(consts, sctx, s, ps)
+                                    if s[0] in _LOOKUPS else _NONE)
+                            if x is _EQUAL_LEAF:
+                                steps += c + 2
+                                x, c = (_declared(consts, ctx, scrut, _NAT)
+                                        if scrut[0] in _LOOKUPS else _NONE)
+                                if x is _EQUAL_LEAF:
+                                    steps += c + 2
+                                    break
+                                t, target, slot = scrut, _NAT, 3
+                            else:
+                                stack.append((_TERM, ctx, scrut, _NAT, 3))
+                                ctx, t, target, slot = sctx, s, ps, 2
+                        else:
+                            stack.append((_TERM, ctx, scrut, _NAT, 3))
+                            stack.append((_TERM, sctx, s, ps, 2))
+                            t, target, slot = z, pz, 1
+                    else:
+                        stack.append((_TERM, ctx, scrut, _NAT, 3))
+                        stack.append((_TERM, sctx, s, ps, 2))
+                        stack.append((_TERM, ctx, z, pz, 1))
+                        kind, ctx, t, target, slot = _TYPE, nctx, p, None, 0
+                elif tag == SUCC:
+                    # a successor premise passes its comparison in its one
+                    # head step, so on a plain stack an uncertified one is
+                    # taken here, charged its obligation and that step, down
+                    # to the chain's first other node
                     t = t[1]
-            stack.append((_TERM, ctx, t, _NAT, 0))
+                    if inplace:
+                        while t[0] == SUCC and (certs is None or id(t) not in certs):
+                            steps += 2
+                            t = t[1]
+                        if t[0] in _LOOKUPS:
+                            x, c = _declared(consts, ctx, t, _NAT)
+                            if x is _EQUAL_LEAF:
+                                steps += c + 2
+                                break
+                    target, slot = _NAT, 0
+                else:
+                    break
+            # (kind, ctx, t, target, slot) is the first premise not taken;
+            # on any other stack it is pushed, and popped next
+            if not inplace:
+                stack.append((kind, ctx, t, target, slot))
+                break
     return True, None, None, steps
 
 

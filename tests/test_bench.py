@@ -87,6 +87,14 @@ def test_run_bench_small_end_to_end():
     )
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_every_family_passes_the_slope_gate(family):
+    # steps grow at least linearly and at most quadratically in size
+    report = run_bench(BenchConfig(family, sizes=tuple(2 ** k for k in range(7, 16))))
+    assert report.passed
+    assert report.slope >= 0.9
+
+
 
 def _rows(steps, ns):
     return [BenchRow("app-chain", s, s, s, n) for s, n in zip(steps, ns)]

@@ -907,6 +907,81 @@ def test_a_live_certificate_leaves_a_malformed_head_to_its_rule(sig):
     del held
 
 
+# leaf premises -----------------------------------------------------------------
+#
+# Once a rule's comparison has passed, ``_run`` on a plain list charges each
+# leading premise that is a leaf its rule accepts without pushing it, and
+# makes the first other premise its next obligation; the reference pushes and
+# pops every one.  They must agree wherever the leaves stop.
+
+
+class _Pushed(list):
+    """An obligation stack that is not a plain list, so ``_run`` pushes every
+    premise on it and takes none in place."""
+
+
+def test_leaf_premises_match_the_reference(sig):
+    from ott.bench import FAMILIES, BenchConfig, bench_signature, generate_family
+
+    sig = sig.with_const("n", NatTy).with_const("f", Pi(A, A))
+    n, f = Const("n"), Const("f")
+    arrow = Pi(A, A)
+    judgements = [
+        # leaf premises that pass, then one that fails
+        HasType((), App(A, n, f, a), n),  # b is not a type
+        HasType((), App(Pi(A, n), A, f, a), A),  # a fails after b, a leaf
+        TypeWF((), Id(A, a, n)),  # rhs has the wrong type
+        TypeWF((), Pi(A, n)),
+        HasType((), Lambda(A, NatTy, Var(0)), Pi(A, NatTy)),  # the body
+        HasType((), Refl(NatTy, a), Id(NatTy, a, a)),  # the point
+        HasType((), IdRec(A, A, n, a, Refl(A, a), a), A),  # lhs, after a and p
+        HasType((), IdRec(A, Pi(A, n), a, a, Refl(A, a), a), Pi(A, n)),  # p, before lhs
+        HasType((), IdRec(A, A, a, n, Refl(A, a), a), A),  # rhs
+        HasType((), NatRec(NatTy, n, Var(0), a), NatTy),  # scrut, after z and s
+        HasType((), NatRec(NatTy, a, Var(0), n), NatTy),  # z
+        # every leaf passes
+        HasType((), IdRec(A, A, a, a, Refl(A, a), a), A),
+        HasType((), NatRec(NatTy, n, Var(0), n), NatTy),
+        TypeWF((A,), Id(A, Var(0), a)),
+        # a leaf against a closure in the input
+        HasType((), Lambda(A, (CLO, A, (0, (), 0)), a), Pi(A, A)),
+        # a variable whose entry is not a leaf, also when the entry is the
+        # target object
+        HasType((arrow,), Refl(arrow, Var(0)), Id(arrow, Var(0), Var(0))),
+        HasType((arrow,), Lambda(A, A, Var(1)), Pi(A, A)),
+        # an unbound variable
+        HasType((), Lambda(A, A, Var(3)), Pi(A, A)),
+        TypeWF((A,), Id(A, Var(0), Var(1))),
+        HasType((A,), IdRec(A, A, Var(0), Var(2), Refl(A, Var(0)), a), A),
+    ]
+    for j in judgements:
+        new, old = _both(sig, lambda: _seed_judgement(j))
+        assert new == old, j
+        if isinstance(j, HasType):
+            new, old = _both(sig, _term_stack(j.ctx, j.term, j.ty))
+            assert new == old, j
+    bench = bench_signature()
+    for family in FAMILIES:
+        [(_, j)] = generate_family(BenchConfig(family, sizes=(2 ** 10,)))
+        _agree(bench, j.ctx, j.term, j.ty)
+
+    # a leaf against the closure IDREC leaves unwritten when its motive is
+    # certified: the reference has no certificates, so its steps are
+    # compared with a run that takes nothing in place
+    ctx3 = (A, A, Id(A, Var(1), Var(0)))
+    motive = Pi(A, Id(A, Var(3), Var(2)))
+    _, held = certify(sig, TypeWF(ctx3, motive))
+    assert held is not None
+    for base, why in ((Var(0), "variable type mismatch"), (a, "constant type mismatch")):
+        seeds = [(_TERM, None, IdRec(A, motive, a, a, Refl(A, a), base),
+                  Pi(A, Id(A, a, a)), "term")]
+        ok, reason, locus, steps = _decide(sig, seeds)
+        assert (ok, reason, locus) == (False, why, ("term", 5))
+        assert reference_run(sig, seeds)[:3] == (ok, reason, locus)
+        assert _run(sig, list(seeds)) == _run(sig, _Pushed(seeds)) == (False, why, 5, steps)
+    del held
+
+
 # loci below a stage's root ---------------------------------------------------------
 #
 # A rejection below a stage's root gets its locus from a second run of that
